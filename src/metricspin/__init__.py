@@ -1,6 +1,6 @@
 """Spin-1/2 probe coupled to two self-interacting bosonic fluctuation modes.
 
-Exact dense-matrix dynamics of the minimal spin + two-mode model,
+Exact parity-block dynamics of the minimal spin + two-mode model,
 Bogoliubov analysis of the quadratic mode sector, brick-wall lattice
 Bloch checks, and a deterministic sweep/CLI layer for reproducing the
 coherent-to-decoherent crossover phenomenology.

@@ -114,7 +114,7 @@ class OperatorMatrix:
                              f"space dimension {self.space.dim}")
         if self.hermitian_hint:
             dev = float(np.abs(m - m.conj().T).max())
-            if dev > HERMITICITY_ATOL:
+            if not dev <= HERMITICITY_ATOL:
                 raise NumericalConsistencyError(
                     f"matrix flagged Hermitian deviates by {dev:.3e} "
                     f"(> {HERMITICITY_ATOL})")
@@ -145,7 +145,7 @@ class StateVector:
             raise ValueError(f"state length {v.shape[0]} does not match "
                              f"space dimension {self.space.dim}")
         norm_sq = float(np.vdot(v, v).real)
-        if abs(norm_sq - 1.0) > NORM_SQ_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_SQ_ATOL:
             raise NumericalConsistencyError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
         v.setflags(write=False)

@@ -67,3 +67,67 @@ def minimal_hamiltonian_oracle(G: float, mu: float, N: int,
                 if na - 1 >= 0:
                     H[idx(1 - s, na - 1, nb), col] += g * phase * math.sqrt(na)
     return H
+
+
+def parity_isometry_oracle(N: int, sign: int) -> np.ndarray:
+    """Columns |e_sigma, n_a, n_b> of parity block ``sign`` by explicit index map.
+
+    e_sigma = (|up> + sigma |down>) / sqrt(2) with sigma = sign (-1)^n_a;
+    column index n_a*N + n_b, row index as in the full basis.
+    """
+    W = np.zeros((2 * N * N, N * N))
+    for na in range(N):
+        sigma = sign * (-1) ** na
+        for nb in range(N):
+            col = na * N + nb
+            W[col, col] = 1.0 / math.sqrt(2.0)
+            W[N * N + col, col] = sigma / math.sqrt(2.0)
+    return W
+
+
+_SPIN_START = {
+    ("x", +1): (1.0, 1.0), ("x", -1): (1.0, -1.0),
+    ("y", +1): (1.0, 1.0j), ("y", -1): (1.0, -1.0j),
+    ("z", +1): (math.sqrt(2.0), 0.0), ("z", -1): (0.0, math.sqrt(2.0)),
+}
+
+
+def dense_trace_oracle(G: float, mu: float, N: int, times, direction: str,
+                       sign: int) -> dict[str, np.ndarray]:
+    """Observable columns from dense propagation on the full space.
+
+    Full ``eigh`` of the entrywise Hamiltonian, full-basis states
+    ``V exp(-i E t) V^dag psi0`` for a spin start times the two-mode
+    vacuum, and every column (metric h11/h12 included) evaluated from
+    those states by explicit basis sums.
+    """
+    H = minimal_hamiltonian_oracle(G, mu, N)
+    psi0 = np.zeros(2 * N * N, dtype=complex)
+    psi0[0], psi0[N * N] = np.array(_SPIN_START[(direction, sign)]) / math.sqrt(2.0)
+    evals, evecs = np.linalg.eigh(H)
+    c0 = evecs.conj().T @ psi0
+    times = np.asarray(times, dtype=float)
+    states = (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
+    psi = states.reshape(times.size, 2, N, N)       # (t, spin, n_a, n_b)
+    up, down = psi[:, 0], psi[:, 1]
+    prob = np.abs(psi) ** 2
+    levels = np.arange(N, dtype=float)
+    updown = np.einsum("tab,tab->t", up.conj(), down)
+    # <a> and <b> with a|n> = sqrt(n)|n-1>, summed over both spin components
+    mean_a = np.einsum("tsab,a,tsab->t", psi[:, :, :-1].conj(), np.sqrt(levels[1:]),
+                       psi[:, :, 1:])
+    mean_b = np.einsum("tsab,b,tsab->t", psi[:, :, :, :-1].conj(), np.sqrt(levels[1:]),
+                       psi[:, :, :, 1:])
+    r = 0.5 * math.asinh(mu / 4.0 - 1.0 / mu)
+    scale = math.sqrt(2.0) * math.exp(-r)
+    return {
+        "sx": 2.0 * updown.real,
+        "sy": 2.0 * updown.imag,
+        "sz": prob[:, 0].sum(axis=(1, 2)) - prob[:, 1].sum(axis=(1, 2)),
+        "n_alpha": np.einsum("tsab,a->t", prob, levels),
+        "n_beta": np.einsum("tsab,b->t", prob, levels),
+        "energy": np.einsum("ti,ti->t", states.conj(), states @ H.T).real,
+        "norm": np.sqrt(prob.sum(axis=(1, 2, 3))),
+        "h11": scale * mean_a.real,
+        "h12": scale * mean_b.real,
+    }

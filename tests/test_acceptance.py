@@ -28,13 +28,14 @@ from metricspin import (
     initial_state,
     low_energy_coefficients,
     observable_trace,
+    pauli_matrix,
     quadratic_site_hamiltonian,
     revival_diagnostic,
     run_sweep,
     symmetry_check,
+    tensor_embed,
     truncation_convergence,
 )
-from metricspin.model import _embedded
 
 SQRT2 = math.sqrt(2.0)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,9 +157,9 @@ def test_c08_precession_peaks():
     err_curve = float(np.abs(trace.sy - np.cos(2 * SQRT2 * trace.times)).max())
 
     # peak positions located as roots of d<sy>/dt, against k pi / sqrt(2)
-    ops = _embedded(params.space)
+    sy = tensor_embed(pauli_matrix("y"), "spin", params.space).entries
     H = h.matrix.entries
-    K = 1j * (H @ ops["sy"] - ops["sy"] @ H)
+    K = 1j * (H @ sy - sy @ H)
 
     def dsy(t):
         state = evolve(h, psi0, [t])[0]

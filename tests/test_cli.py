@@ -126,6 +126,15 @@ class TestNumericalFailureExitCode:
         assert rc == 3
         assert "drift" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("G", ["nan", "inf"])
+    def test_non_finite_coupling_fails_without_output(self, tmp_path, G):
+        out = tmp_path / "o"
+        rc = cli.main(["evolve", "--out", str(out), *FAST, "--set", "N=4",
+                       "--set", f"G={G}"])
+        assert rc in (2, 3)
+        written = list(out.rglob("*")) if out.exists() else []
+        assert not any(b"nan" in f.read_bytes().lower() for f in written if f.is_file())
+
 
 class TestSweepCommand:
     def test_single_point_matches_evolve(self, tmp_path):

@@ -17,9 +17,12 @@ from metricspin import (
     tensor_embed,
     truncation_convergence,
 )
-from metricspin.model import _embedded
 
-from oracles import minimal_hamiltonian_oracle
+from oracles import (
+    dense_trace_oracle,
+    minimal_hamiltonian_oracle,
+    parity_isometry_oracle,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,7 +110,7 @@ class TestBuildHamiltonian:
     def test_commutes_with_sigma_x_at_zero_coupling(self):
         p = ModelParams(G=0.0, N=8, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        sx = _embedded(p.space)["sx"]
+        sx = tensor_embed(pauli_matrix("x"), "spin", p.space).entries
         m = h.matrix.entries
         assert np.abs(m @ sx - sx @ m).max() == 0.0
 
@@ -320,6 +323,46 @@ class TestSymmetrySector:
         assert np.abs(tr.sz).max() <= 1e-10
 
 
+class TestParityBlocks:
+    """The block kernel against the dense full-space path it replaced."""
+
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("g", [0.0, -1.3])
+    def test_blocks_are_compressions_of_dense_hamiltonian(self, N, g):
+        p = ModelParams(G=1.0, N=N, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p, g=g)
+        H = minimal_hamiltonian_oracle(1.0, 1.0, N, g=g)
+        W = {s: parity_isometry_oracle(N, s) for s in (1, -1)}
+        for block in h.blocks:
+            W_s = W[block.sign]
+            npt.assert_allclose(W_s.T @ H @ W_s, block.matrix.entries, rtol=0, atol=1e-14)
+        assert np.abs(W[1].T @ H @ W[-1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("G", [0.0, 0.46, math.pi, 10.0, 100.0])
+    @pytest.mark.parametrize("direction,sign", [("x", 1), ("x", -1), ("y", 1), ("z", -1)])
+    def test_kernel_matches_dense_oracle(self, direction, sign, G, N):
+        p = ModelParams(G=G, mu=1.3, N=N, t_max=10.0, dt=0.05)
+        h = build_minimal_hamiltonian(p)
+        tr = observable_trace(h, initial_state(direction, sign, p.space), p,
+                              include_metric=True)
+        ref = dense_trace_oracle(G, 1.3, N, p.times, direction, sign)
+        for name, want in ref.items():
+            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+        if direction == "x":
+            # the block kernel has sy = sz = 0 by construction; the dense
+            # path measures how far the physics is from that
+            assert np.abs(ref["sy"]).max() <= 1e-10
+            assert np.abs(ref["sz"]).max() <= 1e-10
+
+    def test_x_start_diagonalizes_one_block(self):
+        p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p)
+        observable_trace(h, initial_state("x", -1, p.space), p)
+        solved = ["eigensystem" in vars(block) for block in h.blocks]
+        assert solved == [False, True]
+
+
 class TestTruncationConvergence:
     def test_zero_coupling_deviation_vanishes(self):
         p = ModelParams(G=0.0, N=6, t_max=10.0, dt=0.1)
@@ -418,6 +461,32 @@ class TestTraceValidation:
         wrong = ModelParams(G=0.1, N=5, t_max=1.0, dt=0.5)
         with pytest.raises(ValueError):
             observable_trace(h, psi0, wrong)
+
+    @pytest.mark.parametrize("corrupt,guard", [("eigenvalues", "norm"),
+                                               ("eigenvectors", "energy")])
+    def test_broken_spectrum_caught(self, monkeypatch, corrupt, guard):
+        # NaN eigenvalues must trip the norm guard.  Rotating two eigenvectors
+        # keeps every state normalized but moves <H> in time, which only an
+        # energy evaluated from the block matrix (not from sum |c|^2 E) sees.
+        from metricspin import NumericalConsistencyError
+
+        p = ModelParams(G=0.8, N=4, t_max=5.0, dt=0.1)
+        h = build_minimal_hamiltonian(p)
+        real_eigh = np.linalg.eigh
+
+        def broken(m):
+            evals, evecs = real_eigh(m)
+            if corrupt == "eigenvalues":
+                return np.full_like(evals, math.nan), evecs
+            c, s = math.cos(0.3), math.sin(0.3)
+            mixed = evecs.copy()
+            mixed[:, 0] = c * evecs[:, 0] - s * evecs[:, 1]
+            mixed[:, 1] = s * evecs[:, 0] + c * evecs[:, 1]
+            return evals, mixed
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        with pytest.raises(NumericalConsistencyError, match=guard):
+            observable_trace(h, initial_state("z", +1, p.space), p)
 
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         from metricspin import NumericalConsistencyError

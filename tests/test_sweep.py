@@ -68,10 +68,10 @@ class TestRunSweep:
     def test_deterministic_rerun(self):
         grid = short_grid((0.02, 0.2, 2.0))
         r1 = run_sweep(grid)
-        r2 = run_sweep(grid)
-        assert r1.heatmap_csv == r2.heatmap_csv
-        assert r1.manifest.checksum_sha256 == r2.manifest.checksum_sha256
-        assert r1.manifest.run_checksums == r2.manifest.run_checksums
+        for r2 in (run_sweep(grid), run_sweep(grid, workers=4)):
+            assert r1.heatmap_csv == r2.heatmap_csv
+            assert r1.manifest.checksum_sha256 == r2.manifest.checksum_sha256
+            assert r1.manifest.run_checksums == r2.manifest.run_checksums
 
     def test_concurrent_matches_sequential(self):
         grid = short_grid((0.02, 0.2, 2.0, 20.0))
