@@ -22,7 +22,6 @@ from .gravity import (
     quadratic_site_hamiltonian,
     resonant_momentum,
     spectrum_spacing,
-    squeeze_matrix,
 )
 from .lattice import (
     FERMI_MINUS,

@@ -74,12 +74,12 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, st
     for name, text in files.items():
         write_text(outdir / name, text)
     primary = next(iter(files))
+    digests = {name: sha256_hex(text) for name, text in files.items()}
     pairs = [("command", command), ("code_version", __version__)]
     pairs.extend(config_pairs)
     pairs.append(("wall_time_s", f"{wall_time:.3f}"))
-    pairs.append(("checksum_sha256", sha256_hex(files[primary])))
-    for name, text in files.items():
-        pairs.append((f"checksum_sha256.{name}", sha256_hex(text)))
+    pairs.append(("checksum_sha256", digests[primary]))
+    pairs.extend((f"checksum_sha256.{name}", d) for name, d in digests.items())
     pairs.extend(extra_pairs)
     write_text(outdir / "manifest.txt", render_manifest(pairs))
 
@@ -147,12 +147,16 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
     kx = np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count)
     ky = np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count)
+    # repr of a Python float is fmt's shortest round-trip text; each axis
+    # value is rendered once, not once per grid point
+    ky_txt = [fmt(y) for y in ky]
     rows = []
     for x in kx:
         grid = np.stack([np.full_like(ky, x), ky], axis=-1)
         e_lo, e_hi = dispersion(grid, couplings)
-        rows.extend(f"{fmt(x)},{fmt(y)},{fmt(lo)},{fmt(hi)}"
-                    for y, lo, hi in zip(ky, e_lo, e_hi))
+        x_txt = fmt(x)
+        rows.extend([f"{x_txt},{y},{lo!r},{hi!r}"
+                     for y, lo, hi in zip(ky_txt, e_lo.tolist(), e_hi.tolist())])
     res_p, res_m = fermi_point_residual(couplings)
     report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
     for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):

@@ -55,16 +55,27 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+def _finite_float(key: str, raw: str, text: str) -> float:
+    """``float(text)``, refusing nan and +-inf: no run may start from them."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r} ({exc})") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"bad value for key {key!r}: {raw!r} (not a finite number)")
+    return value
+
+
+def _convert(key: str, raw: str):
+    kind = _FIELD_TYPES[key]
+    if kind == "float":
+        return _finite_float(key, raw, raw)
+    if kind == "int":
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for key {key!r}: {raw!r} ({exc})") from exc
+    return raw
 
 
 def _apply(cfg: RunConfig, key: str, raw: str):
@@ -99,10 +110,7 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
 
 
 def parse_float_list(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key {key!r}: {raw!r} ({exc})") from exc
+    return tuple(_finite_float(key, raw, x) for x in raw.split(",") if x.strip())
 
 
 def parse_int_list(raw: str, key: str) -> tuple[int, ...]:

@@ -7,6 +7,13 @@ transformation with ``cosh 2r = mu/4 + 1/mu`` and
 is diagonalized numerically and its measured level spacing is reported
 as-is (tests compare it against the 2*mu and 4*mu candidate values
 rather than hard-coding either).
+
+The pair terms ``a^2`` and ``a^dag^2`` change the boson number by two,
+so the matrix has weight only on its main diagonal and at offsets +-2
+and splits exactly into an even-n and an odd-n sector, each a real
+symmetric tridiagonal matrix.  The spectrum is read from the two
+sectors (after checking that no weight lies elsewhere), solving only
+the lowest levels of each.
 """
 
 from __future__ import annotations
@@ -71,7 +78,9 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
 
     The coefficients are ``c1 = mu^2/2 - 2`` on the pair terms and
     ``c2 = mu^2/2 + 2`` on ``2 a^dag a + 1``; at ``mu = 2`` the pair
-    terms vanish and the matrix is diagonal.
+    terms vanish and the matrix is diagonal.  The matrix is filled from
+    its three nonzero diagonals: ``c2 (2n + 1)`` on the main one and
+    ``c1 sqrt(n (n - 1))`` between levels ``n - 2`` and ``n``.
     """
     mu = float(mu)
     if mu <= 0:
@@ -79,11 +88,12 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
     N = int(N)
     if N < 4:
         raise ValueError(f"invalid cutoff: need N >= 4 to resolve pair terms, got {N}")
-    a = annihilation_matrix(N).entries
-    ad = a.conj().T
     c1 = mu * mu / 2.0 - 2.0
     c2 = mu * mu / 2.0 + 2.0
-    m = c1 * (a @ a + ad @ ad) + c2 * (2.0 * (ad @ a) + np.eye(N))
+    n = np.arange(N, dtype=float)
+    m = np.diag(c2 * (2.0 * n + 1.0))
+    pair = c1 * np.sqrt(n[2:] * (n[2:] - 1.0))
+    m += np.diag(pair, 2) + np.diag(pair, -2)
     matrix = OperatorMatrix(single_mode_space(N), m, hermitian_hint=True)
     return QuadraticModeHamiltonian(mu, c1, c2, matrix)
 
@@ -93,7 +103,10 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
 
     Returns ``(mean_gap, max_deviation_from_mean)``.  ``levels`` must stay
     in the lowest third of the truncated spectrum, where cutoff artifacts
-    are negligible.
+    are negligible; each parity sector then holds at least ``levels``
+    states, so the lowest ``levels`` of each sector, merged, are the
+    lowest ``levels`` of the whole matrix.  A matrix with weight off the
+    main and +-2 diagonals does not split and is refused.
     """
     levels = int(levels)
     N = h.cutoff
@@ -102,9 +115,22 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
     if levels > N // 3:
         raise ValueError(f"levels={levels} too close to the truncation edge "
                          f"for N={N}; keep levels <= N//3")
+    m = h.matrix.entries
+    band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (-2, 0, 2))
+    if np.count_nonzero(m) != band:
+        raise NumericalConsistencyError(
+            "mode Hamiltonian has weight off the main and +-2 diagonals; "
+            "it does not split into boson-number parity sectors")
+    diag = np.diagonal(m).real
+    # a Hermitian tridiagonal matrix has the spectrum of the real one built
+    # from the moduli of its off-diagonal entries
+    pair = np.abs(np.diagonal(m, 2))
     try:
-        evals = np.linalg.eigvalsh(h.matrix.entries)
-    except np.linalg.LinAlgError as exc:
+        evals = np.concatenate([
+            scipy.linalg.eigvalsh_tridiagonal(diag[p::2], pair[p::2], select="i",
+                                              select_range=(0, levels - 1))
+            for p in (0, 1)])
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalConsistencyError(f"eigensolver failed: {exc}") from exc
     gaps = np.diff(np.sort(evals)[:levels])
     mean_gap = float(gaps.mean())
@@ -118,13 +144,6 @@ def resonant_momentum(mu: float) -> float:
     if mu <= 0:
         raise ValueError(f"mass parameter must be positive, got mu={mu}")
     return 1.0 / (math.sqrt(2.0) * math.pi * mu)
-
-
-def squeeze_matrix(r: float, N: int) -> OperatorMatrix:
-    """Truncated squeeze unitary ``exp(r/2 (a^2 - a^dag^2))`` on N levels."""
-    a = annihilation_matrix(int(N)).entries
-    gen = 0.5 * float(r) * (a @ a - (a @ a).conj().T)
-    return OperatorMatrix(single_mode_space(int(N)), scipy.linalg.expm(gen))
 
 
 def metric_expectations(psi: StateVector, params: BogoliubovParams) -> tuple[float, float]:

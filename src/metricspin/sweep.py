@@ -112,6 +112,20 @@ def _trace_rows(G: float, trace: ObservableTrace) -> list[str]:
     ]
 
 
+def _failed_at(G: float, exc: Exception) -> Exception:
+    """``exc`` re-made with the failing G in its message, keeping its type.
+
+    The type carries the CLI exit code (a ``NumericalConsistencyError``
+    must still exit 3); a type that cannot be built from one message
+    falls back to ``RuntimeError``.
+    """
+    message = f"sweep run failed at G={G!r}: {exc}"
+    try:
+        return type(exc)(message)
+    except TypeError:
+        return RuntimeError(message)
+
+
 def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
     """Run one trace per G value; any single failure aborts the sweep."""
 
@@ -128,7 +142,7 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
             try:
                 traces[i] = one(G)
             except Exception as exc:
-                raise RuntimeError(f"sweep run failed at G={G!r}: {exc}") from exc
+                raise _failed_at(G, exc) from exc
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(one, G)
@@ -137,8 +151,7 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
                 try:
                     traces[i] = fut.result()
                 except Exception as exc:
-                    raise RuntimeError(
-                        f"sweep run failed at G={grid.G_values[i]!r}: {exc}") from exc
+                    raise _failed_at(grid.G_values[i], exc) from exc
     wall = time.perf_counter() - t0
 
     blocks = [_trace_rows(G, tr) for G, tr in zip(grid.G_values, traces)]

@@ -9,6 +9,7 @@ expectation values.
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def embed_oracle(op: np.ndarray, pos: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -131,3 +132,31 @@ def dense_trace_oracle(G: float, mu: float, N: int, times, direction: str,
         "h11": scale * mean_a.real,
         "h12": scale * mean_b.real,
     }
+
+
+def _ladder(N: int) -> np.ndarray:
+    """Annihilation operator on N Fock levels: entry (n-1, n) is sqrt(n)."""
+    a = np.zeros((N, N))
+    for n in range(1, N):
+        a[n - 1, n] = math.sqrt(n)
+    return a
+
+
+def dense_mode_spectrum(mu: float, N: int) -> np.ndarray:
+    """Sorted spectrum of c1 (a^2 + a^dag^2) + c2 (2 a^dag a + 1), dense.
+
+    c1 = mu^2/2 - 2 and c2 = mu^2/2 + 2; the matrix is built from ladder
+    products and diagonalized whole, with no use of its parity structure.
+    """
+    a = _ladder(N)
+    ad = a.T
+    c1 = mu * mu / 2.0 - 2.0
+    c2 = mu * mu / 2.0 + 2.0
+    H = c1 * (a @ a + ad @ ad) + c2 * (2.0 * (ad @ a) + np.eye(N))
+    return np.sort(np.linalg.eigvalsh(H))
+
+
+def squeeze_matrix(r: float, N: int) -> np.ndarray:
+    """Truncated squeeze unitary exp(r/2 (a^2 - a^dag^2)) on N levels."""
+    a = _ladder(N)
+    return scipy.linalg.expm(0.5 * r * (a @ a - (a @ a).T))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,10 @@ import numpy.testing as npt
 import pytest
 
 import metricspin.cli as cli
+import metricspin.sweep as sweep_mod
 from metricspin.errors import NumericalConsistencyError
+from metricspin.lattice import LatticeCouplings, dispersion
+from metricspin.serialize import fmt, render_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,6 +32,12 @@ def read_manifest(path):
         key, value = line.split("=", 1)
         out[key] = value
     return out
+
+
+def non_finite_files(out):
+    """Written files whose text contains nan or inf."""
+    written = [f for f in out.rglob("*") if f.is_file()] if out.exists() else []
+    return [f for f in written if re.search(rb"nan|inf", f.read_bytes(), re.IGNORECASE)]
 
 
 class TestEvolveCommand:
@@ -135,6 +145,43 @@ class TestNumericalFailureExitCode:
         written = list(out.rglob("*")) if out.exists() else []
         assert not any(b"nan" in f.read_bytes().lower() for f in written if f.is_file())
 
+    def test_sweep_failure_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        real = sweep_mod.observable_trace
+
+        def drifting(h, psi0, params):
+            if params.G == 0.2:
+                raise NumericalConsistencyError("synthetic drift")
+            return real(h, psi0, params)
+
+        monkeypatch.setattr(sweep_mod, "observable_trace", drifting)
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--out", str(out), "--set", "G_list=0.02,0.2",
+                       *FAST, "--set", "t_min=1", "--set", "N=4"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "G=0.2" in err and "drift" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestNonFiniteConfigValues:
+    @pytest.mark.parametrize("command,setting", [
+        ("lattice", "lattice_G=nan"),
+        ("lattice", "lattice_G=inf"),
+        ("evolve", "dt=nan"),
+        ("evolve", "mu=inf"),
+        ("gravity-check", "mu_list=1,inf"),
+        ("gravity-check", "mu_list=nan,2"),
+        ("sweep", "G_list=0.1,nan"),
+    ])
+    def test_rejected_as_config_error(self, tmp_path, capsys, command, setting):
+        out = tmp_path / "o"
+        rc = cli.main([command, "--out", str(out), "--set", "N=4", "--set", "N_mode=12",
+                       "--set", "levels=3", "--set", "kx_count=3", "--set", "ky_count=3",
+                       "--set", setting])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert non_finite_files(out) == []
+
 
 class TestSweepCommand:
     def test_single_point_matches_evolve(self, tmp_path):
@@ -212,6 +259,23 @@ class TestLatticeCommand:
         assert header == ["kx", "ky", "E_minus", "E_plus"]
         assert cols["kx"].size == 24
         npt.assert_array_equal(cols["E_minus"], -cols["E_plus"])
+
+    def test_bands_bytes_match_per_element_rendering(self, tmp_path):
+        settings = {"kx_count": 5, "ky_count": 7, "lattice_G": 0.01,
+                    "alpha_c": 0.3, "beta_c": 1.0, "kx_min": -2.5, "ky_max": 3.0}
+        args = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
+        assert cli.main(["lattice", "--out", str(tmp_path), *args]) == 0
+        # reference: every number rendered on its own with fmt, row by row
+        couplings = LatticeCouplings.from_background(0.01, 0.3, 1.0)
+        kx = np.linspace(-2.5, math.sqrt(2.0) * math.pi, 5)
+        ky = np.linspace(-math.sqrt(2.0) * math.pi, 3.0, 7)
+        rows = []
+        for x in kx:
+            e_lo, e_hi = dispersion(np.stack([np.full_like(ky, x), ky], axis=-1), couplings)
+            rows.extend(f"{fmt(x)},{fmt(y)},{fmt(lo)},{fmt(hi)}"
+                        for y, lo, hi in zip(ky, e_lo, e_hi))
+        want = render_csv("kx,ky,E_minus,E_plus", rows).encode()
+        assert (tmp_path / "bands.csv").read_bytes() == want
 
     def test_degenerate_grid_rejected(self, tmp_path, capsys):
         rc = cli.main(["lattice", "--out", str(tmp_path), "--set", "kx_count=1"])

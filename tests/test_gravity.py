@@ -3,8 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from metricspin import (
+    NumericalConsistencyError,
+    OperatorMatrix,
+    QuadraticModeHamiltonian,
     SpaceSpec,
     StateVector,
     annihilation_matrix,
@@ -12,11 +16,12 @@ from metricspin import (
     metric_expectations,
     quadratic_site_hamiltonian,
     resonant_momentum,
+    single_mode_space,
     spectrum_spacing,
-    squeeze_matrix,
     tensor_embed,
 )
 from metricspin.model import initial_state
+from oracles import dense_mode_spectrum, squeeze_matrix
 
 SQRT2 = math.sqrt(2.0)
 MU_GRID = np.geomspace(0.1, 10.0, 50)
@@ -136,16 +141,36 @@ class TestSpectrumSpacing:
             spectrum_spacing(h, 1)
 
     def test_eigensolver_failure_wrapped(self, monkeypatch):
-        from metricspin import NumericalConsistencyError
-
         h = quadratic_site_hamiltonian(1.0, 30)
 
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic non-convergence")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", broken)
         with pytest.raises(NumericalConsistencyError):
             spectrum_spacing(h, 5)
+
+    @pytest.mark.parametrize("N", [13, 14, 80])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_matches_dense_spectrum(self, mu, N):
+        levels = N // 3
+        gaps = np.diff(dense_mode_spectrum(mu, N)[:levels])
+        want = gaps.mean()
+        spacing, dev = spectrum_spacing(quadratic_site_hamiltonian(mu, N), levels)
+        tol = 1e-9 * max(1.0, abs(want))
+        assert abs(spacing - want) <= tol
+        assert abs(dev - np.abs(gaps - want).max()) <= tol
+
+    def test_off_band_weight_refused(self):
+        # a single-boson hop couples the parity sectors, so they cannot be split
+        N = 30
+        h = quadratic_site_hamiltonian(1.0, N)
+        a = annihilation_matrix(N).entries
+        m = h.matrix.entries + 1e-3 * (a + a.T)
+        mixed = QuadraticModeHamiltonian(
+            h.mu, h.c1, h.c2, OperatorMatrix(single_mode_space(N), m, hermitian_hint=True))
+        with pytest.raises(NumericalConsistencyError, match="diagonals"):
+            spectrum_spacing(mixed, 5)
 
 
 class TestSqueezeTransform:
@@ -154,7 +179,7 @@ class TestSqueezeTransform:
         # S^dag H S is diagonal on interior levels for the matching r
         N = 60
         bp = bogoliubov_params(mu)
-        S = squeeze_matrix(bp.r, N).entries
+        S = squeeze_matrix(bp.r, N)
         H = quadratic_site_hamiltonian(mu, N).matrix.entries
         rotated = S.conj().T @ H @ S
         pair = max(abs(rotated[n, n + 2]) for n in range(5))
@@ -164,7 +189,7 @@ class TestSqueezeTransform:
         npt.assert_allclose(diag, 2.0 * mu * (2 * np.arange(5) + 1), atol=1e-6)
 
     def test_unitary(self):
-        S = squeeze_matrix(-0.35, 40).entries
+        S = squeeze_matrix(-0.35, 40)
         npt.assert_allclose(S @ S.conj().T, np.eye(40), atol=1e-12)
 
 
