@@ -51,8 +51,8 @@ def bogoliubov_params(mu: float) -> BogoliubovParams:
     ``sinh 2r`` (an ``acosh`` route would be sign-blind).
     """
     mu = float(mu)
-    if mu <= 0:
-        raise ValueError(f"mass parameter must be positive, got mu={mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
     cosh2r = mu / 4.0 + 1.0 / mu
     sinh2r = mu / 4.0 - 1.0 / mu
     r = 0.5 * math.asinh(sinh2r)
@@ -83,8 +83,8 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
     ``c1 sqrt(n (n - 1))`` between levels ``n - 2`` and ``n``.
     """
     mu = float(mu)
-    if mu <= 0:
-        raise ValueError(f"mass parameter must be positive, got mu={mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
     N = int(N)
     if N < 4:
         raise ValueError(f"invalid cutoff: need N >= 4 to resolve pair terms, got {N}")
@@ -141,8 +141,8 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
 def resonant_momentum(mu: float) -> float:
     """Radius ``1 / (sqrt(2) pi mu)`` of the resonant circle in momentum space."""
     mu = float(mu)
-    if mu <= 0:
-        raise ValueError(f"mass parameter must be positive, got mu={mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
     return 1.0 / (math.sqrt(2.0) * math.pi * mu)
 
 

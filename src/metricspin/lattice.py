@@ -67,8 +67,8 @@ class LatticeCouplings:
     def from_background(cls, G: float = 0.0, alpha_c: float = 0.0,
                         beta_c: float = 0.0) -> "LatticeCouplings":
         """Couplings for a uniform classical background at strength G."""
-        if G < 0:
-            raise ValueError(f"G must be non-negative, got {G}")
+        if not (math.isfinite(G) and G >= 0):
+            raise ValueError(f"G must be finite and non-negative, got {G}")
         s = math.sqrt(2.0 * math.pi * G)
         J = 1.0 + 1j * s * alpha_c - s * beta_c
         return cls(Jx=J, Jy=J, Jz=SQRT2 * J,

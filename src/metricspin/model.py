@@ -22,8 +22,13 @@ state has weight in it, which is one block for spin-x starts and both
 for y and z, and phases ``exp(-i E t)`` are applied, so there is no
 time-step error.  The time grid is propagated in fixed chunks and every
 observable is reduced from the block amplitudes of each chunk, so memory
-does not grow with the grid.  The dense matrix on the full space is
-built only on demand.
+does not grow with the grid.  On the uniform grid the phases factor as
+``exp(-i E t0) exp(-i E dt j)``: the step table is built once per block
+and each chunk adds only its start factor.  The energy check applies
+each block to its amplitudes through its five nonzero diagonals (n_b
+hops at offset +-1, n_a hops at +-N), after verifying that the
+assembled block has no weight elsewhere.  The dense matrix on the full
+space is built only on demand.
 """
 
 from __future__ import annotations
@@ -68,16 +73,18 @@ class ModelParams:
     dt: float = 0.02
 
     def __post_init__(self):
-        if self.G < 0:
-            raise ValueError(f"G must be non-negative, got {self.G}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        # written so that nan fails every check
+        if not (math.isfinite(self.G) and self.G >= 0):
+            raise ValueError(f"G must be finite and non-negative, got {self.G}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.N < 2:
             raise ValueError(f"cutoff N must be >= 2, got {self.N}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_max < self.dt:
-            raise ValueError(f"t_max must be >= dt, got t_max={self.t_max} dt={self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
+            raise ValueError(f"t_max must be finite and >= dt, got t_max={self.t_max} "
+                             f"dt={self.dt}")
 
     @property
     def space(self) -> SpaceSpec:
@@ -98,10 +105,10 @@ def coupling_strength(G: float, mu: float) -> float:
     """
     G = float(G)
     mu = float(mu)
-    if G < 0:
-        raise ValueError(f"G must be non-negative, got {G}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not (math.isfinite(G) and G >= 0):
+        raise ValueError(f"G must be finite and non-negative, got {G}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     return -math.sqrt(2.0 * G) / (math.sqrt(math.pi) * mu ** 1.5)
 
 
@@ -133,6 +140,23 @@ class ParityBlock:
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Main diagonal and the upper bands at offsets 1 and N of ``matrix``.
+
+        The n_b hops sit at offset +-1 and the n_a hops at +-N; a nonzero
+        entry anywhere else raises :class:`NumericalConsistencyError`, so
+        the banded energy check applies the matrix as assembled.
+        """
+        m = self.matrix.entries
+        N = self.matrix.space.fock_cutoffs[0]
+        on_band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (0, 1, -1, N, -N))
+        if np.count_nonzero(m) != on_band:
+            raise NumericalConsistencyError(
+                f"parity block {self.sign:+d} has weight off the diagonals at "
+                f"offsets 0, +-1 and +-{N}")
+        return np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, N)
 
 
 @dataclass(eq=False)
@@ -225,26 +249,34 @@ def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return ((up + down) / SQRT2).ravel(), ((up - down) / SQRT2).ravel()
 
 
-def _propagate(h: MinimalHamiltonian, psi0: StateVector, times: np.ndarray):
-    """Block amplitudes of ``psi(t)``, ``_CHUNK_STEPS`` time points at a time.
+def _propagate(h: MinimalHamiltonian, psi0: StateVector, chunks, dt: float):
+    """Block amplitudes of ``psi(t)``, one chunk of time points at a time.
 
-    Yields ``(lo, plus, minus)``: the amplitudes of blocks +1 and -1 at
-    ``times[lo:lo + _CHUNK_STEPS]``, one row per time point, or ``None``
-    for a block that ``psi0`` has no weight in (it is never diagonalized).
+    ``chunks`` lists ``(t0, count)`` pairs; a chunk holds the times
+    ``t0 + j*dt`` for ``j < count``.  Each occupied block gets its step
+    table ``exp(-i E dt j)`` once; a chunk then costs one exponential per
+    state for its start factor ``exp(-i E t0) c0``, broadcast into the
+    table, and the product with the eigenvectors.  A one-point chunk has
+    the phases ``exp(-i E t0)`` exactly, whatever ``dt``.
+
+    Yields ``(plus, minus)`` per chunk: the amplitudes of blocks +1 and -1,
+    one row per time point, or ``None`` for a block that ``psi0`` has no
+    weight in (it is never diagonalized).
     """
+    steps = dt * np.arange(max((count for _, count in chunks), default=0))
     spectra = []
     for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
         if phi0.any():
             evals, evecs = block.eigensystem
-            spectra.append((evals, evecs.T, evecs.conj().T @ phi0))
+            spectra.append((evals, np.exp(-1j * np.outer(steps, evals)), evecs.T,
+                            evecs.conj().T @ phi0))
         else:
             spectra.append(None)
-    for lo in range(0, times.size, _CHUNK_STEPS):
-        t = times[lo:lo + _CHUNK_STEPS]
-        # phi[t, :] = V (exp(-i E t) * c0) in each occupied block
-        plus, minus = (None if s is None else (np.exp(-1j * np.outer(t, s[0])) * s[2]) @ s[1]
-                       for s in spectra)
-        yield lo, plus, minus
+    for t0, count in chunks:
+        # phi[j, :] = V (exp(-i E dt j) * exp(-i E t0) * c0) in each occupied block
+        yield tuple(None if s is None
+                    else (s[1][:count] * (np.exp(-1j * t0 * s[0]) * s[3])) @ s[2]
+                    for s in spectra)
 
 
 def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]:
@@ -266,13 +298,12 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     N = h.params.N
     parity = np.repeat(_mode_factors(N)[2], N)
     out = []
-    for lo, plus, minus in _propagate(h, psi0, times):
+    # each requested time is its own one-point chunk, so the grid may be arbitrary
+    for t, (plus, minus) in zip(times, _propagate(h, psi0, [(t, 1) for t in times], 0.0)):
         # back to the full space, W_+ plus + W_- minus; None is an empty block
-        plus, minus = (0.0 if a is None else a for a in (plus, minus))
-        rows = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2],
-                              axis=-1)
-        out.extend(psi0 if t == 0.0 else StateVector(psi0.space, amp)
-                   for t, amp in zip(times[lo:], rows))
+        plus, minus = (0.0 if a is None else a[0] for a in (plus, minus))
+        amp = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2])
+        out.append(psi0 if t == 0.0 else StateVector(psi0.space, amp))
     return out
 
 
@@ -324,7 +355,8 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     Every column is reduced from the parity-block amplitudes chunk by
     chunk: norm, sx and the mode populations from the block weights, sy
     and sz from the overlap between the two blocks, and the energy by
-    applying each block matrix to its propagated amplitudes.  Norm and
+    applying each assembled block, through its bands, to its propagated
+    amplitudes (independently of the eigenvectors).  Norm and
     energy constancy are enforced (``NORM_DRIFT_ATOL``,
     ``ENERGY_DRIFT_RTOL``); a violation, NaN included, raises
     :class:`NumericalConsistencyError` since it signals a broken
@@ -348,7 +380,10 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
         names += ("mean_a", "mean_b")
     cols = {name: np.zeros(times.size) for name in names}
 
-    for lo, plus, minus in _propagate(h, psi0, times):
+    # the grid is t_k = k dt, so chunk c starts at times[c * _CHUNK_STEPS]
+    starts = range(0, times.size, _CHUNK_STEPS)
+    chunks = [(times[lo], min(_CHUNK_STEPS, times.size - lo)) for lo in starts]
+    for lo, (plus, minus) in zip(starts, _propagate(h, psi0, chunks, params.dt)):
         rows = slice(lo, lo + _CHUNK_STEPS)
         weight = 0.0
         for block, phi in zip(h.blocks, (plus, minus)):
@@ -357,8 +392,11 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
             prob = phi.real ** 2 + phi.imag ** 2
             weight = weight + prob
             cols["sx"][rows] += block.sign * (prob @ w_parity)
-            h_phi = phi @ block.matrix.entries.T
-            cols["energy"][rows] += np.einsum("ti,ti->t", phi.conj(), h_phi).real
+            # Re <phi|H_s phi> from the diagonal and the bands at offsets 1 and N
+            d0, d1, dN = block.bands
+            cols["energy"][rows] += prob @ d0.real + 2.0 * (
+                (phi[:, :-1].conj() * phi[:, 1:]) @ d1
+                + (phi[:, :-N].conj() * phi[:, N:]) @ dN).real
         cols["norm"][rows] = np.sqrt(weight.sum(axis=1))
         cols["n_alpha"][rows] = weight @ w_alpha
         cols["n_beta"][rows] = weight @ w_beta

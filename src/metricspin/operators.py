@@ -241,7 +241,7 @@ def expectation(op: OperatorMatrix, psi: StateVector):
                          f"{op.space} vs {psi.space}")
     val = complex(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes))
     if op.hermitian_hint:
-        if abs(val.imag) > IMAG_GUARD:
+        if not abs(val.imag) <= IMAG_GUARD:
             raise NumericalConsistencyError(
                 f"Hermitian expectation value has imaginary part {val.imag:.3e}")
         return val.real

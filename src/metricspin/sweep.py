@@ -9,6 +9,7 @@ so a manifest fully determines its outputs.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ class SweepGrid:
         vals = tuple(float(g) for g in self.G_values)
         if not vals:
             raise ValueError("sweep grid must contain at least one G value")
-        if any(g < 0 for g in vals):
-            raise ValueError("G values must be non-negative")
+        if not all(math.isfinite(g) and g >= 0 for g in vals):
+            raise ValueError(f"G values must be finite and non-negative, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("G values must be strictly increasing")
         object.__setattr__(self, "G_values", vals)

@@ -93,14 +93,12 @@ _SPIN_START = {
 }
 
 
-def dense_trace_oracle(G: float, mu: float, N: int, times, direction: str,
-                       sign: int) -> dict[str, np.ndarray]:
-    """Observable columns from dense propagation on the full space.
+def dense_state_oracle(G: float, mu: float, N: int, times, direction: str,
+                       sign: int) -> np.ndarray:
+    """Full-basis states ``V exp(-i E t) V^dag psi0``, one row per time.
 
-    Full ``eigh`` of the entrywise Hamiltonian, full-basis states
-    ``V exp(-i E t) V^dag psi0`` for a spin start times the two-mode
-    vacuum, and every column (metric h11/h12 included) evaluated from
-    those states by explicit basis sums.
+    Full ``eigh`` of the entrywise Hamiltonian; ``psi0`` is a spin start
+    times the two-mode vacuum.
     """
     H = minimal_hamiltonian_oracle(G, mu, N)
     psi0 = np.zeros(2 * N * N, dtype=complex)
@@ -108,8 +106,26 @@ def dense_trace_oracle(G: float, mu: float, N: int, times, direction: str,
     evals, evecs = np.linalg.eigh(H)
     c0 = evecs.conj().T @ psi0
     times = np.asarray(times, dtype=float)
-    states = (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
-    psi = states.reshape(times.size, 2, N, N)       # (t, spin, n_a, n_b)
+    return (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
+
+
+def dense_trace_oracle(G: float, mu: float, N: int, times, direction: str,
+                       sign: int) -> dict[str, np.ndarray]:
+    """Observable columns from dense propagation on the full space.
+
+    The states of :func:`dense_state_oracle`, and every column (metric
+    h11/h12 included) evaluated from them by explicit basis sums.
+    """
+    states = dense_state_oracle(G, mu, N, times, direction, sign)
+    return state_columns_oracle(states, G, mu, N)
+
+
+def state_columns_oracle(states: np.ndarray, G: float, mu: float,
+                         N: int) -> dict[str, np.ndarray]:
+    """Observable columns of full-basis states (one row per time) by basis sums."""
+    H = minimal_hamiltonian_oracle(G, mu, N)
+    T = states.shape[0]
+    psi = states.reshape(T, 2, N, N)                # (t, spin, n_a, n_b)
     up, down = psi[:, 0], psi[:, 1]
     prob = np.abs(psi) ** 2
     levels = np.arange(N, dtype=float)

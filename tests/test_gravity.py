@@ -56,7 +56,7 @@ class TestBogoliubovParams:
     def test_cosh_bounded_below_by_one(self):
         assert min(bogoliubov_params(mu).cosh2r for mu in MU_GRID) >= 1.0
 
-    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
     def test_domain_error(self, mu):
         with pytest.raises(ValueError):
             bogoliubov_params(mu)
@@ -104,6 +104,11 @@ class TestQuadraticSiteHamiltonian:
             quadratic_site_hamiltonian(-1.0, 10)
         with pytest.raises(ValueError):
             quadratic_site_hamiltonian(1.0, 3)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mu):
+        with pytest.raises(ValueError):
+            quadratic_site_hamiltonian(mu, 10)
 
 
 class TestSpectrumSpacing:
@@ -209,6 +214,11 @@ class TestResonantMomentum:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             resonant_momentum(0.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mu):
+        with pytest.raises(ValueError):
+            resonant_momentum(mu)
 
 
 class TestMetricExpectations:

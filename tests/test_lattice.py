@@ -57,6 +57,11 @@ class TestCouplings:
         with pytest.raises(ValueError):
             LatticeCouplings.from_background(-0.1)
 
+    @pytest.mark.parametrize("G", [math.nan, math.inf])
+    def test_non_finite_g_rejected(self, G):
+        with pytest.raises(ValueError):
+            LatticeCouplings.from_background(G)
+
 
 class TestBlochHamiltonian:
     def test_zone_center_free(self):

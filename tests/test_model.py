@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import scipy.linalg
 
 from metricspin import (
     ModelParams,
+    NumericalConsistencyError,
+    OperatorMatrix,
     build_minimal_hamiltonian,
     coupling_strength,
     evolve,
@@ -17,11 +20,14 @@ from metricspin import (
     tensor_embed,
     truncation_convergence,
 )
+from metricspin.model import _CHUNK_STEPS, ParityBlock
 
 from oracles import (
+    dense_state_oracle,
     dense_trace_oracle,
     minimal_hamiltonian_oracle,
     parity_isometry_oracle,
+    state_columns_oracle,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -46,6 +52,12 @@ class TestCouplingStrength:
         with pytest.raises(ValueError):
             coupling_strength(1.0, 0.0)
 
+    @pytest.mark.parametrize("G,mu", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, G, mu):
+        with pytest.raises(ValueError):
+            coupling_strength(G, mu)
+
 
 class TestModelParams:
     def test_time_grid(self):
@@ -58,6 +70,9 @@ class TestModelParams:
     @pytest.mark.parametrize("kwargs", [
         dict(G=-1.0), dict(G=1.0, mu=0.0), dict(G=1.0, N=1),
         dict(G=1.0, dt=0.0), dict(G=1.0, t_max=0.01, dt=0.02),
+        dict(G=math.nan), dict(G=math.inf), dict(G=1.0, mu=math.nan),
+        dict(G=1.0, mu=math.inf), dict(G=1.0, dt=math.nan),
+        dict(G=1.0, t_max=math.inf), dict(G=1.0, t_max=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -355,12 +370,75 @@ class TestParityBlocks:
             assert np.abs(ref["sy"]).max() <= 1e-10
             assert np.abs(ref["sz"]).max() <= 1e-10
 
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("G", [math.pi, 100.0])
+    @pytest.mark.parametrize("direction,sign", [("x", 1), ("z", 1)])
+    def test_long_trace_matches_dense_oracle(self, direction, sign, G, N):
+        # 8,001 points out to t = 400: many chunks, the last one partial
+        p = ModelParams(G=G, N=N, t_max=400.0, dt=0.05)
+        assert p.times.size > 50 * _CHUNK_STEPS and p.times.size % _CHUNK_STEPS
+        h = build_minimal_hamiltonian(p)
+        tr = observable_trace(h, initial_state(direction, sign, p.space), p,
+                              include_metric=True)
+        ref = dense_trace_oracle(G, 1.0, N, p.times, direction, sign)
+        for name, want in ref.items():
+            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+
+    @pytest.mark.parametrize("G", [0.46, 100.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_energy_column_matches_dense_energy(self, sign, G):
+        # x+ lives in block +1 and x- in block -1, so each block's bands are used
+        p = ModelParams(G=G, N=6, t_max=20.0, dt=0.05)
+        h = build_minimal_hamiltonian(p)
+        psi0 = initial_state("x", sign, p.space)
+        tr = observable_trace(h, psi0, p)
+        states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
+        H = minimal_hamiltonian_oracle(G, 1.0, 6)
+        dense = np.einsum("ti,ti->t", states.conj(), states @ H.T).real
+        npt.assert_allclose(tr.energy, dense, rtol=1e-12, atol=0)
+
+    def test_off_band_entry_refused(self):
+        p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p)
+        block = h.blocks[0]
+        m = block.matrix.entries.copy()
+        m[0, 2] = m[2, 0] = 1e-3        # offset 2: neither an n_b nor an n_a hop at N = 4
+        planted = ParityBlock(block.sign, OperatorMatrix(block.matrix.space, m,
+                                                         hermitian_hint=True))
+        broken = dataclasses.replace(h, blocks=(planted, h.blocks[1]))
+        with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
+            observable_trace(broken, initial_state("x", +1, p.space), p)
+
     def test_x_start_diagonalizes_one_block(self):
         p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         observable_trace(h, initial_state("x", -1, p.space), p)
         solved = ["eigensystem" in vars(block) for block in h.blocks]
         assert solved == [False, True]
+
+
+class TestEvolveAgainstTrace:
+    """``evolve`` runs the kernel with one-point chunks; the trace with full ones."""
+
+    @pytest.mark.parametrize("direction,sign", [("x", -1), ("y", 1), ("z", 1)])
+    def test_off_grid_states_match_dense_oracle(self, direction, sign):
+        times = np.sort(np.random.default_rng(7).uniform(0.0, 80.0, 40))
+        p = ModelParams(G=math.pi, N=5, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p)
+        states = evolve(h, initial_state(direction, sign, p.space), times)
+        ref = dense_state_oracle(math.pi, 1.0, 5, times, direction, sign)
+        got = np.array([s.amplitudes for s in states])
+        assert np.abs(got - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("direction,sign", [("x", 1), ("z", -1)])
+    def test_grid_states_reproduce_trace_columns(self, direction, sign):
+        p = ModelParams(G=2.0, mu=1.3, N=5, t_max=30.0, dt=0.1)   # 301 points, 3 chunks
+        h = build_minimal_hamiltonian(p)
+        psi0 = initial_state(direction, sign, p.space)
+        tr = observable_trace(h, psi0, p, include_metric=True)
+        states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
+        for name, want in state_columns_oracle(states, 2.0, 1.3, 5).items():
+            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
 
 
 class TestTruncationConvergence:

@@ -227,6 +227,15 @@ class TestExpectation:
         with pytest.raises(NumericalConsistencyError):
             expectation(op, psi)
 
+    def test_nan_imaginary_part_caught(self):
+        # a NaN imaginary part must not slip past the guard as "not too large"
+        space = single_mode_space(3)
+        op = OperatorMatrix(space, np.eye(3), hermitian_hint=True)
+        object.__setattr__(op, "entries", np.diag([1.0 + math.nan * 1j, 1.0, 1.0]))
+        psi = StateVector(space, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(NumericalConsistencyError, match="imaginary"):
+            expectation(op, psi)
+
 
 class TestValidation:
     def test_hermitian_hint_rejects_non_hermitian(self):

@@ -37,6 +37,11 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid(G_values=(-0.1, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_g_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SweepGrid(G_values=(0.1, bad))
+
     def test_zero_coupling_allowed(self):
         grid = SweepGrid(G_values=(0.0, 0.1))
         assert grid.G_values[0] == 0.0
