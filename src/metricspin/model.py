@@ -12,23 +12,27 @@ sigma_y.
 
 H commutes with the parity S = sigma_x (x) (-1)^n_alpha (x) 1, the Z2
 symmetry of the Rabi model, so it splits exactly into two blocks of
-N*N states.  Block s = +1 or -1 has the basis |e_sigma, n_a, n_b>, where
-e_sigma is the sigma_x eigenstate with sigma = s (-1)^n_a: sigma_x is
-diagonal there and sigma_y (a + a^dag) becomes a hop in n_a weighted by
--i sigma.  Both blocks are assembled from Kronecker products of N x N
-factors.  Evolution is exact spectral propagation: a block is
-diagonalized (dense Hermitian eigensolve, cached) only when the initial
-state has weight in it, which is one block for spin-x starts and both
-for y and z, and phases ``exp(-i E t)`` are applied, so there is no
-time-step error.  The time grid is propagated in fixed chunks and every
-observable is reduced from the block amplitudes of each chunk, so memory
-does not grow with the grid.  On the uniform grid the phases factor as
-``exp(-i E t0) exp(-i E dt j)``: the step table is built once per block
-and each chunk adds only its start factor.  The energy check applies
-each block to its amplitudes through its five nonzero diagonals (n_b
-hops at offset +-1, n_a hops at +-N), after verifying that the
-assembled block has no weight elsewhere.  The dense matrix on the full
-space is built only on demand.
+N*N states.  Block s = +1 or -1 has the gauged basis
+i^n_a |e_sigma, n_a, n_b>, where e_sigma is the sigma_x eigenstate with
+sigma = s (-1)^n_a: sigma_x is diagonal there, and sigma_y (a + a^dag),
+a hop in n_a weighted by -i sigma, becomes the real hop +-sqrt(n) sigma
+through the phase i^n_a.  Both blocks are assembled from Kronecker
+products of N x N factors and are real symmetric; a block with a
+nonzero imaginary entry is refused before its eigensolve.  Evolution is
+exact spectral propagation: a block is diagonalized (real symmetric
+eigensolve, cached) only when the initial state has weight in it, which
+is one block for spin-x starts and both for y and z, and phases
+``exp(-i E t)`` are applied, so there is no time-step error.  The time
+grid is propagated in fixed chunks and every observable is reduced from
+the block amplitudes of each chunk, held state-major as (states, times),
+so memory does not grow with the grid.  On the uniform grid the phases
+factor as ``exp(-i E t0) exp(-i E dt j)``: the step table is built once
+per block and each chunk adds only its start factor, then takes one
+real matrix product of the eigenvectors with the interleaved real and
+imaginary parts.  The energy check applies each block to its amplitudes
+through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
++-N), after verifying that the assembled block has no weight elsewhere.
+The dense matrix on the full space is built only on demand.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ NORM_DRIFT_ATOL = 1e-10
 ENERGY_DRIFT_RTOL = 1e-8
 
 #: time points propagated together; at the default cutoff a chunk of block
-#: amplitudes is 128 x 196 complex numbers (0.4 MB), which stays in cache
+#: amplitudes is 196 x 128 complex numbers (0.4 MB), which stays in cache
 _CHUNK_STEPS = 128
 
 
@@ -119,22 +123,43 @@ def _mode_factors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return levels, hop + hop.T, (-1.0) ** levels
 
 
+def _gauge(N: int) -> np.ndarray:
+    """The basis phase ``i^n_a`` of a block, at each flat index ``n_a*N + n_b``."""
+    return np.repeat(np.array([1, 1j, -1, -1j])[np.arange(N) % 4], N)
+
+
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
     """H restricted to the sector ``S = sign``, with a cached eigendecomposition.
 
-    Basis ``|e_sigma, n_a, n_b>`` with ``sigma = sign * (-1)^n_a`` at flat
-    index ``n_a*N + n_b``; ``matrix`` lives on a spinless two-mode space.
+    Basis ``i^n_a |e_sigma, n_a, n_b>`` with ``sigma = sign * (-1)^n_a`` at
+    flat index ``n_a*N + n_b``, in which the block is real symmetric;
+    ``matrix`` lives on a spinless two-mode space.
     """
 
     sign: int
     matrix: OperatorMatrix
 
     @cached_property
+    def real_entries(self) -> np.ndarray:
+        """``matrix`` as a real array, after checking it has no imaginary part.
+
+        A nonzero (or NaN) imaginary part anywhere in the assembled block
+        raises :class:`NumericalConsistencyError`.
+        """
+        m = self.matrix.entries
+        if m.imag.any():
+            raise NumericalConsistencyError(
+                f"parity block {self.sign:+d} is not real in its gauged basis")
+        real = np.ascontiguousarray(m.real)
+        real.setflags(write=False)
+        return real
+
+    @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors, computed once per block."""
+        """Eigenvalues and real eigenvectors of :attr:`real_entries`, once per block."""
         try:
-            evals, evecs = np.linalg.eigh(self.matrix.entries)
+            evals, evecs = np.linalg.eigh(self.real_entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalConsistencyError(f"eigensolver failed: {exc}") from exc
         evals.setflags(write=False)
@@ -143,13 +168,13 @@ class ParityBlock:
 
     @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Main diagonal and the upper bands at offsets 1 and N of ``matrix``.
+        """Main diagonal and the upper bands at offsets 1 and N of :attr:`real_entries`.
 
         The n_b hops sit at offset +-1 and the n_a hops at +-N; a nonzero
         entry anywhere else raises :class:`NumericalConsistencyError`, so
         the banded energy check applies the matrix as assembled.
         """
-        m = self.matrix.entries
+        m = self.real_entries
         N = self.matrix.space.fock_cutoffs[0]
         on_band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (0, 1, -1, N, -N))
         if np.count_nonzero(m) != on_band:
@@ -207,13 +232,15 @@ def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> Mi
     g = float(g)
     N = params.N
     levels, quad, parity = _mode_factors(N)
+    skew = np.triu(quad) - np.tril(quad)      # a - a^dag
     blocks = []
     for sign in (1, -1):
         spin = sign * parity                  # sigma_x eigenvalue at each n_a
         diagonal = SQRT2 * (spin[:, None] + levels[:, None] + levels[None, :])
         # sigma_x (b + b^dag) keeps sigma; sigma_y |e_sigma> = -i sigma |e_-sigma>
-        # pairs with the n_a hop of (a + a^dag), which flips sigma
-        hops = np.kron(np.diag(spin), quad) + np.kron(-1j * quad * spin, np.eye(N))
+        # pairs with the n_a hop of (a + a^dag), which flips sigma, and the
+        # phase i^n_a of the basis turns its -i into a real hop, +-sqrt(n) sigma
+        hops = np.kron(np.diag(spin), quad) + np.kron(skew * spin, np.eye(N))
         entries = np.diag(diagonal.ravel()) + g * hops
         blocks.append(ParityBlock(sign, OperatorMatrix(SpaceSpec(1, (N, N)), entries,
                                                        hermitian_hint=True)))
@@ -246,7 +273,8 @@ def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Components ``W_s^dag psi`` of a full-space vector in blocks +1 and -1."""
     up, down = psi.reshape(2, N, N)
     down = down * _mode_factors(N)[2][:, None]
-    return ((up + down) / SQRT2).ravel(), ((up - down) / SQRT2).ravel()
+    phase = _gauge(N).conj()
+    return phase * ((up + down) / SQRT2).ravel(), phase * ((up - down) / SQRT2).ravel()
 
 
 def _propagate(h: MinimalHamiltonian, psi0: StateVector, chunks, dt: float):
@@ -256,11 +284,12 @@ def _propagate(h: MinimalHamiltonian, psi0: StateVector, chunks, dt: float):
     ``t0 + j*dt`` for ``j < count``.  Each occupied block gets its step
     table ``exp(-i E dt j)`` once; a chunk then costs one exponential per
     state for its start factor ``exp(-i E t0) c0``, broadcast into the
-    table, and the product with the eigenvectors.  A one-point chunk has
-    the phases ``exp(-i E t0)`` exactly, whatever ``dt``.
+    table, and one real product of the eigenvectors with the interleaved
+    real and imaginary parts.  A one-point chunk has the phases
+    ``exp(-i E t0)`` exactly, whatever ``dt``.
 
     Yields ``(plus, minus)`` per chunk: the amplitudes of blocks +1 and -1,
-    one row per time point, or ``None`` for a block that ``psi0`` has no
+    one column per time point, or ``None`` for a block that ``psi0`` has no
     weight in (it is never diagonalized).
     """
     steps = dt * np.arange(max((count for _, count in chunks), default=0))
@@ -268,21 +297,23 @@ def _propagate(h: MinimalHamiltonian, psi0: StateVector, chunks, dt: float):
     for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
         if phi0.any():
             evals, evecs = block.eigensystem
-            spectra.append((evals, np.exp(-1j * np.outer(steps, evals)), evecs.T,
-                            evecs.conj().T @ phi0))
+            spectra.append((evals, np.exp(-1j * np.outer(evals, steps)), evecs,
+                            evecs.T @ phi0))
         else:
             spectra.append(None)
     for t0, count in chunks:
-        # phi[j, :] = V (exp(-i E dt j) * exp(-i E t0) * c0) in each occupied block
+        # phi[:, j] = V (exp(-i E dt j) * exp(-i E t0) * c0) in each occupied block,
+        # the real V applied to the interleaved real and imaginary parts at once
         yield tuple(None if s is None
-                    else (s[1][:count] * (np.exp(-1j * t0 * s[0]) * s[3])) @ s[2]
+                    else (s[2] @ (s[1][:, :count] * (np.exp(-1j * t0 * s[0]) * s[3])[:, None])
+                          .view(float)).view(complex)
                     for s in spectra)
 
 
 def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]:
     """Evolve ``psi0`` to each requested time by spectral propagation.
 
-    ``times`` must be sorted and non-negative.  The t = 0 entry returns
+    ``times`` must be finite, non-negative and sorted.  The t = 0 entry returns
     the input state unchanged; every propagated state is re-validated to
     unit norm on construction.
     """
@@ -291,17 +322,19 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
-    if times.size and times[0] < 0:
-        raise ValueError("times must be non-negative")
-    if np.any(np.diff(times) < 0):
+    # written so that nan and +-inf fail
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and non-negative")
+    if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be sorted in increasing order")
     N = h.params.N
     parity = np.repeat(_mode_factors(N)[2], N)
+    gauge = _gauge(N)
     out = []
     # each requested time is its own one-point chunk, so the grid may be arbitrary
     for t, (plus, minus) in zip(times, _propagate(h, psi0, [(t, 1) for t in times], 0.0)):
         # back to the full space, W_+ plus + W_- minus; None is an empty block
-        plus, minus = (0.0 if a is None else a[0] for a in (plus, minus))
+        plus, minus = (0.0 if a is None else gauge * a[:, 0] for a in (plus, minus))
         amp = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2])
         out.append(psi0 if t == 0.0 else StateVector(psi0.space, amp))
     return out
@@ -391,32 +424,35 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
                 continue
             prob = phi.real ** 2 + phi.imag ** 2
             weight = weight + prob
-            cols["sx"][rows] += block.sign * (prob @ w_parity)
-            # Re <phi|H_s phi> from the diagonal and the bands at offsets 1 and N
+            cols["sx"][rows] += block.sign * (w_parity @ prob)
+            # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
+            # Re(conj(x) y) sums the products of the interleaved re, im columns
             d0, d1, dN = block.bands
-            cols["energy"][rows] += prob @ d0.real + 2.0 * (
-                (phi[:, :-1].conj() * phi[:, 1:]) @ d1
-                + (phi[:, :-N].conj() * phi[:, N:]) @ dN).real
-        cols["norm"][rows] = np.sqrt(weight.sum(axis=1))
-        cols["n_alpha"][rows] = weight @ w_alpha
-        cols["n_beta"][rows] = weight @ w_beta
+            f = phi.view(float)
+            cols["energy"][rows] += d0 @ prob + 2.0 * (
+                d1 @ (f[:-1] * f[1:]) + dN @ (f[:-N] * f[N:])).reshape(-1, 2).sum(axis=1)
+        cols["norm"][rows] = np.sqrt(weight.sum(axis=0))
+        cols["n_alpha"][rows] = w_alpha @ weight
+        cols["n_beta"][rows] = w_beta @ weight
         if plus is not None and minus is not None:
-            # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>
+            # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>;
+            # both blocks carry the same phase i^n_a, which cancels here
             cross = plus.conj() * minus
-            cols["sz"][rows] = 2.0 * cross.real.sum(axis=1)
-            cols["sy"][rows] = -2.0 * (cross.imag @ w_parity)
+            cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
+            cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
         if include_metric:
-            # b keeps the block; a lowers n_a, which moves a state to the other block
+            # b keeps the block; a lowers n_a, which moves a state to the other
+            # block and, through the phase i^n_a of the basis, multiplies by i
             for phi, other in ((plus, minus), (minus, plus)):
                 if phi is None:
                     continue
-                phi = phi.reshape(-1, N, N)
+                phi = phi.reshape(N, N, -1)
                 cols["mean_b"][rows] += np.einsum(
-                    "tab,b,tab->t", phi[:, :, :-1].conj(), root, phi[:, :, 1:]).real
+                    "abt,b,abt->t", phi[:, :-1].conj(), root, phi[:, 1:]).real
                 if other is not None:
-                    other = other.reshape(-1, N, N)
-                    cols["mean_a"][rows] += np.einsum(
-                        "tab,a,tab->t", other[:, :-1].conj(), root, phi[:, 1:]).real
+                    other = other.reshape(N, N, -1)
+                    cols["mean_a"][rows] -= np.einsum(
+                        "abt,a,abt->t", other[:-1].conj(), root, phi[1:]).imag
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:

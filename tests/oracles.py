@@ -71,18 +71,19 @@ def minimal_hamiltonian_oracle(G: float, mu: float, N: int,
 
 
 def parity_isometry_oracle(N: int, sign: int) -> np.ndarray:
-    """Columns |e_sigma, n_a, n_b> of parity block ``sign`` by explicit index map.
+    """Columns i^n_a |e_sigma, n_a, n_b> of parity block ``sign`` by explicit index map.
 
     e_sigma = (|up> + sigma |down>) / sqrt(2) with sigma = sign (-1)^n_a;
     column index n_a*N + n_b, row index as in the full basis.
     """
-    W = np.zeros((2 * N * N, N * N))
+    W = np.zeros((2 * N * N, N * N), dtype=complex)
     for na in range(N):
         sigma = sign * (-1) ** na
+        phase = (1, 1j, -1, -1j)[na % 4]
         for nb in range(N):
             col = na * N + nb
-            W[col, col] = 1.0 / math.sqrt(2.0)
-            W[N * N + col, col] = sigma / math.sqrt(2.0)
+            W[col, col] = phase / math.sqrt(2.0)
+            W[N * N + col, col] = phase * sigma / math.sqrt(2.0)
     return W
 
 

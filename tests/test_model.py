@@ -214,6 +214,16 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(h, psi0, [-1.0, 0.5])
 
+    @pytest.mark.parametrize("times", [[0.5, math.nan, 0.2], [math.nan], [0.2, math.nan],
+                                       [math.inf], [0.1, math.inf], [-math.inf, 0.5]],
+                             ids=["nan-unsorted", "nan", "nan-last", "inf", "inf-last",
+                                  "-inf"])
+    def test_non_finite_times_rejected(self, times):
+        p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, initial_state("x", +1, p.space), times)
+
     def test_space_mismatch(self):
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
@@ -350,8 +360,9 @@ class TestParityBlocks:
         W = {s: parity_isometry_oracle(N, s) for s in (1, -1)}
         for block in h.blocks:
             W_s = W[block.sign]
-            npt.assert_allclose(W_s.T @ H @ W_s, block.matrix.entries, rtol=0, atol=1e-14)
-        assert np.abs(W[1].T @ H @ W[-1]).max() <= 1e-12
+            npt.assert_allclose(W_s.conj().T @ H @ W_s, block.matrix.entries,
+                                rtol=0, atol=1e-14)
+        assert np.abs(W[1].conj().T @ H @ W[-1]).max() <= 1e-12
 
     @pytest.mark.parametrize("N", [5, 6])
     @pytest.mark.parametrize("G", [0.0, 0.46, math.pi, 10.0, 100.0])
@@ -396,6 +407,32 @@ class TestParityBlocks:
         H = minimal_hamiltonian_oracle(G, 1.0, 6)
         dense = np.einsum("ti,ti->t", states.conj(), states @ H.T).real
         npt.assert_allclose(tr.energy, dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N", [5, 6, 14])
+    @pytest.mark.parametrize("g", [0.0, -1.3, None], ids=["g=0", "g=-1.3", "G=100"])
+    def test_blocks_are_real_symmetric(self, N, g):
+        p = ModelParams(G=100.0, N=N, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p, g=g)
+        for block in h.blocks:
+            m = block.matrix.entries
+            assert not m.imag.any()
+            assert np.array_equal(m, m.T)
+
+    def test_imaginary_entry_refused_before_eigensolve(self, monkeypatch):
+        p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
+        h = build_minimal_hamiltonian(p)
+        block = h.blocks[0]
+        m = block.matrix.entries.copy()
+        m[0, 4] += 1e-3j                # the first n_a hop, as in the ungauged basis
+        m[4, 0] -= 1e-3j
+        planted = ParityBlock(block.sign, OperatorMatrix(block.matrix.space, m,
+                                                         hermitian_hint=True))
+        broken = dataclasses.replace(h, blocks=(planted, h.blocks[1]))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
+        with pytest.raises(NumericalConsistencyError, match="not real"):
+            observable_trace(broken, initial_state("x", +1, p.space), p)
+        assert calls == []
 
     def test_off_band_entry_refused(self):
         p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
