@@ -58,16 +58,6 @@ def _model_params(cfg: RunConfig) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def render_trace_csv(trace) -> str:
-    rows = (
-        ",".join(fmt(v) for v in vals)
-        for vals in zip(trace.times, trace.sx, trace.sy, trace.sz,
-                        trace.px, trace.py, trace.pz,
-                        trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
-    )
-    return render_csv(TRACE_HEADER, rows)
-
-
 def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, str],
                    wall_time: float, extra_pairs=()):
     outdir.mkdir(parents=True, exist_ok=True)
@@ -95,8 +85,10 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
         ("G", fmt(cfg.G)), ("mu", fmt(cfg.mu)), ("N", str(cfg.N)),
         ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
     ]
+    columns = (trace.times, trace.sx, trace.sy, trace.sz, trace.px, trace.py,
+               trace.pz, trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
     _write_outputs(outdir, "evolve", config_pairs,
-                   {"trace.csv": render_trace_csv(trace)},
+                   {"trace.csv": render_csv(TRACE_HEADER, columns)},
                    time.perf_counter() - t0)
     return 0
 
@@ -116,17 +108,19 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
     t0 = time.perf_counter()
+    if workers < 1:
+        raise ConfigError(f"option '--workers' must be >= 1, got {workers}")
     grid = _sweep_grid(cfg)
     if cfg.t_min >= cfg.t_max:
         raise ConfigError("key 't_min' must be below t_max")
     result = run_sweep(grid, workers=workers)
-    diag_rows = []
-    for G, trace in zip(grid.G_values, result.traces):
-        d = revival_diagnostic(trace, t_min=cfg.t_min)
-        diag_rows.append(f"{fmt(G)},{fmt(d.revival_peak)},{fmt(d.first_peak_time)}")
+    diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in result.traces]
+    diag_columns = (np.array(grid.G_values),
+                    np.array([d.revival_peak for d in diags]),
+                    np.array([d.first_peak_time for d in diags]))
     files = {
         "heatmap.csv": result.heatmap_csv,
-        "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_rows),
+        "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_columns),
     }
     pairs = [(k, v) for k, v in result.manifest.pairs()
              if not k.startswith(("checksum", "wall_time", "code_version"))]
@@ -147,16 +141,9 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
     kx = np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count)
     ky = np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count)
-    # repr of a Python float is fmt's shortest round-trip text; each axis
-    # value is rendered once, not once per grid point
-    ky_txt = [fmt(y) for y in ky]
-    rows = []
-    for x in kx:
-        grid = np.stack([np.full_like(ky, x), ky], axis=-1)
-        e_lo, e_hi = dispersion(grid, couplings)
-        x_txt = fmt(x)
-        rows.extend([f"{x_txt},{y},{lo!r},{hi!r}"
-                     for y, lo, hi in zip(ky_txt, e_lo.tolist(), e_hi.tolist())])
+    kx_grid, ky_grid = np.meshgrid(kx, ky, indexing="ij")
+    e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
+    band_columns = (kx_grid.ravel(), ky_grid.ravel(), e_lo.ravel(), e_hi.ravel())
     res_p, res_m = fermi_point_residual(couplings)
     report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
     for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):
@@ -164,7 +151,7 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
         report.extend([(f"A_{tag}", fmt(A)), (f"B_{tag}", fmt(B)),
                        (f"C_{tag}", fmt(C)), (f"D_{tag}", fmt(D))])
     files = {
-        "bands.csv": render_csv(BANDS_HEADER, rows),
+        "bands.csv": render_csv(BANDS_HEADER, band_columns),
         "fermi_report.txt": render_manifest(report),
     }
     config_pairs = [
@@ -196,16 +183,14 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
         residual = abs(bp.cosh2r ** 2 - bp.sinh2r ** 2 - 1.0)
         ham = quadratic_site_hamiltonian(mu, cfg.N_mode)
         spacing, dev = spectrum_spacing(ham, cfg.levels)
-        rows.append(",".join([
-            fmt(mu), fmt(bp.r), fmt(bp.cosh2r), fmt(bp.sinh2r), fmt(residual),
-            fmt(spacing), fmt(dev),
-            fmt(spacing / (2.0 * mu)), fmt(spacing / (4.0 * mu)),
-            fmt(resonant_momentum(mu)),
-        ]))
+        rows.append((mu, bp.r, bp.cosh2r, bp.sinh2r, residual, spacing, dev,
+                     spacing / (2.0 * mu), spacing / (4.0 * mu),
+                     resonant_momentum(mu)))
     config_pairs = [("mu_list", cfg.mu_list), ("N_mode", str(cfg.N_mode)),
                     ("levels", str(cfg.levels))]
     _write_outputs(outdir, "gravity-check", config_pairs,
-                   {"gravity_report.csv": render_csv(GRAVITY_HEADER, rows)},
+                   {"gravity_report.csv": render_csv(GRAVITY_HEADER,
+                                                      np.array(rows, dtype=float).T)},
                    time.perf_counter() - t0)
     return 0
 
@@ -220,14 +205,15 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
         pairs = truncation_convergence(params, cfg.direction, _sign_value(cfg), n_list)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [f"{lo},{hi},{fmt(dev)}" for lo, hi, dev in pairs]
+    lo, hi, dev = zip(*pairs)
+    columns = (np.array(lo), np.array(hi), np.array(dev, dtype=float))
     config_pairs = [
         ("direction", cfg.direction), ("sign", cfg.sign),
         ("G", fmt(cfg.G)), ("mu", fmt(cfg.mu)), ("N_list", cfg.N_list),
         ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
     ]
     _write_outputs(outdir, "convergence", config_pairs,
-                   {"convergence.csv": render_csv(CONVERGENCE_HEADER, rows)},
+                   {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)},
                    time.perf_counter() - t0)
     return 0
 
@@ -270,6 +256,9 @@ def main(argv=None) -> int:
         return cmd_convergence(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: run too large for memory: {exc}", file=sys.stderr)
         return 2
     except (NumericalConsistencyError, ExtractionInvalidError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)

@@ -104,15 +104,6 @@ class SweepResult:
     manifest: RunManifest
 
 
-def _trace_rows(G: float, trace: ObservableTrace) -> list[str]:
-    g_txt = fmt(G)
-    return [
-        f"{g_txt},{fmt(t)},{fmt(sx)},{fmt(px)},{fmt(na)},{fmt(nb)}"
-        for t, sx, px, na, nb in zip(trace.times, trace.sx, trace.px,
-                                     trace.n_alpha, trace.n_beta)
-    ]
-
-
 def _failed_at(G: float, exc: Exception) -> Exception:
     """``exc`` re-made with the failing G in its message, keeping its type.
 
@@ -136,9 +127,11 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
         psi0 = initial_state(grid.direction, grid.sign, params.space)
         return observable_trace(h, psi0, params)
 
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     traces: list[ObservableTrace | None] = [None] * len(grid.G_values)
-    if workers <= 1:
+    if workers == 1:
         for i, G in enumerate(grid.G_values):
             try:
                 traces[i] = one(G)
@@ -155,10 +148,12 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
                     raise _failed_at(grid.G_values[i], exc) from exc
     wall = time.perf_counter() - t0
 
-    blocks = [_trace_rows(G, tr) for G, tr in zip(grid.G_values, traces)]
-    run_checksums = tuple(sha256_hex("\n".join(b) + "\n") for b in blocks)
-    heatmap_csv = render_csv(HEATMAP_HEADER,
-                             (row for block in blocks for row in block))
+    # one body per G; each run checksum is the sha256 of its body
+    bodies = [render_csv(None, (np.full(tr.times.size, G), tr.times, tr.sx,
+                                tr.px, tr.n_alpha, tr.n_beta))
+              for G, tr in zip(grid.G_values, traces)]
+    run_checksums = tuple(sha256_hex(b) for b in bodies)
+    heatmap_csv = HEATMAP_HEADER + "\n" + "".join(bodies)
     manifest = RunManifest(grid=grid, code_version=__version__,
                            wall_time_s=wall, run_checksums=run_checksums,
                            checksum_sha256=sha256_hex(heatmap_csv))

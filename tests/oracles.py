@@ -177,3 +177,17 @@ def squeeze_matrix(r: float, N: int) -> np.ndarray:
     """Truncated squeeze unitary exp(r/2 (a^2 - a^dag^2)) on N levels."""
     a = _ladder(N)
     return scipy.linalg.expm(0.5 * r * (a @ a - (a @ a).T))
+
+
+def csv_oracle(header: str | None, columns) -> str:
+    """CSV text rendered number by number, row by row.
+
+    Floats take their shortest round-trip text ``repr(float(x))`` and
+    integers ``str(int(x))``; ``header=None`` gives the rows alone.
+    """
+    def text(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+    lines = [] if header is None else [header]
+    lines.extend(",".join(text(x) for x in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n" if lines else ""

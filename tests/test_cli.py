@@ -12,7 +12,14 @@ import metricspin.cli as cli
 import metricspin.sweep as sweep_mod
 from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import fmt, render_csv
+from metricspin.model import (
+    ModelParams,
+    build_minimal_hamiltonian,
+    initial_state,
+    observable_trace,
+)
+from metricspin.sweep import HEATMAP_HEADER
+from oracles import csv_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,6 +86,21 @@ class TestEvolveCommand:
         assert manifest["checksum_sha256.trace.csv"] == digest
         assert manifest["command"] == "evolve"
 
+    @pytest.mark.parametrize("direction, sign", [("x", "+"), ("y", "-"), ("z", "+")])
+    def test_trace_bytes_match_per_element_rendering(self, tmp_path, direction, sign):
+        # 2251 rows: more than one rendering block
+        rc = cli.main(["evolve", "--out", str(tmp_path), "--set", f"direction={direction}",
+                       "--set", f"sign={sign}", "--set", "G=2.5", "--set", "N=6",
+                       "--set", "t_max=45", "--set", "dt=0.02"])
+        assert rc == 0
+        params = ModelParams(G=2.5, mu=1.0, N=6, t_max=45.0, dt=0.02)
+        psi0 = initial_state(direction, 1 if sign == "+" else -1, params.space)
+        tr = observable_trace(build_minimal_hamiltonian(params), psi0, params)
+        columns = (tr.times, tr.sx, tr.sy, tr.sz, tr.px, tr.py, tr.pz,
+                   tr.n_alpha, tr.n_beta, tr.energy, tr.norm)
+        want = csv_oracle(cli.TRACE_HEADER, columns).encode()
+        assert (tmp_path / "trace.csv").read_bytes() == want
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cli.main(["evolve", "--out", str(tmp_path / "a"), *FAST])
         cli.main(["evolve", "--out", str(tmp_path / "b"), *FAST])
@@ -124,6 +146,23 @@ class TestConfigErrors:
                        "--set", "G=0"])
         assert rc == 0
         assert read_manifest(tmp_path / "o" / "manifest.txt")["G"] == "0.0"
+
+
+class TestOversizedRuns:
+    # each asks for one allocation beyond the 128 TiB x86-64 user address
+    # space, which fails at once without touching that memory
+    @pytest.mark.parametrize("argv", [
+        ["gravity-check", "--set", "N_mode=10000000"],
+        ["evolve", "--set", "N=2", "--set", "t_max=1e9", "--set", "dt=1e-9"],
+    ])
+    def test_memory_error_maps_to_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        rc = cli.main([*argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "too large" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestNumericalFailureExitCode:
@@ -221,6 +260,43 @@ class TestSweepCommand:
         assert ((tmp_path / "a" / "heatmap.csv").read_bytes()
                 == (tmp_path / "b" / "heatmap.csv").read_bytes())
 
+    def test_heatmap_bytes_match_per_element_rendering(self, tmp_path):
+        G_values = (0.0, 0.05, 3.5)
+        rc = cli.main(["sweep", "--out", str(tmp_path), "--set", "G_list=0,0.05,3.5",
+                       "--set", "N=6", "--set", "t_max=45", "--set", "dt=0.02",
+                       "--set", "t_min=1"])
+        assert rc == 0
+        result = sweep_mod.run_sweep(sweep_mod.SweepGrid(G_values=G_values, N=6,
+                                                         t_max=45.0, dt=0.02))
+        parts = [(np.full(tr.times.size, G), tr.times, tr.sx, tr.px, tr.n_alpha, tr.n_beta)
+                 for G, tr in zip(G_values, result.traces)]
+        columns = [np.concatenate(col) for col in zip(*parts)]
+        want = csv_oracle(HEATMAP_HEADER, columns).encode()
+        assert (tmp_path / "heatmap.csv").read_bytes() == want
+
+    def test_run_checksums_hash_each_g_rows(self, tmp_path):
+        rc = cli.main(["sweep", "--out", str(tmp_path), "--set", "G_list=0,0.05,3.5",
+                       *FAST, "--set", "t_min=1"])
+        assert rc == 0
+        groups = {}
+        for line in (tmp_path / "heatmap.csv").read_text().splitlines()[1:]:
+            groups.setdefault(line.split(",", 1)[0], []).append(line)
+        assert list(groups) == ["0.0", "0.05", "3.5"]
+        manifest = read_manifest(tmp_path / "manifest.txt")
+        for i, rows in enumerate(groups.values()):
+            digest = hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+            assert manifest[f"checksum.run.{i:03d}"] == digest
+        assert "checksum.run.003" not in manifest
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--out", str(out), "--workers", workers, *FAST])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--workers" in err
+        assert not out.exists()
+
     def test_bad_t_min(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--out", str(tmp_path), *FAST, "--set", "t_min=9"])
         assert rc == 2
@@ -265,16 +341,17 @@ class TestLatticeCommand:
                     "alpha_c": 0.3, "beta_c": 1.0, "kx_min": -2.5, "ky_max": 3.0}
         args = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
         assert cli.main(["lattice", "--out", str(tmp_path), *args]) == 0
-        # reference: every number rendered on its own with fmt, row by row
+        # reference: one dispersion call per kx, every number rendered on
+        # its own, row by row
         couplings = LatticeCouplings.from_background(0.01, 0.3, 1.0)
         kx = np.linspace(-2.5, math.sqrt(2.0) * math.pi, 5)
         ky = np.linspace(-math.sqrt(2.0) * math.pi, 3.0, 7)
-        rows = []
+        columns = [[], [], [], []]
         for x in kx:
             e_lo, e_hi = dispersion(np.stack([np.full_like(ky, x), ky], axis=-1), couplings)
-            rows.extend(f"{fmt(x)},{fmt(y)},{fmt(lo)},{fmt(hi)}"
-                        for y, lo, hi in zip(ky, e_lo, e_hi))
-        want = render_csv("kx,ky,E_minus,E_plus", rows).encode()
+            for col, part in zip(columns, (np.full_like(ky, x), ky, e_lo, e_hi)):
+                col.extend(part)
+        want = csv_oracle("kx,ky,E_minus,E_plus", columns).encode()
         assert (tmp_path / "bands.csv").read_bytes() == want
 
     def test_degenerate_grid_rejected(self, tmp_path, capsys):

@@ -1,0 +1,104 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_oracle
+
+from metricspin.serialize import _BLOCK_ROWS, render_csv
+
+B = _BLOCK_ROWS
+LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
+
+#: signed zeros, subnormals and the extremes of the exponent range
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.225073858507201e-308, 1.7976931348623157e308, -1e-300, 1e300,
+               1e16, 1e-5, 0.1, float("inf"), float("-inf"), float("nan"))
+
+
+def _column(kind: str, mode: str, n: int, pool, seed: int) -> np.ndarray:
+    """An ``n``-row column: one value, all distinct, mixed signed zeros or
+    draws from ``pool``."""
+    rng = np.random.default_rng(seed)
+    if mode == "zeros":
+        values = rng.choice(np.array([0.0, -0.0]), size=n)
+    elif mode == "constant":
+        values = np.full(n, pool[0])
+    elif mode == "distinct":
+        values = rng.permutation(n) * 7919 - 3 * n
+        if kind == "float":
+            # random bit patterns: spread over every exponent, distinct
+            # with overwhelming probability
+            values = rng.integers(-2 ** 63, 2 ** 63 - 1, size=n,
+                                  dtype=np.int64).view(np.float64)
+    else:
+        values = rng.choice(np.array(pool), size=n)
+    return np.asarray(values, dtype=np.float64 if kind == "float" else np.int64)
+
+
+def assert_matches_oracle(header, columns):
+    """``render_csv`` equals the oracle; a failure names its first bad line."""
+    got = render_csv(header, columns).split("\n")
+    want = csv_oracle(header, columns).split("\n")
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+COLUMN = st.tuples(
+    st.sampled_from(["float", "int"]),
+    st.sampled_from(["constant", "distinct", "zeros", "pool"]),
+    st.integers(0, 2 ** 32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from(LENGTHS) | st.integers(1, 3 * B),
+    specs=st.lists(COLUMN, min_size=1, max_size=4),
+    float_pool=st.lists(st.floats(width=64) | st.sampled_from(EDGE_FLOATS),
+                        min_size=1, max_size=6),
+    int_pool=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=6),
+    header=st.none() | st.just("a,b"),
+)
+def test_matches_per_element_oracle(n, specs, float_pool, int_pool, header):
+    columns = [_column(kind, mode, n, float_pool if kind == "float" else int_pool, seed)
+               for kind, mode, seed in specs]
+    assert_matches_oracle(header, columns)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_signed_zeros_keep_their_text(n):
+    zeros = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
+    assert_matches_oracle("z,t", [zeros, np.arange(n, dtype=float)])
+    if n > 1:
+        assert render_csv(None, [zeros]).startswith("0.0\n-0.0\n")
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_edge_floats_and_constant_columns(n):
+    edge = np.resize(np.array(EDGE_FLOATS), n)
+    const = np.full(n, 5e-324)
+    ints = np.resize(np.array([0, -1, 2 ** 62], dtype=np.int64), n)
+    assert_matches_oracle("e,c,i", [edge, const, ints])
+
+
+def test_rows_only_and_empty_columns():
+    assert render_csv(None, [np.array([1.5, 1.5])]) == "1.5\n1.5\n"
+    assert render_csv("h", [np.array([])]) == "h\n"
+    assert render_csv(None, [np.array([])]) == ""
+
+
+def test_float32_renders_as_its_double():
+    col = np.array([0.1, 1e-40], dtype=np.float32)
+    assert_matches_oracle(None, [col])
+
+
+@pytest.mark.parametrize("columns, error", [
+    ([np.zeros(3), np.zeros(4)], ValueError),
+    ([np.zeros((2, 2))], ValueError),
+    ([np.array(["a"])], TypeError),
+    ([np.zeros(2, dtype=complex)], TypeError),
+])
+def test_bad_columns_refused(columns, error):
+    with pytest.raises(error):
+        render_csv("h", columns)

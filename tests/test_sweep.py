@@ -84,6 +84,10 @@ class TestRunSweep:
         par = run_sweep(grid, workers=4)
         assert seq.heatmap_csv == par.heatmap_csv
 
+    def test_workers_below_one_refused(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(short_grid((0.1,)), workers=0)
+
     def test_failure_reports_offending_g(self, monkeypatch):
         calls = {"n": 0}
         real = sweep_mod.observable_trace
