@@ -18,7 +18,6 @@ from .gravity import (
     BogoliubovParams,
     QuadraticModeHamiltonian,
     bogoliubov_params,
-    metric_expectations,
     quadratic_site_hamiltonian,
     resonant_momentum,
     spectrum_spacing,
@@ -30,7 +29,6 @@ from .lattice import (
     bloch_hamiltonian,
     dispersion,
     fermi_point_residual,
-    locate_band_minimum,
     low_energy_coefficients,
     structure_factor,
 )
@@ -46,26 +44,12 @@ from .model import (
     symmetry_check,
     truncation_convergence,
 )
-from .operators import (
-    OperatorMatrix,
-    SpaceSpec,
-    StateVector,
-    annihilation_matrix,
-    expectation,
-    identity_matrix,
-    number_matrix,
-    pauli_matrix,
-    single_mode_space,
-    spin_space,
-    tensor_embed,
-)
+from .operators import OperatorMatrix, SpaceSpec, StateVector
 from .sweep import (
     RevivalDiagnostic,
-    RunManifest,
     SweepGrid,
     SweepResult,
     default_grid,
-    heatmap_export,
     revival_diagnostic,
     run_sweep,
 )

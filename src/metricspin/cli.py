@@ -37,7 +37,7 @@ from .model import (
     truncation_convergence,
 )
 from .serialize import fmt, render_csv, render_manifest, sha256_hex, write_text
-from .sweep import SweepGrid, revival_diagnostic, run_sweep
+from .sweep import SweepGrid, default_grid, revival_diagnostic, run_sweep
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
 DIAGNOSTICS_HEADER = "G,revival_peak,first_peak_time"
@@ -94,14 +94,12 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _sweep_grid(cfg: RunConfig) -> SweepGrid:
-    if cfg.G_list.strip():
-        values = parse_float_list(cfg.G_list, "G_list")
-    else:
-        values = tuple(np.geomspace(cfg.G_min, cfg.G_max, cfg.G_count))
+    shared = dict(direction=cfg.direction, sign=_sign_value(cfg), mu=cfg.mu, N=cfg.N,
+                  t_max=cfg.t_max, dt=cfg.dt)
     try:
-        return SweepGrid(G_values=values, direction=cfg.direction,
-                         sign=_sign_value(cfg), mu=cfg.mu, N=cfg.N,
-                         t_max=cfg.t_max, dt=cfg.dt)
+        if cfg.G_list.strip():
+            return SweepGrid(G_values=parse_float_list(cfg.G_list, "G_list"), **shared)
+        return default_grid(cfg.G_count, cfg.G_min, cfg.G_max, **shared)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -122,12 +120,16 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         "heatmap.csv": result.heatmap_csv,
         "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_columns),
     }
-    pairs = [(k, v) for k, v in result.manifest.pairs()
-             if not k.startswith(("checksum", "wall_time", "code_version"))]
-    pairs.append(("t_min", fmt(cfg.t_min)))
-    extra = [(f"checksum.run.{i:03d}", c)
-             for i, c in enumerate(result.manifest.run_checksums)]
-    _write_outputs(outdir, "sweep", pairs, files,
+    config_pairs = [
+        ("direction", cfg.direction), ("sign", cfg.sign),
+        ("mu", fmt(cfg.mu)), ("N", str(cfg.N)),
+        ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
+        ("G_count", str(len(grid.G_values))),
+        ("G_values", ",".join(fmt(v) for v in grid.G_values)),
+        ("t_min", fmt(cfg.t_min)),
+    ]
+    extra = [(f"checksum.run.{i:03d}", c) for i, c in enumerate(result.run_checksums)]
+    _write_outputs(outdir, "sweep", config_pairs, files,
                    time.perf_counter() - t0, extra_pairs=extra)
     return 0
 
@@ -139,17 +141,20 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     if cfg.lattice_G < 0:
         raise ConfigError(f"key 'lattice_G' must be non-negative, got {cfg.lattice_G}")
     couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
+    res_p, res_m = fermi_point_residual(couplings)
+    report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
+    for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):
+        try:
+            A, B, C, D = low_energy_coefficients(couplings, which, step=cfg.fd_step)
+        except ValueError as exc:
+            raise ConfigError(f"key 'fd_step': {exc}") from exc
+        report.extend([(f"A_{tag}", fmt(A)), (f"B_{tag}", fmt(B)),
+                       (f"C_{tag}", fmt(C)), (f"D_{tag}", fmt(D))])
     kx = np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count)
     ky = np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count)
     kx_grid, ky_grid = np.meshgrid(kx, ky, indexing="ij")
     e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
     band_columns = (kx_grid.ravel(), ky_grid.ravel(), e_lo.ravel(), e_hi.ravel())
-    res_p, res_m = fermi_point_residual(couplings)
-    report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
-    for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):
-        A, B, C, D = low_energy_coefficients(couplings, which, step=cfg.fd_step)
-        report.extend([(f"A_{tag}", fmt(A)), (f"B_{tag}", fmt(B)),
-                       (f"C_{tag}", fmt(C)), (f"D_{tag}", fmt(D))])
     files = {
         "bands.csv": render_csv(BANDS_HEADER, band_columns),
         "fermi_report.txt": render_manifest(report),
@@ -171,15 +176,16 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
     mus = parse_float_list(cfg.mu_list, "mu_list")
     if not mus:
         raise ConfigError("key 'mu_list' must name at least one mass value")
-    if any(m <= 0 for m in mus):
-        raise ConfigError(f"key 'mu_list' values must be positive, got {cfg.mu_list!r}")
+    try:
+        bps = [bogoliubov_params(mu) for mu in mus]
+    except ValueError as exc:
+        raise ConfigError(f"key 'mu_list': {exc}") from exc
     if cfg.N_mode < 4:
         raise ConfigError(f"key 'N_mode' must be >= 4, got {cfg.N_mode}")
     if cfg.levels < 2 or cfg.levels > cfg.N_mode // 3:
         raise ConfigError("key 'levels' must satisfy 2 <= levels <= N_mode//3")
     rows = []
-    for mu in mus:
-        bp = bogoliubov_params(mu)
+    for mu, bp in zip(mus, bps):
         residual = abs(bp.cosh2r ** 2 - bp.sinh2r ** 2 - 1.0)
         ham = quadratic_site_hamiltonian(mu, cfg.N_mode)
         spacing, dev = spectrum_spacing(ham, cfg.levels)

@@ -9,11 +9,11 @@ as-is (tests compare it against the 2*mu and 4*mu candidate values
 rather than hard-coding either).
 
 The pair terms ``a^2`` and ``a^dag^2`` change the boson number by two,
-so the matrix has weight only on its main diagonal and at offsets +-2
-and splits exactly into an even-n and an odd-n sector, each a real
-symmetric tridiagonal matrix.  The spectrum is read from the two
-sectors (after checking that no weight lies elsewhere), solving only
-the lowest levels of each.
+so the matrix has weight only on its main diagonal and at offsets +-2.
+It is held as those two real diagonals and splits exactly into an
+even-n and an odd-n sector, each a real symmetric tridiagonal matrix;
+the spectrum is read from the two sectors, solving only the lowest
+levels of each.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalConsistencyError
-from .operators import (
-    OperatorMatrix,
-    StateVector,
-    annihilation_matrix,
-    single_mode_space,
-    tensor_embed,
-)
 
 
 @dataclass(frozen=True)
@@ -48,12 +41,17 @@ def bogoliubov_params(mu: float) -> BogoliubovParams:
     """Squeeze parameters that diagonalize the quadratic mode sector.
 
     ``r`` is recovered through ``asinh`` so its sign always matches
-    ``sinh 2r`` (an ``acosh`` route would be sign-blind).
+    ``sinh 2r`` (an ``acosh`` route would be sign-blind).  A ``mu`` so
+    large or small that ``cosh^2 2r`` overflows raises ``ValueError``:
+    the hyperbolic identity cannot be evaluated there.
     """
     mu = float(mu)
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
     cosh2r = mu / 4.0 + 1.0 / mu
+    if not math.isfinite(cosh2r * cosh2r):
+        raise ValueError(f"mass parameter out of range: cosh 2r = mu/4 + 1/mu "
+                         f"overflows when squared at mu={mu}")
     sinh2r = mu / 4.0 - 1.0 / mu
     r = 0.5 * math.asinh(sinh2r)
     return BogoliubovParams(mu, r, cosh2r, sinh2r)
@@ -61,16 +59,22 @@ def bogoliubov_params(mu: float) -> BogoliubovParams:
 
 @dataclass(frozen=True)
 class QuadraticModeHamiltonian:
-    """Single-mode quadratic Hamiltonian ``c1 (a^2 + a^dag^2) + c2 (2 n + 1)``."""
+    """Single-mode quadratic Hamiltonian ``c1 (a^2 + a^dag^2) + c2 (2 n + 1)``.
+
+    Held as its main diagonal ``c2 (2n + 1)`` and its +-2 diagonal
+    ``c1 sqrt(n (n - 1))`` (entry ``n - 2`` couples levels ``n - 2`` and
+    ``n``), both read-only 1-D real arrays.
+    """
 
     mu: float
     c1: float
     c2: float
-    matrix: OperatorMatrix
+    diagonal: np.ndarray
+    pair: np.ndarray
 
     @property
     def cutoff(self) -> int:
-        return self.matrix.dim
+        return self.diagonal.size
 
 
 def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
@@ -78,9 +82,7 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
 
     The coefficients are ``c1 = mu^2/2 - 2`` on the pair terms and
     ``c2 = mu^2/2 + 2`` on ``2 a^dag a + 1``; at ``mu = 2`` the pair
-    terms vanish and the matrix is diagonal.  The matrix is filled from
-    its three nonzero diagonals: ``c2 (2n + 1)`` on the main one and
-    ``c1 sqrt(n (n - 1))`` between levels ``n - 2`` and ``n``.
+    terms vanish and the matrix is diagonal.
     """
     mu = float(mu)
     if not (math.isfinite(mu) and mu > 0):
@@ -91,11 +93,11 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
     c1 = mu * mu / 2.0 - 2.0
     c2 = mu * mu / 2.0 + 2.0
     n = np.arange(N, dtype=float)
-    m = np.diag(c2 * (2.0 * n + 1.0))
+    diagonal = c2 * (2.0 * n + 1.0)
     pair = c1 * np.sqrt(n[2:] * (n[2:] - 1.0))
-    m += np.diag(pair, 2) + np.diag(pair, -2)
-    matrix = OperatorMatrix(single_mode_space(N), m, hermitian_hint=True)
-    return QuadraticModeHamiltonian(mu, c1, c2, matrix)
+    diagonal.setflags(write=False)
+    pair.setflags(write=False)
+    return QuadraticModeHamiltonian(mu, c1, c2, diagonal, pair)
 
 
 def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, float]:
@@ -105,8 +107,7 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
     in the lowest third of the truncated spectrum, where cutoff artifacts
     are negligible; each parity sector then holds at least ``levels``
     states, so the lowest ``levels`` of each sector, merged, are the
-    lowest ``levels`` of the whole matrix.  A matrix with weight off the
-    main and +-2 diagonals does not split and is refused.
+    lowest ``levels`` of the whole matrix.
     """
     levels = int(levels)
     N = h.cutoff
@@ -115,19 +116,12 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
     if levels > N // 3:
         raise ValueError(f"levels={levels} too close to the truncation edge "
                          f"for N={N}; keep levels <= N//3")
-    m = h.matrix.entries
-    band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (-2, 0, 2))
-    if np.count_nonzero(m) != band:
-        raise NumericalConsistencyError(
-            "mode Hamiltonian has weight off the main and +-2 diagonals; "
-            "it does not split into boson-number parity sectors")
-    diag = np.diagonal(m).real
-    # a Hermitian tridiagonal matrix has the spectrum of the real one built
+    # a symmetric tridiagonal matrix has the spectrum of the one built
     # from the moduli of its off-diagonal entries
-    pair = np.abs(np.diagonal(m, 2))
+    pair = np.abs(h.pair)
     try:
         evals = np.concatenate([
-            scipy.linalg.eigvalsh_tridiagonal(diag[p::2], pair[p::2], select="i",
+            scipy.linalg.eigvalsh_tridiagonal(h.diagonal[p::2], pair[p::2], select="i",
                                               select_range=(0, levels - 1))
             for p in (0, 1)])
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -144,22 +138,3 @@ def resonant_momentum(mu: float) -> float:
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
     return 1.0 / (math.sqrt(2.0) * math.pi * mu)
-
-
-def metric_expectations(psi: StateVector, params: BogoliubovParams) -> tuple[float, float]:
-    """Metric components (h11, h12) reconstructed from a two-mode state.
-
-    In the single-mode reduction the fluctuation operator is
-    ``a cosh r - a^dag sinh r`` per mode, so each component equals
-    ``sqrt(2) exp(-r) Re <a>`` with ``a`` the corresponding mode operator.
-    """
-    space = psi.space
-    if space.spin_dim != 2 or len(space.fock_cutoffs) != 2:
-        raise ValueError(f"state must live on a spin (x) two-mode space, got {space}")
-    scale = math.sqrt(2.0) * math.exp(-params.r)
-    out = []
-    for slot, N in zip(("alpha", "beta"), space.fock_cutoffs):
-        a_emb = tensor_embed(annihilation_matrix(N), slot, space)
-        mean_a = complex(np.vdot(psi.amplitudes, a_emb.entries @ psi.amplitudes))
-        out.append(scale * mean_a.real)
-    return out[0], out[1]

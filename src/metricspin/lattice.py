@@ -111,21 +111,6 @@ def fermi_point_residual(c: LatticeCouplings) -> tuple[float, float]:
             float(abs(structure_factor(FERMI_MINUS, c))))
 
 
-def locate_band_minimum(c: LatticeCouplings, guess, span: float = 0.6,
-                        steps: int = 41, refinements: int = 4) -> np.ndarray:
-    """Locate a minimum of |f| by deterministic nested grid refinement."""
-    center = np.asarray(guess, dtype=float)
-    for _ in range(refinements):
-        ax = np.linspace(-span, span, steps)
-        kx, ky = np.meshgrid(center[0] + ax, center[1] + ax, indexing="ij")
-        grid = np.stack([kx, ky], axis=-1)
-        mag = np.abs(structure_factor(grid, c))
-        i, j = np.unravel_index(np.argmin(mag), mag.shape)
-        center = grid[i, j]
-        span = 2.0 * span / (steps - 1)
-    return center
-
-
 def _gradient(k0: np.ndarray, c: LatticeCouplings, step: float) -> tuple[complex, complex]:
     """Central-difference gradient of f at k0, one complex number per axis."""
     ex = np.array([step, 0.0])
@@ -147,6 +132,10 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
 
     Raises
     ------
+    ValueError
+        If ``step`` is not finite and positive, or too small to move the
+        touching point: ``k0 + step`` or ``k0 - step`` rounds to ``k0``
+        in either component, so the measured gradient would be 0 or NaN.
     ExtractionInvalidError
         If |f| at the nominal touching point exceeds
         ``DISPLACEMENT_ATOL`` times the coupling scale (the background
@@ -158,6 +147,11 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
         k0, sign = FERMI_MINUS, +1.0
     else:
         raise ValueError(f"which must be 'P+' or 'P-', got {which!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {step}")
+    if np.any(k0 + step == k0) or np.any(k0 - step == k0):
+        raise ValueError(f"finite-difference step {step} is too small to move "
+                         f"the touching point {which}")
     scale = max(abs(c.Jx), abs(c.Jy), abs(c.Jz), 1.0)
     residual = abs(structure_factor(k0, c))
     if residual > DISPLACEMENT_ATOL * scale:

@@ -17,12 +17,13 @@ i^n_a |e_sigma, n_a, n_b>, where e_sigma is the sigma_x eigenstate with
 sigma = s (-1)^n_a: sigma_x is diagonal there, and sigma_y (a + a^dag),
 a hop in n_a weighted by -i sigma, becomes the real hop +-sqrt(n) sigma
 through the phase i^n_a.  Both blocks are assembled from Kronecker
-products of N x N factors and are real symmetric; a block with a
-nonzero imaginary entry is refused before its eigensolve.  Evolution is
-exact spectral propagation: a block is diagonalized (real symmetric
-eigensolve, cached) only when the initial state has weight in it, which
-is one block for spin-x starts and both for y and z, and phases
-``exp(-i E t)`` are applied, so there is no time-step error.  The time
+products of N x N factors, and each is held as one real symmetric
+array; a block with a nonzero imaginary entry is refused at
+construction.  Evolution is exact spectral propagation: a block is
+diagonalized (real symmetric eigensolve, cached) only when the initial
+state has weight in it, which is one block for spin-x starts and both
+for y and z, and phases ``exp(-i E t)`` are applied, so there is no
+time-step error.  The time
 grid is propagated in fixed chunks and every observable is reduced from
 the block amplitudes of each chunk, held state-major as (states, times),
 so memory does not grow with the grid.  On the uniform grid the phases
@@ -45,11 +46,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .gravity import bogoliubov_params
-from .operators import (
-    OperatorMatrix,
-    SpaceSpec,
-    StateVector,
-)
+from .operators import HERMITICITY_ATOL, OperatorMatrix, SpaceSpec, StateVector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -77,11 +74,8 @@ class ModelParams:
     dt: float = 0.02
 
     def __post_init__(self):
-        # written so that nan fails every check
-        if not (math.isfinite(self.G) and self.G >= 0):
-            raise ValueError(f"G must be finite and non-negative, got {self.G}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        # written so that nan fails every check; G and mu must give a finite coupling
+        coupling_strength(self.G, self.mu)
         if self.N < 2:
             raise ValueError(f"cutoff N must be >= 2, got {self.N}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -106,6 +100,9 @@ def coupling_strength(G: float, mu: float) -> float:
 
     Its magnitude reaches the bosonic self-interaction sqrt(2) at
     ``G = pi`` (for mu = 1), the crossover point of the phenomenology.
+    A ``mu`` so large or small that ``mu^(3/2)`` overflows or underflows
+    to 0, or a ``G`` and ``mu`` that leave the coupling non-finite, raise
+    ``ValueError``.
     """
     G = float(G)
     mu = float(mu)
@@ -113,7 +110,14 @@ def coupling_strength(G: float, mu: float) -> float:
         raise ValueError(f"G must be finite and non-negative, got {G}")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu}")
-    return -math.sqrt(2.0 * G) / (math.sqrt(math.pi) * mu ** 1.5)
+    try:
+        g = -math.sqrt(2.0 * G) / (math.sqrt(math.pi) * mu ** 1.5)
+    except (OverflowError, ZeroDivisionError):
+        g = math.nan
+    if not math.isfinite(g):
+        raise ValueError(f"G={G} and mu={mu} are out of range: the coupling "
+                         f"-sqrt(2 G) / (sqrt(pi) mu^1.5) is not a finite number")
+    return g
 
 
 def _mode_factors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,33 +137,40 @@ class ParityBlock:
     """H restricted to the sector ``S = sign``, with a cached eigendecomposition.
 
     Basis ``i^n_a |e_sigma, n_a, n_b>`` with ``sigma = sign * (-1)^n_a`` at
-    flat index ``n_a*N + n_b``, in which the block is real symmetric;
-    ``matrix`` lives on a spinless two-mode space.
+    flat index ``n_a*N + n_b``, in which the block is real symmetric.
+    ``entries`` is stored once, as a read-only C-contiguous float64 array;
+    a non-square array, any nonzero (or NaN) imaginary part and an
+    asymmetry above ``HERMITICITY_ATOL`` (NaN included) raise
+    :class:`NumericalConsistencyError` at construction.
     """
 
     sign: int
-    matrix: OperatorMatrix
+    entries: np.ndarray
 
-    @cached_property
-    def real_entries(self) -> np.ndarray:
-        """``matrix`` as a real array, after checking it has no imaginary part.
-
-        A nonzero (or NaN) imaginary part anywhere in the assembled block
-        raises :class:`NumericalConsistencyError`.
-        """
-        m = self.matrix.entries
-        if m.imag.any():
+    def __post_init__(self):
+        m = np.asarray(self.entries)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NumericalConsistencyError(
-                f"parity block {self.sign:+d} is not real in its gauged basis")
-        real = np.ascontiguousarray(m.real)
-        real.setflags(write=False)
-        return real
+                f"parity block {self.sign:+d} must be square, got shape {m.shape}")
+        if np.iscomplexobj(m):
+            if m.imag.any():
+                raise NumericalConsistencyError(
+                    f"parity block {self.sign:+d} is not real in its gauged basis")
+            m = m.real
+        m = np.array(m, dtype=np.float64, order="C")
+        dev = float(np.abs(m - m.T).max(initial=0.0))
+        if not dev <= HERMITICITY_ATOL:
+            raise NumericalConsistencyError(
+                f"parity block {self.sign:+d} deviates from symmetric by {dev:.3e} "
+                f"(> {HERMITICITY_ATOL})")
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and real eigenvectors of :attr:`real_entries`, once per block."""
+        """Eigenvalues and real eigenvectors of :attr:`entries`, once per block."""
         try:
-            evals, evecs = np.linalg.eigh(self.real_entries)
+            evals, evecs = np.linalg.eigh(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalConsistencyError(f"eigensolver failed: {exc}") from exc
         evals.setflags(write=False)
@@ -168,14 +179,14 @@ class ParityBlock:
 
     @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Main diagonal and the upper bands at offsets 1 and N of :attr:`real_entries`.
+        """Main diagonal and the upper bands at offsets 1 and N of :attr:`entries`.
 
         The n_b hops sit at offset +-1 and the n_a hops at +-N; a nonzero
         entry anywhere else raises :class:`NumericalConsistencyError`, so
         the banded energy check applies the matrix as assembled.
         """
-        m = self.real_entries
-        N = self.matrix.space.fock_cutoffs[0]
+        m = self.entries
+        N = math.isqrt(m.shape[0])
         on_band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (0, 1, -1, N, -N))
         if np.count_nonzero(m) != on_band:
             raise NumericalConsistencyError(
@@ -221,7 +232,7 @@ class MinimalHamiltonian:
 def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> MinimalHamiltonian:
     """Assemble both parity blocks of the model Hamiltonian from N x N factors.
 
-    Each block is checked for Hermiticity on construction.
+    Each block is checked to be real symmetric on construction.
 
     ``g`` defaults to ``coupling_strength(params.G, params.mu)``; passing
     an explicit value (e.g. 0 to freeze the spin-boson exchange at any G)
@@ -242,8 +253,7 @@ def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> Mi
         # phase i^n_a of the basis turns its -i into a real hop, +-sqrt(n) sigma
         hops = np.kron(np.diag(spin), quad) + np.kron(skew * spin, np.eye(N))
         entries = np.diag(diagonal.ravel()) + g * hops
-        blocks.append(ParityBlock(sign, OperatorMatrix(SpaceSpec(1, (N, N)), entries,
-                                                       hermitian_hint=True)))
+        blocks.append(ParityBlock(sign, entries))
     return MinimalHamiltonian(params=params, g=g, blocks=tuple(blocks))
 
 

@@ -2,21 +2,18 @@
 
 A sweep runs one trace per G value (grid points are independent and may
 run on a thread pool; results are merged by grid index so the output is
-identical however it was scheduled), assembles a long-format table and
-a manifest with per-run checksums.  Nothing in the pipeline is random,
-so a manifest fully determines its outputs.
+identical however it was scheduled) and assembles a long-format table
+with one checksum per G.  Nothing in the pipeline is random, so the
+grid fully determines its outputs.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .errors import InsufficientDataError
 from .model import (
     ModelParams,
@@ -25,7 +22,7 @@ from .model import (
     initial_state,
     observable_trace,
 )
-from .serialize import fmt, render_csv, sha256_hex, write_text
+from .serialize import render_csv, sha256_hex
 
 HEATMAP_HEADER = "G,t,sx,px,n_alpha,n_beta"
 
@@ -49,11 +46,11 @@ class SweepGrid:
         vals = tuple(float(g) for g in self.G_values)
         if not vals:
             raise ValueError("sweep grid must contain at least one G value")
-        if not all(math.isfinite(g) and g >= 0 for g in vals):
-            raise ValueError(f"G values must be finite and non-negative, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("G values must be strictly increasing")
         object.__setattr__(self, "G_values", vals)
+        for G in vals:
+            self.params_at(G)       # ModelParams refuses any point no run could use
 
     def params_at(self, G: float) -> ModelParams:
         return ModelParams(G=G, mu=self.mu, N=self.N,
@@ -67,41 +64,13 @@ def default_grid(count: int = 60, G_min: float = 0.01, G_max: float = 100.0,
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a sweep, plus output checksums."""
-
-    grid: SweepGrid
-    code_version: str
-    wall_time_s: float
-    run_checksums: tuple[str, ...]
-    checksum_sha256: str
-
-    def pairs(self) -> list[tuple[str, str]]:
-        g = self.grid
-        out = [
-            ("code_version", self.code_version),
-            ("direction", g.direction),
-            ("sign", "+" if g.sign >= 0 else "-"),
-            ("mu", fmt(g.mu)),
-            ("N", str(g.N)),
-            ("t_max", fmt(g.t_max)),
-            ("dt", fmt(g.dt)),
-            ("G_count", str(len(g.G_values))),
-            ("G_values", ",".join(fmt(v) for v in g.G_values)),
-            ("wall_time_s", f"{self.wall_time_s:.3f}"),
-            ("checksum_sha256", self.checksum_sha256),
-        ]
-        out.extend((f"checksum.run.{i:03d}", c)
-                   for i, c in enumerate(self.run_checksums))
-        return out
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """Traces in grid order, the long-format table and one checksum per G body."""
+
     grid: SweepGrid
     traces: tuple[ObservableTrace, ...]
     heatmap_csv: str
-    manifest: RunManifest
+    run_checksums: tuple[str, ...]
 
 
 def _failed_at(G: float, exc: Exception) -> Exception:
@@ -129,7 +98,6 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    t0 = time.perf_counter()
     traces: list[ObservableTrace | None] = [None] * len(grid.G_values)
     if workers == 1:
         for i, G in enumerate(grid.G_values):
@@ -146,24 +114,14 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
                     traces[i] = fut.result()
                 except Exception as exc:
                     raise _failed_at(grid.G_values[i], exc) from exc
-    wall = time.perf_counter() - t0
 
     # one body per G; each run checksum is the sha256 of its body
     bodies = [render_csv(None, (np.full(tr.times.size, G), tr.times, tr.sx,
                                 tr.px, tr.n_alpha, tr.n_beta))
               for G, tr in zip(grid.G_values, traces)]
-    run_checksums = tuple(sha256_hex(b) for b in bodies)
-    heatmap_csv = HEATMAP_HEADER + "\n" + "".join(bodies)
-    manifest = RunManifest(grid=grid, code_version=__version__,
-                           wall_time_s=wall, run_checksums=run_checksums,
-                           checksum_sha256=sha256_hex(heatmap_csv))
     return SweepResult(grid=grid, traces=tuple(traces),
-                       heatmap_csv=heatmap_csv, manifest=manifest)
-
-
-def heatmap_export(result: SweepResult, path):
-    """Write the long-format table; identical input gives identical bytes."""
-    return write_text(path, result.heatmap_csv)
+                       heatmap_csv=HEATMAP_HEADER + "\n" + "".join(bodies),
+                       run_checksums=tuple(sha256_hex(b) for b in bodies))
 
 
 @dataclass(frozen=True)

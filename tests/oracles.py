@@ -11,6 +11,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from metricspin.lattice import structure_factor
+
 
 def embed_oracle(op: np.ndarray, pos: int, dims: tuple[int, ...]) -> np.ndarray:
     """Embed a single-factor operator by explicit basis-tuple loops."""
@@ -149,6 +151,45 @@ def state_columns_oracle(states: np.ndarray, G: float, mu: float,
         "h11": scale * mean_a.real,
         "h12": scale * mean_b.real,
     }
+
+
+def metric_expectations(psi, params) -> tuple[float, float]:
+    """Metric components (h11, h12) of a spin (x) two-mode state, by basis sums.
+
+    ``psi`` is a ``StateVector`` and ``params`` a ``BogoliubovParams``.  Per
+    mode the fluctuation operator is ``a cosh r - a^dag sinh r``, so each
+    component is ``sqrt(2) exp(-r) Re <a>`` with ``a|n> = sqrt(n)|n-1>``.
+    """
+    space = psi.space
+    if space.spin_dim != 2 or len(space.fock_cutoffs) != 2:
+        raise ValueError(f"state must live on a spin (x) two-mode space, got {space}")
+    N_a, N_b = space.fock_cutoffs
+    amp = psi.amplitudes.reshape(2, N_a, N_b)
+    mean_a = mean_b = 0.0
+    for s in range(2):
+        for na in range(N_a):
+            for nb in range(N_b):
+                if na > 0:
+                    mean_a += np.conj(amp[s, na - 1, nb]) * math.sqrt(na) * amp[s, na, nb]
+                if nb > 0:
+                    mean_b += np.conj(amp[s, na, nb - 1]) * math.sqrt(nb) * amp[s, na, nb]
+    scale = math.sqrt(2.0) * math.exp(-params.r)
+    return scale * float(np.real(mean_a)), scale * float(np.real(mean_b))
+
+
+def locate_band_minimum(c, guess, span: float = 0.6, steps: int = 41,
+                        refinements: int = 4) -> np.ndarray:
+    """A minimum of |f| for couplings ``c`` by deterministic nested grid refinement."""
+    center = np.asarray(guess, dtype=float)
+    for _ in range(refinements):
+        ax = np.linspace(-span, span, steps)
+        kx, ky = np.meshgrid(center[0] + ax, center[1] + ax, indexing="ij")
+        grid = np.stack([kx, ky], axis=-1)
+        mag = np.abs(structure_factor(grid, c))
+        i, j = np.unravel_index(np.argmin(mag), mag.shape)
+        center = grid[i, j]
+        span = 2.0 * span / (steps - 1)
+    return center
 
 
 def _ladder(N: int) -> np.ndarray:

@@ -28,12 +28,10 @@ from metricspin import (
     initial_state,
     low_energy_coefficients,
     observable_trace,
-    pauli_matrix,
     quadratic_site_hamiltonian,
     revival_diagnostic,
     run_sweep,
     symmetry_check,
-    tensor_embed,
     truncation_convergence,
 )
 
@@ -161,7 +159,7 @@ def test_c08_precession_peaks():
     err_curve = float(np.abs(trace.sy - np.cos(2 * SQRT2 * trace.times)).max())
 
     # peak positions located as roots of d<sy>/dt, against k pi / sqrt(2)
-    sy = tensor_embed(pauli_matrix("y"), "spin", params.space).entries
+    sy = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(params.N * params.N))
     H = h.matrix.entries
     K = 1j * (H @ sy - sy @ H)
 
@@ -240,7 +238,8 @@ def test_c11_quadratic_spectrum(capsys=None):
     worst_var = 0.0
     for mu in (0.5, 1.0, 2.0, 4.0):
         h = quadratic_site_hamiltonian(mu, 80)
-        evals = np.sort(np.linalg.eigvalsh(h.matrix.entries))[:levels]
+        dense = np.diag(h.diagonal) + np.diag(h.pair, 2) + np.diag(h.pair, -2)
+        evals = np.sort(np.linalg.eigvalsh(dense))[:levels]
         gaps = np.diff(evals)
         worst_var = max(worst_var, float(gaps.var() / gaps.mean() ** 2))
         spacings[mu] = float(gaps.mean())

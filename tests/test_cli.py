@@ -150,9 +150,10 @@ class TestConfigErrors:
 
 class TestOversizedRuns:
     # each asks for one allocation beyond the 128 TiB x86-64 user address
-    # space, which fails at once without touching that memory
+    # space, which fails at once without touching that memory; the mode
+    # sector is held as its diagonals, 8 bytes per level
     @pytest.mark.parametrize("argv", [
-        ["gravity-check", "--set", "N_mode=10000000"],
+        ["gravity-check", "--set", "N_mode=100000000000000"],
         ["evolve", "--set", "N=2", "--set", "t_max=1e9", "--set", "dt=1e-9"],
     ])
     def test_memory_error_maps_to_2(self, tmp_path, capsys, argv):
@@ -404,3 +405,74 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "trace.csv").exists()
+
+
+class TestOutOfRangeValues:
+    """Finite values outside a formula's range exit 2 and write nothing."""
+
+    PROBES = [
+        ("evolve", "mu=1e-300", ()),          # mu^1.5 underflows to 0
+        ("evolve", "mu=1e300", ()),           # mu^1.5 overflows
+        ("convergence", "mu=1e300", ()),
+        ("sweep", "mu=1e-300", ("G_count=2", "N=4", "t_max=3")),
+        ("gravity-check", "mu_list=1e-300", ()),   # cosh^2 2r overflows
+        ("gravity-check", "mu_list=1e200", ()),
+        ("lattice", "fd_step=0", ()),
+        ("lattice", "fd_step=1e-320", ()),
+        ("lattice", "fd_step=1e-17", ()),          # k0 + step rounds to k0
+        ("lattice", "fd_step=-1e-5", ()),
+    ]
+
+    @pytest.mark.parametrize("command,setting,extra", PROBES,
+                             ids=[f"{c}-{s}" for c, s, _ in PROBES])
+    def test_refused_as_config_error(self, tmp_path, capsys, command, setting, extra):
+        out = tmp_path / "o"
+        key = setting.split("=")[0]
+        sets = [arg for item in [setting, *extra] for arg in ("--set", item)]
+        rc = cli.main([command, *sets, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert re.search(rf"\b{key}\b", err), err
+        assert not out.exists()
+
+    def test_edge_mass_still_runs(self, tmp_path):
+        # cosh 2r = 1e154 still squares to a finite number
+        out = tmp_path / "o"
+        assert cli.main(["gravity-check", "--out", str(out), "--set", "mu_list=1e-154",
+                         "--set", "N_mode=12", "--set", "levels=3"]) == 0
+        assert non_finite_files(out) == []
+
+
+class TestManifestKeyOrder:
+    """The ordered key list of each command's manifest.txt is a contract."""
+
+    RUNS = {
+        "evolve": ["--set", "N=4"],
+        "sweep": ["--set", "N=4", "--set", "G_list=0.02,0.2", "--set", "t_min=1"],
+        "lattice": ["--set", "kx_count=3", "--set", "ky_count=3"],
+        "gravity-check": ["--set", "N_mode=12", "--set", "levels=3"],
+        "convergence": ["--set", "N_list=4,5"],
+    }
+    KEYS = {
+        "evolve": "command code_version direction sign G mu N t_max dt wall_time_s "
+                  "checksum_sha256 checksum_sha256.trace.csv",
+        "sweep": "command code_version direction sign mu N t_max dt G_count G_values "
+                 "t_min wall_time_s checksum_sha256 checksum_sha256.heatmap.csv "
+                 "checksum_sha256.diagnostics.csv checksum.run.000 checksum.run.001",
+        "lattice": "command code_version lattice_G alpha_c beta_c kx_min kx_max ky_min "
+                   "ky_max kx_count ky_count fd_step wall_time_s checksum_sha256 "
+                   "checksum_sha256.bands.csv checksum_sha256.fermi_report.txt",
+        "gravity-check": "command code_version mu_list N_mode levels wall_time_s "
+                         "checksum_sha256 checksum_sha256.gravity_report.csv",
+        "convergence": "command code_version direction sign G mu N_list t_max dt "
+                       "wall_time_s checksum_sha256 checksum_sha256.convergence.csv",
+    }
+
+    def test_key_order_of_every_command(self, tmp_path):
+        for command, args in self.RUNS.items():
+            out = tmp_path / command
+            assert cli.main([command, "--out", str(out), *args, *FAST]) == 0
+            keys = [line.split("=", 1)[0]
+                    for line in (out / "manifest.txt").read_text().splitlines()]
+            assert keys == self.KEYS[command].split(), command

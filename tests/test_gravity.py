@@ -7,24 +7,28 @@ import scipy.linalg
 
 from metricspin import (
     NumericalConsistencyError,
-    OperatorMatrix,
-    QuadraticModeHamiltonian,
     SpaceSpec,
     StateVector,
-    annihilation_matrix,
     bogoliubov_params,
-    metric_expectations,
     quadratic_site_hamiltonian,
     resonant_momentum,
-    single_mode_space,
     spectrum_spacing,
-    tensor_embed,
 )
 from metricspin.model import initial_state
-from oracles import dense_mode_spectrum, squeeze_matrix
+from oracles import dense_mode_spectrum, metric_expectations, squeeze_matrix
 
 SQRT2 = math.sqrt(2.0)
 MU_GRID = np.geomspace(0.1, 10.0, 50)
+
+
+def dense(h) -> np.ndarray:
+    """The N x N matrix of a mode Hamiltonian, from its main and +-2 diagonals."""
+    return np.diag(h.diagonal) + np.diag(h.pair, 2) + np.diag(h.pair, -2)
+
+
+def ladder(N: int) -> np.ndarray:
+    """Annihilation operator on N Fock levels, from literal entries."""
+    return np.diag(np.sqrt(np.arange(1.0, N)), 1)
 
 
 class TestBogoliubovParams:
@@ -56,7 +60,8 @@ class TestBogoliubovParams:
     def test_cosh_bounded_below_by_one(self):
         assert min(bogoliubov_params(mu).cosh2r for mu in MU_GRID) >= 1.0
 
-    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+    # 1e-320, 1e-300 and 1e200: cosh 2r = mu/4 + 1/mu overflows when squared
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e-300, 1e200])
     def test_domain_error(self, mu):
         with pytest.raises(ValueError):
             bogoliubov_params(mu)
@@ -72,32 +77,36 @@ class TestQuadraticSiteHamiltonian:
         N = 12
         mu = 1.7
         h = quadratic_site_hamiltonian(mu, N)
-        a = annihilation_matrix(N).entries
-        ad = a.conj().T
+        a = ladder(N)
+        ad = a.T
         ref = (h.c1 * (a @ a + ad @ ad)
                + h.c2 * (2 * ad @ a + np.eye(N)))
-        npt.assert_allclose(h.matrix.entries, ref, atol=1e-14)
+        assert h.cutoff == N
+        assert h.diagonal.shape == (N,) and h.pair.shape == (N - 2,)
+        npt.assert_allclose(dense(h), ref, atol=1e-14)
 
     def test_diagonal_case_mu_two(self):
         # c1 = 0: eigenvalues c2 (2n+1) = 4 (2n+1), uniform spacing 8
         h = quadratic_site_hamiltonian(2.0, 10)
         assert h.c1 == 0.0
-        off = h.matrix.entries - np.diag(np.diag(h.matrix.entries))
-        assert np.abs(off).max() == 0.0
-        evals = np.sort(np.linalg.eigvalsh(h.matrix.entries))
+        assert np.abs(h.pair).max() == 0.0
+        evals = np.sort(np.linalg.eigvalsh(dense(h)))
         npt.assert_allclose(evals, 4.0 * (2 * np.arange(10) + 1), atol=1e-12)
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
     def test_spectrum_bounded_below(self, mu):
         h = quadratic_site_hamiltonian(mu, 80)
-        evals = np.linalg.eigvalsh(h.matrix.entries)
+        evals = np.linalg.eigvalsh(dense(h))
         assert evals.min() > 0.0
         # the measured ground level sits at half the measured gap
         assert evals.min() == pytest.approx(2.0 * mu, rel=1e-6)
 
     def test_hermitian(self):
-        m = quadratic_site_hamiltonian(0.8, 40).matrix.entries
-        assert np.abs(m - m.conj().T).max() <= 1e-12
+        h = quadratic_site_hamiltonian(0.8, 40)
+        assert h.diagonal.dtype == h.pair.dtype == np.float64
+        assert not h.diagonal.flags.writeable and not h.pair.flags.writeable
+        m = dense(h)
+        assert np.array_equal(m, m.T)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -134,7 +143,7 @@ class TestSpectrumSpacing:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0])
     def test_interior_uniformity(self, mu):
         h = quadratic_site_hamiltonian(mu, 80)
-        evals = np.sort(np.linalg.eigvalsh(h.matrix.entries))[:8]
+        evals = np.sort(np.linalg.eigvalsh(dense(h)))[:8]
         gaps = np.diff(evals)
         assert gaps.var() / gaps.mean() ** 2 < 1e-8
 
@@ -166,17 +175,6 @@ class TestSpectrumSpacing:
         assert abs(spacing - want) <= tol
         assert abs(dev - np.abs(gaps - want).max()) <= tol
 
-    def test_off_band_weight_refused(self):
-        # a single-boson hop couples the parity sectors, so they cannot be split
-        N = 30
-        h = quadratic_site_hamiltonian(1.0, N)
-        a = annihilation_matrix(N).entries
-        m = h.matrix.entries + 1e-3 * (a + a.T)
-        mixed = QuadraticModeHamiltonian(
-            h.mu, h.c1, h.c2, OperatorMatrix(single_mode_space(N), m, hermitian_hint=True))
-        with pytest.raises(NumericalConsistencyError, match="diagonals"):
-            spectrum_spacing(mixed, 5)
-
 
 class TestSqueezeTransform:
     @pytest.mark.parametrize("mu", [1.0, 2.5])
@@ -185,7 +183,7 @@ class TestSqueezeTransform:
         N = 60
         bp = bogoliubov_params(mu)
         S = squeeze_matrix(bp.r, N)
-        H = quadratic_site_hamiltonian(mu, N).matrix.entries
+        H = dense(quadratic_site_hamiltonian(mu, N))
         rotated = S.conj().T @ H @ S
         pair = max(abs(rotated[n, n + 2]) for n in range(5))
         assert pair < 1e-6
@@ -244,8 +242,8 @@ class TestMetricExpectations:
         # squeeze vanishes so h11 = sqrt(2) Re<a>
         coeffs = [math.exp(-0.5) / math.sqrt(math.factorial(n)) for n in range(14)]
         psi = self._alpha_state(coeffs)
-        a_emb = tensor_embed(annihilation_matrix(14), "alpha", self.space)
-        mean_a = np.vdot(psi.amplitudes, a_emb.entries @ psi.amplitudes)
+        a_emb = np.kron(np.eye(2), np.kron(ladder(14), np.eye(14)))
+        mean_a = np.vdot(psi.amplitudes, a_emb @ psi.amplitudes)
         h11, h12 = metric_expectations(psi, bogoliubov_params(2.0))
         assert h11 == pytest.approx(SQRT2 * mean_a.real, abs=1e-12)
         assert h11 == pytest.approx(SQRT2, abs=1e-9)

@@ -11,11 +11,11 @@ from metricspin import (
     bloch_hamiltonian,
     dispersion,
     fermi_point_residual,
-    locate_band_minimum,
     low_energy_coefficients,
     structure_factor,
 )
 from metricspin.lattice import FERMI_MINUS, FERMI_PLUS, N1, N2
+from oracles import locate_band_minimum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -229,3 +229,16 @@ class TestLowEnergyCoefficients:
     def test_which_validation(self):
         with pytest.raises(ValueError):
             low_energy_coefficients(LatticeCouplings.free(), "P0")
+
+    @pytest.mark.parametrize("step", [0.0, 1e-320, 1e-17, -1e-5, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["P+", "P-"])
+    def test_unusable_step_refused(self, which, step):
+        # 0 and 1e-320 gave nan coefficients; 1e-17 rounds k0 +- step to k0
+        # and gave C = D = -1 on the free lattice, where both are 0
+        with pytest.raises(ValueError, match="step"):
+            low_energy_coefficients(LatticeCouplings.free(), which, step=step)
+
+    def test_smallest_moving_step_accepted(self):
+        # the largest component of P+ is 4.44, with a spacing of 8.9e-16
+        A, B, C, D = low_energy_coefficients(LatticeCouplings.free(), "P+", step=1e-15)
+        assert all(math.isfinite(x) for x in (A, B, C, D))

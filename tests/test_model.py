@@ -9,15 +9,13 @@ import scipy.linalg
 from metricspin import (
     ModelParams,
     NumericalConsistencyError,
-    OperatorMatrix,
+    bogoliubov_params,
     build_minimal_hamiltonian,
     coupling_strength,
     evolve,
     initial_state,
     observable_trace,
-    pauli_matrix,
     symmetry_check,
-    tensor_embed,
     truncation_convergence,
 )
 from metricspin.model import _CHUNK_STEPS, ParityBlock
@@ -25,12 +23,16 @@ from metricspin.model import _CHUNK_STEPS, ParityBlock
 from oracles import (
     dense_state_oracle,
     dense_trace_oracle,
+    metric_expectations,
     minimal_hamiltonian_oracle,
     parity_isometry_oracle,
     state_columns_oracle,
 )
 
 SQRT2 = math.sqrt(2.0)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0])
 
 
 class TestCouplingStrength:
@@ -51,6 +53,10 @@ class TestCouplingStrength:
             coupling_strength(-0.1, 1.0)
         with pytest.raises(ValueError):
             coupling_strength(1.0, 0.0)
+        # mu^1.5 underflows to 0 (ZeroDivisionError) or overflows (OverflowError)
+        for mu in (1e-300, 1e300):
+            with pytest.raises(ValueError, match="mu=.*out of range"):
+                coupling_strength(0.05, mu)
 
     @pytest.mark.parametrize("G,mu", [(math.nan, 1.0), (math.inf, 1.0),
                                       (1.0, math.nan), (1.0, math.inf)])
@@ -73,6 +79,7 @@ class TestModelParams:
         dict(G=math.nan), dict(G=math.inf), dict(G=1.0, mu=math.nan),
         dict(G=1.0, mu=math.inf), dict(G=1.0, dt=math.nan),
         dict(G=1.0, t_max=math.inf), dict(G=1.0, t_max=math.nan),
+        dict(G=1.0, mu=1e-300), dict(G=1.0, mu=1e300),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -108,11 +115,11 @@ class TestBuildHamiltonian:
         # spin-offdiagonal entries from (b + b^dag) scale as sqrt(2) sqrt(n)
         p = ModelParams(G=math.pi, N=14, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        space = p.space
+        N = p.N
         m = h.matrix.entries
         for nb in range(5):
-            i = space.index(0, 0, nb)
-            j = space.index(1, 0, nb + 1)
+            i = nb                      # |up, 0, nb>
+            j = N * N + nb + 1          # |down, 0, nb + 1>
             assert abs(m[i, j]) == pytest.approx(SQRT2 * math.sqrt(nb + 1), abs=1e-12)
 
     def test_g_override(self):
@@ -125,7 +132,7 @@ class TestBuildHamiltonian:
     def test_commutes_with_sigma_x_at_zero_coupling(self):
         p = ModelParams(G=0.0, N=8, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        sx = tensor_embed(pauli_matrix("x"), "spin", p.space).entries
+        sx = np.kron(SIGMA_X, np.eye(p.N * p.N))
         m = h.matrix.entries
         assert np.abs(m @ sx - sx @ m).max() == 0.0
 
@@ -137,8 +144,8 @@ class TestInitialState:
     def test_plus_x_amplitudes(self):
         psi = initial_state("x", +1, self.space)
         amp = psi.amplitudes
-        assert amp[self.space.index(0, 0, 0)] == pytest.approx(1 / SQRT2)
-        assert amp[self.space.index(1, 0, 0)] == pytest.approx(1 / SQRT2)
+        assert amp[0] == pytest.approx(1 / SQRT2)        # |up, 0, 0>
+        assert amp[9] == pytest.approx(1 / SQRT2)        # |down, 0, 0> at N = 3
         assert np.count_nonzero(amp) == 2
 
     def test_plus_z_is_basis_state(self):
@@ -150,11 +157,12 @@ class TestInitialState:
     @pytest.mark.parametrize("direction", ["x", "y", "z"])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_modes_start_in_vacuum(self, direction, sign):
-        from metricspin import expectation, number_matrix
         psi = initial_state(direction, sign, self.space)
-        for slot in ("alpha", "beta"):
-            n_op = tensor_embed(number_matrix(3), slot, self.space)
-            assert expectation(n_op, psi) == pytest.approx(0.0, abs=1e-14)
+        n = np.diag([0.0, 1.0, 2.0])
+        for n_op in (np.kron(np.eye(2), np.kron(n, np.eye(3))),
+                     np.kron(np.eye(6), n)):
+            mean = np.vdot(psi.amplitudes, n_op @ psi.amplitudes)
+            assert mean == pytest.approx(0.0, abs=1e-14)
 
     def test_invalid_direction(self):
         with pytest.raises(ValueError):
@@ -334,8 +342,7 @@ class TestSymmetrySector:
         h = build_minimal_hamiltonian(p)
         N = p.N
         parity = np.diag((-1.0) ** np.arange(N))
-        sy = pauli_matrix("y").entries
-        s_bad = np.kron(sy, np.kron(parity, np.eye(N)))
+        s_bad = np.kron(SIGMA_Y, np.kron(parity, np.eye(N)))
         m = h.matrix.entries
         residual = np.abs(m @ s_bad - s_bad @ m).max()
         assert residual > abs(h.g)
@@ -360,7 +367,7 @@ class TestParityBlocks:
         W = {s: parity_isometry_oracle(N, s) for s in (1, -1)}
         for block in h.blocks:
             W_s = W[block.sign]
-            npt.assert_allclose(W_s.conj().T @ H @ W_s, block.matrix.entries,
+            npt.assert_allclose(W_s.conj().T @ H @ W_s, block.entries,
                                 rtol=0, atol=1e-14)
         assert np.abs(W[1].conj().T @ H @ W[-1]).max() <= 1e-12
 
@@ -414,35 +421,53 @@ class TestParityBlocks:
         p = ModelParams(G=100.0, N=N, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p, g=g)
         for block in h.blocks:
-            m = block.matrix.entries
-            assert not m.imag.any()
+            m = block.entries
+            assert m.dtype == np.float64 and m.flags.c_contiguous
+            assert not m.flags.writeable
             assert np.array_equal(m, m.T)
 
     def test_imaginary_entry_refused_before_eigensolve(self, monkeypatch):
         p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
-        h = build_minimal_hamiltonian(p)
-        block = h.blocks[0]
-        m = block.matrix.entries.copy()
+        block = build_minimal_hamiltonian(p).blocks[0]
+        m = block.entries.astype(complex)
         m[0, 4] += 1e-3j                # the first n_a hop, as in the ungauged basis
         m[4, 0] -= 1e-3j
-        planted = ParityBlock(block.sign, OperatorMatrix(block.matrix.space, m,
-                                                         hermitian_hint=True))
-        broken = dataclasses.replace(h, blocks=(planted, h.blocks[1]))
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
         with pytest.raises(NumericalConsistencyError, match="not real"):
-            observable_trace(broken, initial_state("x", +1, p.space), p)
+            ParityBlock(block.sign, m)
         assert calls == []
+
+    @pytest.mark.parametrize("bad", [
+        "asymmetric", "nan", "non-square",
+        pytest.param("inf", marks=pytest.mark.filterwarnings("ignore:invalid value")),
+    ])
+    def test_block_refused_at_construction(self, bad):
+        m = build_minimal_hamiltonian(ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)) \
+            .blocks[1].entries.copy()
+        if bad == "asymmetric":
+            m[0, 1] += 2e-12            # above HERMITICITY_ATOL
+        elif bad == "nan":
+            m[3, 3] = math.nan          # symmetric position; NaN fails the test
+        elif bad == "inf":
+            m[0, 4] = m[4, 0] = math.inf
+        else:
+            m = m[:, :-1]
+        with pytest.raises(NumericalConsistencyError, match="parity block -1"):
+            ParityBlock(-1, m)
+
+    def test_symmetry_within_tolerance_accepted(self):
+        m = np.eye(4)
+        m[0, 1] = 5e-13                # below HERMITICITY_ATOL
+        npt.assert_array_equal(ParityBlock(1, m).entries, m)
 
     def test_off_band_entry_refused(self):
         p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         block = h.blocks[0]
-        m = block.matrix.entries.copy()
+        m = block.entries.copy()
         m[0, 2] = m[2, 0] = 1e-3        # offset 2: neither an n_b nor an n_a hop at N = 4
-        planted = ParityBlock(block.sign, OperatorMatrix(block.matrix.space, m,
-                                                         hermitian_hint=True))
-        broken = dataclasses.replace(h, blocks=(planted, h.blocks[1]))
+        broken = dataclasses.replace(h, blocks=(ParityBlock(block.sign, m), h.blocks[1]))
         with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
             observable_trace(broken, initial_state("x", +1, p.space), p)
 
@@ -508,17 +533,19 @@ class TestTraceAgainstScalarPath:
     """The vectorized trace engine must agree with naive per-time evaluation."""
 
     def test_columns_match_pointwise_expectations(self):
-        from metricspin import expectation, number_matrix
         p = ModelParams(G=0.8, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("y", -1, p.space)
         trace = observable_trace(h, psi0, p)
         states = evolve(h, psi0, p.times)
-        sx_op = tensor_embed(pauli_matrix("x"), "spin", p.space)
-        sy_op = tensor_embed(pauli_matrix("y"), "spin", p.space)
-        sz_op = tensor_embed(pauli_matrix("z"), "spin", p.space)
-        na_op = tensor_embed(number_matrix(5), "alpha", p.space)
-        nb_op = tensor_embed(number_matrix(5), "beta", p.space)
+        n = np.diag(np.arange(5.0))
+        sx_op, sy_op, sz_op = (np.kron(s, np.eye(25)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        na_op = np.kron(np.eye(2), np.kron(n, np.eye(5)))
+        nb_op = np.kron(np.eye(10), n)
+
+        def expectation(op, state):
+            return np.vdot(state.amplitudes, op @ state.amplitudes).real
+
         for i, state in enumerate(states):
             assert trace.sx[i] == pytest.approx(expectation(sx_op, state), abs=1e-12)
             assert trace.sy[i] == pytest.approx(expectation(sy_op, state), abs=1e-12)
@@ -526,11 +553,10 @@ class TestTraceAgainstScalarPath:
             assert trace.n_alpha[i] == pytest.approx(expectation(na_op, state), abs=1e-12)
             assert trace.n_beta[i] == pytest.approx(expectation(nb_op, state), abs=1e-12)
             assert trace.energy[i] == pytest.approx(
-                expectation(h.matrix, state), abs=1e-12)
+                expectation(h.matrix.entries, state), abs=1e-12)
             assert trace.norm[i] == pytest.approx(state.norm, abs=1e-12)
 
     def test_metric_columns_match_scalar_readout(self):
-        from metricspin import metric_expectations, bogoliubov_params
         p = ModelParams(G=0.8, mu=1.3, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("z", +1, p.space)

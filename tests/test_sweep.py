@@ -11,13 +11,12 @@ from metricspin import (
     ObservableTrace,
     SweepGrid,
     build_minimal_hamiltonian,
-    heatmap_export,
     initial_state,
     observable_trace,
     revival_diagnostic,
     run_sweep,
 )
-from metricspin.serialize import sha256_hex
+from metricspin.serialize import sha256_hex, write_text
 
 SHORT = dict(N=8, t_max=6.0, dt=0.1)
 
@@ -36,6 +35,8 @@ class TestSweepGrid:
             SweepGrid(G_values=(0.2, 0.1))
         with pytest.raises(ValueError):
             SweepGrid(G_values=(-0.1, 0.2))
+        with pytest.raises(ValueError, match="mu"):     # ModelParams checks each point
+            SweepGrid(G_values=(0.1, 1.0), mu=1e-300)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_g_rejected(self, bad):
@@ -75,8 +76,7 @@ class TestRunSweep:
         r1 = run_sweep(grid)
         for r2 in (run_sweep(grid), run_sweep(grid, workers=4)):
             assert r1.heatmap_csv == r2.heatmap_csv
-            assert r1.manifest.checksum_sha256 == r2.manifest.checksum_sha256
-            assert r1.manifest.run_checksums == r2.manifest.run_checksums
+            assert r1.run_checksums == r2.run_checksums
 
     def test_concurrent_matches_sequential(self):
         grid = short_grid((0.02, 0.2, 2.0, 20.0))
@@ -103,32 +103,32 @@ class TestRunSweep:
             run_sweep(short_grid((0.02, 0.2)))
 
     def test_manifest_checksum_matches_csv(self):
-        result = run_sweep(short_grid((0.1,)))
-        assert result.manifest.checksum_sha256 == sha256_hex(result.heatmap_csv)
-        pairs = dict(result.manifest.pairs())
-        assert pairs["code_version"]
-        assert pairs["N"] == str(SHORT["N"])
+        # each run checksum is the sha256 of that G's rows in the table
+        result = run_sweep(short_grid((0.1, 0.3)))
+        rows = result.heatmap_csv.splitlines(keepends=True)[1:]
+        per_g = len(rows) // 2
+        assert [sha256_hex("".join(rows[:per_g])), sha256_hex("".join(rows[per_g:]))] \
+            == list(result.run_checksums)
 
 
 class TestHeatmapExport:
     def test_row_count_and_header(self, tmp_path):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
         result = run_sweep(grid)
-        path = heatmap_export(result, tmp_path / "heatmap.csv")
+        path = write_text(tmp_path / "heatmap.csv", result.heatmap_csv)
         lines = path.read_text().splitlines()
         assert lines[0] == "G,t,sx,px,n_alpha,n_beta"
         assert len(lines) == 1 + 2 * 3  # header + |G| * |times|
 
     def test_reexport_is_byte_identical(self, tmp_path):
-        result = run_sweep(short_grid((0.3,)))
-        p1 = heatmap_export(result, tmp_path / "a.csv")
-        p2 = heatmap_export(result, tmp_path / "b.csv")
+        p1 = write_text(tmp_path / "a.csv", run_sweep(short_grid((0.3,))).heatmap_csv)
+        p2 = write_text(tmp_path / "b.csv", run_sweep(short_grid((0.3,))).heatmap_csv)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rows_sorted_by_g_then_t(self, tmp_path):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
         result = run_sweep(grid)
-        path = heatmap_export(result, tmp_path / "heatmap.csv")
+        path = write_text(tmp_path / "heatmap.csv", result.heatmap_csv)
         rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
         keys = [(float(g), float(t)) for g, t in rows]
         assert keys == sorted(keys)
@@ -137,7 +137,7 @@ class TestHeatmapExport:
         result = run_sweep(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))
         missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
         with pytest.raises(OSError) as err:
-            heatmap_export(result, missing)
+            write_text(missing, result.heatmap_csv)
         assert str(missing) in str(err.value) or missing.name in str(err.value)
 
 
