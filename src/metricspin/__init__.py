@@ -16,7 +16,6 @@ from .errors import (
 )
 from .gravity import (
     BogoliubovParams,
-    QuadraticModeHamiltonian,
     bogoliubov_params,
     quadratic_site_hamiltonian,
     resonant_momentum,
@@ -48,7 +47,6 @@ from .operators import OperatorMatrix, SpaceSpec, StateVector
 from .sweep import (
     RevivalDiagnostic,
     SweepGrid,
-    SweepResult,
     default_grid,
     revival_diagnostic,
     run_sweep,

@@ -2,7 +2,8 @@
 
 Every command is deterministic given its config file.  Exit codes are a
 stable contract: 0 success, 2 config error, 3 numerical-consistency
-failure.
+failure.  Each command builds all its library inputs, which refuse
+out-of-range values, before any work; :func:`_refused_as` names the key.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +34,14 @@ from .lattice import (
 from .model import (
     ModelParams,
     build_minimal_hamiltonian,
+    convergence_params,
     initial_state,
     observable_trace,
     truncation_convergence,
 )
 from .serialize import fmt, render_csv, render_manifest, sha256_hex, write_text
-from .sweep import SweepGrid, default_grid, revival_diagnostic, run_sweep
+from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
+from .sweep import revival_diagnostic
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
 DIAGNOSTICS_HEADER = "G,revival_peak,first_peak_time"
@@ -51,11 +55,31 @@ def _sign_value(cfg: RunConfig) -> int:
     return 1 if cfg.sign == "+" else -1
 
 
-def _model_params(cfg: RunConfig) -> ModelParams:
+@contextmanager
+def _refused_as(*keys: str):
+    """Re-raise a library ``ValueError`` in the block as a ``ConfigError`` naming ``keys``.
+
+    With no keys the message names the key already (``ModelParams`` fields
+    are config keys).  Wrap input building only, never work: a numpy
+    ``ValueError`` mid-run is a fault, not a config error.
+    """
     try:
-        return ModelParams(G=cfg.G, mu=cfg.mu, N=cfg.N, t_max=cfg.t_max, dt=cfg.dt)
+        yield
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{'/'.join(keys)}: {exc}" if keys else str(exc)) from exc
+
+
+def _model_params(cfg: RunConfig, **fields) -> ModelParams:
+    with _refused_as():
+        return ModelParams(mu=cfg.mu, t_max=cfg.t_max, dt=cfg.dt, **fields)
+
+
+def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
+    """Manifest pairs of config ``keys``: floats as ``fmt`` renders them, the rest as text."""
+    values = [getattr(cfg, k) for k in keys]
+    return [(k, fmt(v) if isinstance(v, float) else str(v)) for k, v in zip(keys, values)]
 
 
 def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, str],
@@ -76,15 +100,10 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, st
 
 def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
-    params = _model_params(cfg)
+    params = _model_params(cfg, G=cfg.G, N=cfg.N)
     h = build_minimal_hamiltonian(params)
-    psi0 = initial_state(cfg.direction, _sign_value(cfg), params.space)
-    trace = observable_trace(h, psi0, params)
-    config_pairs = [
-        ("direction", cfg.direction), ("sign", cfg.sign),
-        ("G", fmt(cfg.G)), ("mu", fmt(cfg.mu)), ("N", str(cfg.N)),
-        ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
-    ]
+    trace = observable_trace(h, initial_state(cfg.direction, _sign_value(cfg), params.space))
+    config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N", "t_max", "dt")
     columns = (trace.times, trace.sx, trace.sy, trace.sz, trace.px, trace.py,
                trace.pz, trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
     _write_outputs(outdir, "evolve", config_pairs,
@@ -96,21 +115,21 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
 def _sweep_grid(cfg: RunConfig) -> SweepGrid:
     shared = dict(direction=cfg.direction, sign=_sign_value(cfg), mu=cfg.mu, N=cfg.N,
                   t_max=cfg.t_max, dt=cfg.dt)
-    try:
-        if cfg.G_list.strip():
+    if cfg.G_list.strip():
+        with _refused_as("G_list"):
             return SweepGrid(G_values=parse_float_list(cfg.G_list, "G_list"), **shared)
+    with _refused_as("G_count", "G_min", "G_max"):
         return default_grid(cfg.G_count, cfg.G_min, cfg.G_max, **shared)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
     t0 = time.perf_counter()
-    if workers < 1:
-        raise ConfigError(f"option '--workers' must be >= 1, got {workers}")
+    with _refused_as("--workers"):
+        check_workers(workers)
+    # against the time grid that every point shares, before any G value
+    with _refused_as():
+        check_t_min(cfg.t_min, _model_params(cfg, G=0.0, N=cfg.N).times)
     grid = _sweep_grid(cfg)
-    if cfg.t_min >= cfg.t_max:
-        raise ConfigError("key 't_min' must be below t_max")
     result = run_sweep(grid, workers=workers)
     diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in result.traces]
     diag_columns = (np.array(grid.G_values),
@@ -121,12 +140,10 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_columns),
     }
     config_pairs = [
-        ("direction", cfg.direction), ("sign", cfg.sign),
-        ("mu", fmt(cfg.mu)), ("N", str(cfg.N)),
-        ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
+        *_config_pairs(cfg, "direction", "sign", "mu", "N", "t_max", "dt"),
         ("G_count", str(len(grid.G_values))),
         ("G_values", ",".join(fmt(v) for v in grid.G_values)),
-        ("t_min", fmt(cfg.t_min)),
+        *_config_pairs(cfg, "t_min"),
     ]
     extra = [(f"checksum.run.{i:03d}", c) for i, c in enumerate(result.run_checksums)]
     _write_outputs(outdir, "sweep", config_pairs, files,
@@ -138,16 +155,13 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     if cfg.kx_count < 2 or cfg.ky_count < 2:
         raise ConfigError("keys 'kx_count'/'ky_count' must be >= 2 per axis")
-    if cfg.lattice_G < 0:
-        raise ConfigError(f"key 'lattice_G' must be non-negative, got {cfg.lattice_G}")
-    couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
+    with _refused_as("lattice_G", "alpha_c", "beta_c"):
+        couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
     res_p, res_m = fermi_point_residual(couplings)
     report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
     for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):
-        try:
+        with _refused_as("fd_step"):
             A, B, C, D = low_energy_coefficients(couplings, which, step=cfg.fd_step)
-        except ValueError as exc:
-            raise ConfigError(f"key 'fd_step': {exc}") from exc
         report.extend([(f"A_{tag}", fmt(A)), (f"B_{tag}", fmt(B)),
                        (f"C_{tag}", fmt(C)), (f"D_{tag}", fmt(D))])
     kx = np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count)
@@ -159,14 +173,8 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
         "bands.csv": render_csv(BANDS_HEADER, band_columns),
         "fermi_report.txt": render_manifest(report),
     }
-    config_pairs = [
-        ("lattice_G", fmt(cfg.lattice_G)), ("alpha_c", fmt(cfg.alpha_c)),
-        ("beta_c", fmt(cfg.beta_c)),
-        ("kx_min", fmt(cfg.kx_min)), ("kx_max", fmt(cfg.kx_max)),
-        ("ky_min", fmt(cfg.ky_min)), ("ky_max", fmt(cfg.ky_max)),
-        ("kx_count", str(cfg.kx_count)), ("ky_count", str(cfg.ky_count)),
-        ("fd_step", fmt(cfg.fd_step)),
-    ]
+    config_pairs = _config_pairs(cfg, "lattice_G", "alpha_c", "beta_c", "kx_min", "kx_max",
+                                 "ky_min", "ky_max", "kx_count", "ky_count", "fd_step")
     _write_outputs(outdir, "lattice", config_pairs, files, time.perf_counter() - t0)
     return 0
 
@@ -176,24 +184,22 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
     mus = parse_float_list(cfg.mu_list, "mu_list")
     if not mus:
         raise ConfigError("key 'mu_list' must name at least one mass value")
-    try:
+    with _refused_as("mu_list"):
         bps = [bogoliubov_params(mu) for mu in mus]
-    except ValueError as exc:
-        raise ConfigError(f"key 'mu_list': {exc}") from exc
-    if cfg.N_mode < 4:
-        raise ConfigError(f"key 'N_mode' must be >= 4, got {cfg.N_mode}")
+    # spectrum_spacing's rule, checked before a sector of N_mode levels is
+    # built; it also keeps N_mode >= 6, above quadratic_site_hamiltonian's 4
     if cfg.levels < 2 or cfg.levels > cfg.N_mode // 3:
-        raise ConfigError("key 'levels' must satisfy 2 <= levels <= N_mode//3")
+        raise ConfigError("keys 'levels'/'N_mode' must satisfy 2 <= levels <= N_mode//3")
     rows = []
     for mu, bp in zip(mus, bps):
         residual = abs(bp.cosh2r ** 2 - bp.sinh2r ** 2 - 1.0)
-        ham = quadratic_site_hamiltonian(mu, cfg.N_mode)
+        with _refused_as("mu_list", "N_mode"):     # checked before it allocates
+            ham = quadratic_site_hamiltonian(mu, cfg.N_mode)
         spacing, dev = spectrum_spacing(ham, cfg.levels)
         rows.append((mu, bp.r, bp.cosh2r, bp.sinh2r, residual, spacing, dev,
                      spacing / (2.0 * mu), spacing / (4.0 * mu),
                      resonant_momentum(mu)))
-    config_pairs = [("mu_list", cfg.mu_list), ("N_mode", str(cfg.N_mode)),
-                    ("levels", str(cfg.levels))]
+    config_pairs = _config_pairs(cfg, "mu_list", "N_mode", "levels")
     _write_outputs(outdir, "gravity-check", config_pairs,
                    {"gravity_report.csv": render_csv(GRAVITY_HEADER,
                                                       np.array(rows, dtype=float).T)},
@@ -204,20 +210,13 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
 def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     n_list = parse_int_list(cfg.N_list, "N_list")
-    if len(n_list) < 2:
-        raise ConfigError("key 'N_list' must name at least two cutoffs")
-    params = _model_params(cfg)
-    try:
-        pairs = truncation_convergence(params, cfg.direction, _sign_value(cfg), n_list)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _model_params(cfg, G=cfg.G)     # N comes from each cutoff
+    with _refused_as("N_list"):
+        convergence_params(params, n_list)
+    pairs = truncation_convergence(params, cfg.direction, _sign_value(cfg), n_list)
     lo, hi, dev = zip(*pairs)
     columns = (np.array(lo), np.array(hi), np.array(dev, dtype=float))
-    config_pairs = [
-        ("direction", cfg.direction), ("sign", cfg.sign),
-        ("G", fmt(cfg.G)), ("mu", fmt(cfg.mu)), ("N_list", cfg.N_list),
-        ("t_max", fmt(cfg.t_max)), ("dt", fmt(cfg.dt)),
-    ]
+    config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N_list", "t_max", "dt")
     _write_outputs(outdir, "convergence", config_pairs,
                    {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)},
                    time.perf_counter() - t0)

@@ -27,6 +27,14 @@ import scipy.linalg
 from .errors import NumericalConsistencyError
 
 
+def _mass(mu: float) -> float:
+    """``mu`` as a float; ``ValueError`` unless it is finite and positive."""
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
+    return mu
+
+
 @dataclass(frozen=True)
 class BogoliubovParams:
     """Squeezing parameter ``r`` and its hyperbolic pair for mass ``mu``."""
@@ -45,9 +53,7 @@ def bogoliubov_params(mu: float) -> BogoliubovParams:
     large or small that ``cosh^2 2r`` overflows raises ``ValueError``:
     the hyperbolic identity cannot be evaluated there.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
+    mu = _mass(mu)
     cosh2r = mu / 4.0 + 1.0 / mu
     if not math.isfinite(cosh2r * cosh2r):
         raise ValueError(f"mass parameter out of range: cosh 2r = mu/4 + 1/mu "
@@ -84,14 +90,15 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
     ``c2 = mu^2/2 + 2`` on ``2 a^dag a + 1``; at ``mu = 2`` the pair
     terms vanish and the matrix is diagonal.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
+    mu = _mass(mu)
     N = int(N)
     if N < 4:
         raise ValueError(f"invalid cutoff: need N >= 4 to resolve pair terms, got {N}")
     c1 = mu * mu / 2.0 - 2.0
     c2 = mu * mu / 2.0 + 2.0
+    if not math.isfinite(c2 * (2.0 * N - 1.0)):      # the top level; |c1| < c2
+        raise ValueError(f"mass parameter out of range: the top level c2 (2N - 1) of the "
+                         f"mode sector overflows at mu={mu}, N={N}")
     n = np.arange(N, dtype=float)
     diagonal = c2 * (2.0 * n + 1.0)
     pair = c1 * np.sqrt(n[2:] * (n[2:] - 1.0))
@@ -134,7 +141,5 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
 
 def resonant_momentum(mu: float) -> float:
     """Radius ``1 / (sqrt(2) pi mu)`` of the resonant circle in momentum space."""
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mass parameter must be finite and positive, got mu={mu}")
+    mu = _mass(mu)
     return 1.0 / (math.sqrt(2.0) * math.pi * mu)

@@ -66,11 +66,18 @@ class LatticeCouplings:
     @classmethod
     def from_background(cls, G: float = 0.0, alpha_c: float = 0.0,
                         beta_c: float = 0.0) -> "LatticeCouplings":
-        """Couplings for a uniform classical background at strength G."""
+        """Couplings for a uniform classical background at strength G.
+
+        ``ValueError`` unless ``16 (|Re J| + |Im J|)`` is finite (NaN fails),
+        which keeps ``f``, at most ``(2 + sqrt 2)|J|``, and its differences finite.
+        """
         if not (math.isfinite(G) and G >= 0):
             raise ValueError(f"G must be finite and non-negative, got {G}")
         s = math.sqrt(2.0 * math.pi * G)
         J = 1.0 + 1j * s * alpha_c - s * beta_c
+        if not math.isfinite(16.0 * (abs(J.real) + abs(J.imag))):
+            raise ValueError(f"G={G}, alpha_c={alpha_c}, beta_c={beta_c} give the "
+                             f"coupling factor J = {J}, too large for finite bands")
         return cls(Jx=J, Jy=J, Jz=SQRT2 * J,
                    G=float(G), alpha_c=float(alpha_c), beta_c=float(beta_c))
 
@@ -154,7 +161,7 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
                          f"the touching point {which}")
     scale = max(abs(c.Jx), abs(c.Jy), abs(c.Jz), 1.0)
     residual = abs(structure_factor(k0, c))
-    if residual > DISPLACEMENT_ATOL * scale:
+    if not residual <= DISPLACEMENT_ATOL * scale:
         raise ExtractionInvalidError(
             f"touching point displaced: |f({which})| = {residual:.3e} "
             f"exceeds {DISPLACEMENT_ATOL * scale:.3e}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -83,6 +84,10 @@ class ModelParams:
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ValueError(f"t_max must be finite and >= dt, got t_max={self.t_max} "
                              f"dt={self.dt}")
+        # the grid's last index must fit np.intp: checked before any grid exists
+        if not self.t_max / self.dt < np.iinfo(np.intp).max:
+            raise ValueError(f"t_max/dt = {self.t_max / self.dt:.3g} time steps do not "
+                             f"fit an array index (t_max={self.t_max}, dt={self.dt})")
 
     @property
     def space(self) -> SpaceSpec:
@@ -267,16 +272,20 @@ _SPIN_STATES = {
 }
 
 
-def initial_state(direction: str, sign: int, space: SpaceSpec) -> StateVector:
-    """Product state: spin along +/- direction, both modes in vacuum."""
-    key = (direction, int(sign))
-    if key not in _SPIN_STATES:
+def spin_state(direction: str, sign: int) -> np.ndarray:
+    """Spin part of an initial state: the ``sign`` eigenvector of sigma_direction."""
+    if (direction, sign) not in _SPIN_STATES:
         raise ValueError(f"direction must be x|y|z with sign +-1, got "
                          f"{direction!r}, {sign!r}")
-    N_a, N_b = space.fock_cutoffs
-    vac = np.zeros(N_a * N_b, dtype=np.complex128)
+    return _SPIN_STATES[direction, sign]
+
+
+def initial_state(direction: str, sign: int, space: SpaceSpec) -> StateVector:
+    """Product state: spin along +/- direction, both modes in vacuum."""
+    spin = spin_state(direction, sign)
+    vac = np.zeros(math.prod(space.fock_cutoffs), dtype=np.complex128)
     vac[0] = 1.0
-    return StateVector(space, np.kron(_SPIN_STATES[key], vac))
+    return StateVector(space, np.kron(spin, vac))
 
 
 def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +376,7 @@ class ObservableTrace:
 
     def __post_init__(self):
         n = self.times.shape[0]
-        for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValueError(f"column {name} has length {arr.shape}, expected {n}")
-        for name in ("h11", "h12"):
+        for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm", "h11", "h12"):
             arr = getattr(self, name)
             if arr is not None and arr.shape != (n,):
                 raise ValueError(f"column {name} has length {arr.shape}, expected {n}")
@@ -391,9 +396,8 @@ class ObservableTrace:
 
 
 def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
-                     params: ModelParams | None = None,
                      include_metric: bool = False) -> ObservableTrace:
-    """Evaluate all observables on the time grid of ``params``.
+    """Evaluate all observables on the time grid of ``h.params``.
 
     Every column is reduced from the parity-block amplitudes chunk by
     chunk: norm, sx and the mode populations from the block weights, sy
@@ -405,12 +409,9 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     :class:`NumericalConsistencyError` since it signals a broken
     propagation, not physics.
     """
-    if params is None:
-        params = h.params
     if psi0.space != h.space:
         raise ValueError("initial state does not live on the Hamiltonian's space")
-    if params.space != h.space:
-        raise ValueError("params describe a different space than the Hamiltonian")
+    params = h.params
     times = params.times
     N = params.N
     levels, _, parity = _mode_factors(N)
@@ -497,6 +498,16 @@ def symmetry_check(h: MinimalHamiltonian) -> float:
     return float(np.abs(H @ s_op - s_op @ H).max())
 
 
+def convergence_params(params: ModelParams, N_list) -> list[ModelParams]:
+    """``params`` at each cutoff of ``N_list``: at least two, strictly increasing."""
+    N_list = [int(n) for n in N_list]
+    if len(N_list) < 2:
+        raise ValueError("need at least two cutoffs to compare")
+    if any(b <= a for a, b in pairwise(N_list)):
+        raise ValueError(f"cutoff list must be strictly increasing, got {N_list}")
+    return [replace(params, N=N) for N in N_list]
+
+
 def truncation_convergence(params: ModelParams, direction: str, sign: int,
                            N_list) -> list[tuple[int, int, float]]:
     """Max observable deviation between runs at consecutive cutoffs.
@@ -505,23 +516,11 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     maximum over the time grid and over the five observables
     (sx, sy, sz, n_alpha, n_beta) of the absolute trace difference.
     """
-    N_list = [int(n) for n in N_list]
-    if len(N_list) < 2:
-        raise ValueError("need at least two cutoffs to compare")
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError(f"cutoff list must be strictly increasing, got {N_list}")
-    traces = []
-    for N in N_list:
-        p = replace(params, N=N)
-        h = build_minimal_hamiltonian(p)
-        psi0 = initial_state(direction, sign, p.space)
-        traces.append(observable_trace(h, psi0, p))
-    out = []
-    for (N_lo, tr_lo), (N_hi, tr_hi) in zip(zip(N_list, traces),
-                                            zip(N_list[1:], traces[1:])):
-        dev = max(
-            float(np.abs(getattr(tr_lo, name) - getattr(tr_hi, name)).max())
-            for name in ("sx", "sy", "sz", "n_alpha", "n_beta")
-        )
-        out.append((N_lo, N_hi, dev))
-    return out
+    cutoffs = convergence_params(params, N_list)
+    traces = [observable_trace(build_minimal_hamiltonian(p),
+                               initial_state(direction, sign, p.space))
+              for p in cutoffs]
+    return [(p_lo.N, p_hi.N,
+             max(float(np.abs(getattr(tr_lo, name) - getattr(tr_hi, name)).max())
+                 for name in ("sx", "sy", "sz", "n_alpha", "n_beta")))
+            for (p_lo, tr_lo), (p_hi, tr_hi) in pairwise(zip(cutoffs, traces))]

@@ -21,6 +21,7 @@ from .model import (
     build_minimal_hamiltonian,
     initial_state,
     observable_trace,
+    spin_state,
 )
 from .serialize import render_csv, sha256_hex
 
@@ -43,6 +44,7 @@ class SweepGrid:
     dt: float = 0.02
 
     def __post_init__(self):
+        spin_state(self.direction, self.sign)
         vals = tuple(float(g) for g in self.G_values)
         if not vals:
             raise ValueError("sweep grid must contain at least one G value")
@@ -60,7 +62,12 @@ class SweepGrid:
 def default_grid(count: int = 60, G_min: float = 0.01, G_max: float = 100.0,
                  **kwargs) -> SweepGrid:
     """Log-spaced grid straddling the G = pi crossover."""
-    return SweepGrid(G_values=tuple(np.geomspace(G_min, G_max, count)), **kwargs)
+    if not (count >= 1 and 0 < G_min <= G_max):
+        raise ValueError(f"need count >= 1 and 0 < G_min <= G_max, got count={count}, "
+                         f"G_min={G_min}, G_max={G_max}")
+    with np.errstate(over="ignore"):       # SweepGrid refuses a point that overflows
+        G_values = tuple(np.geomspace(G_min, G_max, count))
+    return SweepGrid(G_values=G_values, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -87,33 +94,28 @@ def _failed_at(G: float, exc: Exception) -> Exception:
         return RuntimeError(message)
 
 
-def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
-    """Run one trace per G value; any single failure aborts the sweep."""
-
-    def one(G: float) -> ObservableTrace:
-        params = grid.params_at(G)
-        h = build_minimal_hamiltonian(params)
-        psi0 = initial_state(grid.direction, grid.sign, params.space)
-        return observable_trace(h, psi0, params)
-
+def check_workers(workers: int) -> None:
+    """Refuse a sweep worker count below 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    traces: list[ObservableTrace | None] = [None] * len(grid.G_values)
+
+
+def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
+    """Run one trace per G value, in the calling thread for one worker; a failure aborts."""
+
+    def one(G: float) -> ObservableTrace:
+        try:
+            h = build_minimal_hamiltonian(grid.params_at(G))
+            return observable_trace(h, initial_state(grid.direction, grid.sign, h.space))
+        except Exception as exc:
+            raise _failed_at(G, exc) from exc
+
+    check_workers(workers)
     if workers == 1:
-        for i, G in enumerate(grid.G_values):
-            try:
-                traces[i] = one(G)
-            except Exception as exc:
-                raise _failed_at(G, exc) from exc
+        traces = list(map(one, grid.G_values))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(one, G)
-                       for i, G in enumerate(grid.G_values)}
-            for i, fut in futures.items():
-                try:
-                    traces[i] = fut.result()
-                except Exception as exc:
-                    raise _failed_at(grid.G_values[i], exc) from exc
+            traces = list(pool.map(one, grid.G_values))
 
     # one body per G; each run checksum is the sha256 of its body
     bodies = [render_csv(None, (np.full(tr.times.size, G), tr.times, tr.sx,
@@ -142,6 +144,13 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return inner[keep]
 
 
+def check_t_min(t_min: float, times: np.ndarray) -> None:
+    """Refuse a diagnostic window ``t > t_min`` that holds none of the sorted ``times``."""
+    if not t_min < times[-1]:
+        raise InsufficientDataError(
+            f"t_min={t_min} leaves no samples in a trace ending at t={times[-1]}")
+
+
 def revival_diagnostic(trace: ObservableTrace, t_min: float = DEFAULT_T_MIN) -> RevivalDiagnostic:
     """Scan the p_x series for its post-t_min maximum and envelope shape.
 
@@ -152,13 +161,9 @@ def revival_diagnostic(trace: ObservableTrace, t_min: float = DEFAULT_T_MIN) -> 
     final third of the window against the first third; 0 means no decay.
     """
     t = trace.times
-    if t_min >= t[-1]:
-        raise InsufficientDataError(
-            f"t_min={t_min} leaves no samples in a trace ending at t={t[-1]}")
+    check_t_min(t_min, t)
     px = trace.px
     after = t > t_min
-    if not np.any(after):
-        raise InsufficientDataError("no samples after t_min")
     revival_peak = float(px[after].max())
 
     peak_idx = _local_maxima(px)

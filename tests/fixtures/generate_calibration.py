@@ -32,7 +32,7 @@ def main():
                                 t_max=grid.t_max, dt=grid.dt)
         h = ms.build_minimal_hamiltonian(params)
         psi0 = ms.initial_state(grid.direction, grid.sign, params.space)
-        d = ms.revival_diagnostic(ms.observable_trace(h, psi0, params), t_min=T_MIN)
+        d = ms.revival_diagnostic(ms.observable_trace(h, psi0), t_min=T_MIN)
         named_peaks.append(d.revival_peak)
         if G == 0.05:
             first_peak_time_g005 = d.first_peak_time

@@ -59,7 +59,7 @@ def _named_trace(G: float):
         params = ModelParams(G=G, **DEFAULTS)
         h = build_minimal_hamiltonian(params)
         psi0 = initial_state("x", +1, params.space)
-        _NAMED_CACHE[G] = observable_trace(h, psi0, params)
+        _NAMED_CACHE[G] = observable_trace(h, psi0)
         _TRACE_LOG[f"x-start G={G:.6g}"] = _NAMED_CACHE[G]
     return _NAMED_CACHE[G]
 
@@ -119,11 +119,11 @@ def test_c05_frozen_dynamics():
     # one untimed run first, so the timed one does not include waking idle
     # BLAS threads after the single-threaded work that precedes it
     observable_trace(build_minimal_hamiltonian(params, g=0.0),
-                     initial_state("x", +1, params.space), params)
+                     initial_state("x", +1, params.space))
     t0 = time.perf_counter()
     h = build_minimal_hamiltonian(params, g=0.0)
     psi0 = initial_state("x", +1, params.space)
-    trace = observable_trace(h, psi0, params)
+    trace = observable_trace(h, psi0)
     elapsed = time.perf_counter() - t0
     _TRACE_LOG["frozen g=0"] = trace
     worst = max(float(np.abs(getattr(trace, n) - getattr(trace, n)[0]).max())
@@ -154,7 +154,7 @@ def test_c08_precession_peaks():
     params = ModelParams(G=1.0, mu=1.0, N=6, t_max=25.0, dt=0.02)
     h = build_minimal_hamiltonian(params, g=0.0)
     psi0 = initial_state("y", +1, params.space)
-    trace = observable_trace(h, psi0, params)
+    trace = observable_trace(h, psi0)
     _TRACE_LOG["precession g=0"] = trace
     err_curve = float(np.abs(trace.sy - np.cos(2 * SQRT2 * trace.times)).max())
 

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import metricspin.cli as cli
+import metricspin.model as model_mod
 import metricspin.sweep as sweep_mod
 from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
@@ -95,7 +96,7 @@ class TestEvolveCommand:
         assert rc == 0
         params = ModelParams(G=2.5, mu=1.0, N=6, t_max=45.0, dt=0.02)
         psi0 = initial_state(direction, 1 if sign == "+" else -1, params.space)
-        tr = observable_trace(build_minimal_hamiltonian(params), psi0, params)
+        tr = observable_trace(build_minimal_hamiltonian(params), psi0)
         columns = (tr.times, tr.sx, tr.sy, tr.sz, tr.px, tr.py, tr.pz,
                    tr.n_alpha, tr.n_beta, tr.energy, tr.norm)
         want = csv_oracle(cli.TRACE_HEADER, columns).encode()
@@ -188,10 +189,10 @@ class TestNumericalFailureExitCode:
     def test_sweep_failure_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
         real = sweep_mod.observable_trace
 
-        def drifting(h, psi0, params):
-            if params.G == 0.2:
+        def drifting(h, psi0):
+            if h.params.G == 0.2:
                 raise NumericalConsistencyError("synthetic drift")
-            return real(h, psi0, params)
+            return real(h, psi0)
 
         monkeypatch.setattr(sweep_mod, "observable_trace", drifting)
         out = tmp_path / "o"
@@ -407,6 +408,19 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
+def assert_refused(tmp_path, capsys, command, setting, extra):
+    """Exit 2 with one ``config error:`` line naming the key, and no output."""
+    out = tmp_path / "o"
+    key = setting.split("=")[0]
+    sets = [arg for item in [setting, *extra] for arg in ("--set", item)]
+    rc = cli.main([command, *sets, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err), err
+    assert not out.exists()
+
+
 class TestOutOfRangeValues:
     """Finite values outside a formula's range exit 2 and write nothing."""
 
@@ -421,20 +435,59 @@ class TestOutOfRangeValues:
         ("lattice", "fd_step=1e-320", ()),
         ("lattice", "fd_step=1e-17", ()),          # k0 + step rounds to k0
         ("lattice", "fd_step=-1e-5", ()),
+        # t_max/dt is inf, or has no array index
+        ("evolve", "dt=1e-320", ("N=2",)),
+        ("evolve", "dt=1e-300", ("N=2",)),
+        ("evolve", "t_max=1e308", ("N=2", "dt=1e-5")),
+        ("sweep", "dt=1e-320", ("N=2", "G_count=2")),
+        ("convergence", "dt=1e-320", ("N_list=2,3",)),
+        # the last grid time is 0.8999999999999999, below t_max
+        ("sweep", "t_min=0.95", ("G_list=0.5", "t_max=1", "dt=0.3", "N=4")),
+        # sqrt(2 pi G) = inf: the couplings would be NaN
+        ("lattice", "lattice_G=1e308", ("kx_count=3", "ky_count=3")),
+        ("lattice", "lattice_G=1e300", ("beta_c=1e300", "kx_count=3", "ky_count=3")),
+        ("sweep", "G_list=-1", ()),
+        ("sweep", "G_list=0.5,0.1", ()),
+        ("sweep", "G_min=-1", ()),
+        ("convergence", "N_list=10,6", ()),
+        ("convergence", "N_list=1,4", ()),
     ]
 
     @pytest.mark.parametrize("command,setting,extra", PROBES,
                              ids=[f"{c}-{s}" for c, s, _ in PROBES])
     def test_refused_as_config_error(self, tmp_path, capsys, command, setting, extra):
-        out = tmp_path / "o"
-        key = setting.split("=")[0]
-        sets = [arg for item in [setting, *extra] for arg in ("--set", item)]
-        rc = cli.main([command, *sets, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert re.search(rf"\b{key}\b", err), err
-        assert not out.exists()
+        assert_refused(tmp_path, capsys, command, setting, extra)
+
+    @pytest.mark.parametrize("command,setting,extra", PROBES,
+                             ids=[f"{c}-{s}" for c, s, _ in PROBES])
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                     command, setting, extra):
+        # every refusal happens while the inputs are built: assembling a
+        # Hamiltonian, evaluating the bands or building a mode sector fails loudly
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        for module in (cli, sweep_mod, model_mod):
+            monkeypatch.setattr(module, "build_minimal_hamiltonian", work)
+        monkeypatch.setattr(cli, "dispersion", work)
+        monkeypatch.setattr(cli, "quadratic_site_hamiltonian", work)
+        assert_refused(tmp_path, capsys, command, setting, extra)
+
+    def test_overflowing_mode_sector_refused(self, tmp_path, capsys):
+        # cosh^2 2r is finite at mu = 1e153, the top level of the sector is
+        # not; checked when each sector is built, before it is allocated
+        assert_refused(tmp_path, capsys, "gravity-check", "mu_list=1,1e153", ("N_mode=200",))
+
+    @pytest.mark.parametrize("command,args", [
+        ("lattice", ["N=1", "kx_count=3", "ky_count=3"]),
+        ("gravity-check", ["dt=0", "G=-1", "N_mode=12", "levels=3"]),
+        ("convergence", ["N=1", "G_min=-1", "N_list=2,3", "t_max=1", "dt=0.5"]),
+        ("sweep", ["G=-1", "G_list=0.1", "N=2", "t_max=3", "dt=0.5", "t_min=1"]),
+    ])
+    def test_keys_a_command_does_not_read_are_not_range_checked(self, tmp_path,
+                                                               command, args):
+        sets = [arg for item in args for arg in ("--set", item)]
+        assert cli.main([command, *sets, "--out", str(tmp_path / "o")]) == 0
 
     def test_edge_mass_still_runs(self, tmp_path):
         # cosh 2r = 1e154 still squares to a finite number

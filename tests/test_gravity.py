@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -118,6 +119,15 @@ class TestQuadraticSiteHamiltonian:
     def test_non_finite_mass_rejected(self, mu):
         with pytest.raises(ValueError):
             quadratic_site_hamiltonian(mu, 10)
+
+    def test_overflowing_top_level_rejected_without_warning(self):
+        # c2 = mu^2/2 + 2 = 6.3e305 is finite, c2 (2N - 1) is not at N = 143
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                quadratic_site_hamiltonian(1.123182550616169e153, 143)
+        h = quadratic_site_hamiltonian(1.123182550616169e153, 4)
+        assert np.all(np.isfinite(h.diagonal)) and np.all(np.isfinite(h.pair))
 
 
 class TestSpectrumSpacing:

@@ -62,6 +62,22 @@ class TestCouplings:
         with pytest.raises(ValueError):
             LatticeCouplings.from_background(G)
 
+    @pytest.mark.parametrize("G,ac,bc", [
+        (1e308, 0.0, 0.0),        # sqrt(2 pi G) = inf and inf * 0 = nan
+        (1e300, 0.0, 1e300),      # s * beta_c overflows
+        (1e300, 1e300, 0.0),
+        (1e300, 0.0, 1e157),      # J finite, but f(k) up to (2 + sqrt 2)|J| is not
+    ])
+    def test_non_finite_factor_rejected(self, G, ac, bc):
+        with pytest.raises(ValueError, match="coupling factor"):
+            LatticeCouplings.from_background(G, ac, bc)
+
+    def test_large_finite_factor_accepted(self):
+        c = LatticeCouplings.from_background(1e300, 0.0, 1e150)
+        e_lo, e_hi = dispersion(np.array([[0.3, -1.2], [2.0, 0.5]]), c)
+        assert np.all(np.isfinite(e_hi)) and np.all(e_lo == -e_hi)
+        assert all(math.isfinite(x) for x in low_energy_coefficients(c, "P+"))
+
 
 class TestBlochHamiltonian:
     def test_zone_center_free(self):
@@ -225,6 +241,11 @@ class TestLowEnergyCoefficients:
         det = dataclasses.replace(LatticeCouplings.free(), Jz=SQRT2 * 1.1)
         with pytest.raises(ExtractionInvalidError):
             low_energy_coefficients(det, "P+")
+
+    def test_nan_residual_raises(self):
+        nan = dataclasses.replace(LatticeCouplings.free(), Jz=complex(math.nan, 0.0))
+        with pytest.raises(ExtractionInvalidError):
+            low_energy_coefficients(nan, "P-")
 
     def test_which_validation(self):
         with pytest.raises(ValueError):

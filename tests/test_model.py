@@ -80,10 +80,18 @@ class TestModelParams:
         dict(G=1.0, mu=math.inf), dict(G=1.0, dt=math.nan),
         dict(G=1.0, t_max=math.inf), dict(G=1.0, t_max=math.nan),
         dict(G=1.0, mu=1e-300), dict(G=1.0, mu=1e300),
+        # t_max/dt is inf, or past the largest array index
+        dict(G=1.0, dt=1e-320), dict(G=1.0, dt=1e-300), dict(G=1.0, t_max=1e308, dt=1e-5),
+        dict(G=1.0, t_max=1e19, dt=1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_largest_indexable_grid_constructs(self):
+        # 10^18 steps fit np.intp; only allocating the grid would fail
+        p = ModelParams(G=1.0, N=2, t_max=1e9, dt=1e-9)
+        assert p.t_max / p.dt < np.iinfo(np.intp).max
 
 
 class TestBuildHamiltonian:
@@ -201,7 +209,7 @@ class TestEvolve:
         p = ModelParams(G=0.0, N=6, t_max=20.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("x", +1, p.space)
-        tr = observable_trace(h, psi0, p)
+        tr = observable_trace(h, psi0)
         for name in ("sx", "sy", "sz", "n_alpha", "n_beta"):
             col = getattr(tr, name)
             assert np.abs(col - col[0]).max() <= 1e-10
@@ -210,7 +218,7 @@ class TestEvolve:
         p = ModelParams(G=1.0, N=4, t_max=10.0, dt=0.01)
         h = build_minimal_hamiltonian(p, g=0.0)
         psi0 = initial_state("y", +1, p.space)
-        tr = observable_trace(h, psi0, p)
+        tr = observable_trace(h, psi0)
         npt.assert_allclose(tr.sy, np.cos(2 * SQRT2 * tr.times), atol=1e-8)
 
     def test_times_validation(self):
@@ -244,14 +252,14 @@ class TestEvolve:
 def weak_x_trace():
     p = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
     h = build_minimal_hamiltonian(p)
-    return observable_trace(h, initial_state("x", +1, p.space), p)
+    return observable_trace(h, initial_state("x", +1, p.space))
 
 
 @pytest.fixture(scope="module")
 def weak_y_trace():
     p = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
     h = build_minimal_hamiltonian(p)
-    return observable_trace(h, initial_state("y", +1, p.space), p)
+    return observable_trace(h, initial_state("y", +1, p.space))
 
 
 class TestWeakCouplingTrace:
@@ -350,7 +358,7 @@ class TestSymmetrySector:
     def test_spin_x_start_keeps_transverse_components_zero(self):
         p = ModelParams(G=0.46, N=12, t_max=20.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state("x", -1, p.space), p)
+        tr = observable_trace(h, initial_state("x", -1, p.space))
         assert np.abs(tr.sy).max() <= 1e-10
         assert np.abs(tr.sz).max() <= 1e-10
 
@@ -377,7 +385,7 @@ class TestParityBlocks:
     def test_kernel_matches_dense_oracle(self, direction, sign, G, N):
         p = ModelParams(G=G, mu=1.3, N=N, t_max=10.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.space), p,
+        tr = observable_trace(h, initial_state(direction, sign, p.space),
                               include_metric=True)
         ref = dense_trace_oracle(G, 1.3, N, p.times, direction, sign)
         for name, want in ref.items():
@@ -396,7 +404,7 @@ class TestParityBlocks:
         p = ModelParams(G=G, N=N, t_max=400.0, dt=0.05)
         assert p.times.size > 50 * _CHUNK_STEPS and p.times.size % _CHUNK_STEPS
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.space), p,
+        tr = observable_trace(h, initial_state(direction, sign, p.space),
                               include_metric=True)
         ref = dense_trace_oracle(G, 1.0, N, p.times, direction, sign)
         for name, want in ref.items():
@@ -409,7 +417,7 @@ class TestParityBlocks:
         p = ModelParams(G=G, N=6, t_max=20.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("x", sign, p.space)
-        tr = observable_trace(h, psi0, p)
+        tr = observable_trace(h, psi0)
         states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
         H = minimal_hamiltonian_oracle(G, 1.0, 6)
         dense = np.einsum("ti,ti->t", states.conj(), states @ H.T).real
@@ -469,12 +477,12 @@ class TestParityBlocks:
         m[0, 2] = m[2, 0] = 1e-3        # offset 2: neither an n_b nor an n_a hop at N = 4
         broken = dataclasses.replace(h, blocks=(ParityBlock(block.sign, m), h.blocks[1]))
         with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
-            observable_trace(broken, initial_state("x", +1, p.space), p)
+            observable_trace(broken, initial_state("x", +1, p.space))
 
     def test_x_start_diagonalizes_one_block(self):
         p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        observable_trace(h, initial_state("x", -1, p.space), p)
+        observable_trace(h, initial_state("x", -1, p.space))
         solved = ["eigensystem" in vars(block) for block in h.blocks]
         assert solved == [False, True]
 
@@ -497,7 +505,7 @@ class TestEvolveAgainstTrace:
         p = ModelParams(G=2.0, mu=1.3, N=5, t_max=30.0, dt=0.1)   # 301 points, 3 chunks
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state(direction, sign, p.space)
-        tr = observable_trace(h, psi0, p, include_metric=True)
+        tr = observable_trace(h, psi0, include_metric=True)
         states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
         for name, want in state_columns_oracle(states, 2.0, 1.3, 5).items():
             assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
@@ -536,7 +544,7 @@ class TestTraceAgainstScalarPath:
         p = ModelParams(G=0.8, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("y", -1, p.space)
-        trace = observable_trace(h, psi0, p)
+        trace = observable_trace(h, psi0)
         states = evolve(h, psi0, p.times)
         n = np.diag(np.arange(5.0))
         sx_op, sy_op, sz_op = (np.kron(s, np.eye(25)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -560,7 +568,7 @@ class TestTraceAgainstScalarPath:
         p = ModelParams(G=0.8, mu=1.3, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("z", +1, p.space)
-        trace = observable_trace(h, psi0, p, include_metric=True)
+        trace = observable_trace(h, psi0, include_metric=True)
         bp = bogoliubov_params(p.mu)
         for i, state in enumerate(evolve(h, psi0, p.times)):
             h11, h12 = metric_expectations(state, bp)
@@ -573,9 +581,9 @@ class TestTraceValidation:
         p = ModelParams(G=0.05, N=6, t_max=5.0, dt=0.1)
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state("x", +1, p.space)
-        tr = observable_trace(h, psi0, p)
+        tr = observable_trace(h, psi0)
         assert tr.h11 is None and tr.h12 is None
-        tr_m = observable_trace(h, psi0, p, include_metric=True)
+        tr_m = observable_trace(h, psi0, include_metric=True)
         assert tr_m.h11.shape == tr_m.times.shape
         # the alpha mode never displaces in the symmetric sector
         assert np.abs(tr_m.h11).max() <= 1e-10
@@ -584,7 +592,7 @@ class TestTraceValidation:
     def test_population_properties(self):
         p = ModelParams(G=0.0, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state("x", +1, p.space), p)
+        tr = observable_trace(h, initial_state("x", +1, p.space))
         npt.assert_allclose(tr.px, 0.5 * (1 + tr.sx), atol=0)
         npt.assert_allclose(tr.pz, 0.5 * (1 + tr.sz), atol=0)
 
@@ -593,15 +601,7 @@ class TestTraceValidation:
         h = build_minimal_hamiltonian(p)
         other = initial_state("x", +1, ModelParams(G=0.1, N=5, t_max=1, dt=0.5).space)
         with pytest.raises(ValueError):
-            observable_trace(h, other, p)
-
-    def test_params_space_mismatch(self):
-        p = ModelParams(G=0.1, N=4, t_max=1.0, dt=0.5)
-        h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.space)
-        wrong = ModelParams(G=0.1, N=5, t_max=1.0, dt=0.5)
-        with pytest.raises(ValueError):
-            observable_trace(h, psi0, wrong)
+            observable_trace(h, other)
 
     @pytest.mark.parametrize("corrupt,guard", [("eigenvalues", "norm"),
                                                ("eigenvectors", "energy")])
@@ -627,7 +627,7 @@ class TestTraceValidation:
 
         monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(NumericalConsistencyError, match=guard):
-            observable_trace(h, initial_state("z", +1, p.space), p)
+            observable_trace(h, initial_state("z", +1, p.space))
 
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         from metricspin import NumericalConsistencyError

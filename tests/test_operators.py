@@ -196,7 +196,7 @@ class TestExpectation:
         p = ModelParams(G=0.3, N=3, t_max=1.0, dt=0.5)
         psi = initial_state("x", +1, SpaceSpec(2, (4, 4)))
         with pytest.raises(ValueError):
-            observable_trace(build_minimal_hamiltonian(p), psi, p)
+            observable_trace(build_minimal_hamiltonian(p), psi)
 
     def test_imaginary_part_guard(self):
         # an imaginary part small enough to pass the entrywise Hermiticity

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,21 @@ class TestSweepGrid:
             SweepGrid(G_values=(-0.1, 0.2))
         with pytest.raises(ValueError, match="mu"):     # ModelParams checks each point
             SweepGrid(G_values=(0.1, 1.0), mu=1e-300)
+        with pytest.raises(ValueError, match="direction"):
+            SweepGrid(G_values=(0.1,), direction="w", sign=5)
+        with pytest.raises(ValueError, match="direction"):
+            SweepGrid(G_values=(0.1,), sign=0)
+
+    @pytest.mark.parametrize("count,G_min,G_max", [
+        (5, -1.0, 100.0), (5, 0.0, 1.0), (5, 2.0, 1.0), (0, 0.1, 1.0), (-3, 0.1, 1.0),
+        (5, math.nan, 1.0),
+    ])
+    def test_default_grid_range_refused_without_warning(self, count, G_min, G_max):
+        from metricspin import default_grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="G_min"):
+                default_grid(count, G_min, G_max)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_g_rejected(self, bad):
@@ -61,7 +77,7 @@ class TestRunSweep:
         result = run_sweep(grid)
         params = ModelParams(G=0.05, **SHORT)
         h = build_minimal_hamiltonian(params)
-        ref = observable_trace(h, initial_state("x", +1, params.space), params)
+        ref = observable_trace(h, initial_state("x", +1, params.space))
         got = result.traces[0]
         for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
             npt.assert_array_equal(getattr(got, name), getattr(ref, name))
@@ -92,11 +108,11 @@ class TestRunSweep:
         calls = {"n": 0}
         real = sweep_mod.observable_trace
 
-        def flaky(h, psi0, params):
+        def flaky(h, psi0):
             calls["n"] += 1
-            if params.G == 0.2:
+            if h.params.G == 0.2:
                 raise RuntimeError("synthetic failure")
-            return real(h, psi0, params)
+            return real(h, psi0)
 
         monkeypatch.setattr(sweep_mod, "observable_trace", flaky)
         with pytest.raises(RuntimeError, match="G=0.2"):
@@ -186,6 +202,21 @@ class TestRevivalDiagnostic:
         with pytest.raises(InsufficientDataError):
             revival_diagnostic(trace, t_min=7.0)
 
+    @pytest.mark.parametrize("t_min,ok", [(0.85, True), (0.9, False), (0.95, False),
+                                          (math.nan, False)])
+    def test_t_min_rule_matches_the_grid(self, t_min, ok):
+        # t_max=1, dt=0.3: the last grid time is 0.8999999999999999, below t_max
+        params = ModelParams(G=0.5, N=4, t_max=1.0, dt=0.3)
+        times = params.times
+        if ok:
+            sweep_mod.check_t_min(t_min, times)
+            revival_diagnostic(_synthetic_trace(times, np.ones_like(times)), t_min=t_min)
+            return
+        with pytest.raises(InsufficientDataError, match="t_min"):
+            sweep_mod.check_t_min(t_min, times)
+        with pytest.raises(InsufficientDataError, match="t_min"):
+            revival_diagnostic(_synthetic_trace(times, np.ones_like(times)), t_min=t_min)
+
     def test_weak_coupling_first_peak_matches_calibration(self):
         # the first envelope peak of the G = 0.05 run is the feature the
         # calibration run recorded at t = 62.98
@@ -195,7 +226,7 @@ class TestRevivalDiagnostic:
                           / "revival_calibration.json").read_text())
         params = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
         h = build_minimal_hamiltonian(params)
-        trace = observable_trace(h, initial_state("x", +1, params.space), params)
+        trace = observable_trace(h, initial_state("x", +1, params.space))
         d = revival_diagnostic(trace, t_min=cal["t_min"])
         assert d.first_peak_time == pytest.approx(cal["first_peak_time_G005"],
                                                   abs=2 * params.dt)
