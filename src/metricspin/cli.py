@@ -82,13 +82,13 @@ def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
     return [(k, fmt(v) if isinstance(v, float) else str(v)) for k, v in zip(keys, values)]
 
 
-def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, str],
+def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, bytes | bytearray],
                    wall_time: float, extra_pairs=()):
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        write_text(outdir / name, text)
+    for name, data in files.items():
+        write_text(outdir / name, data)
     primary = next(iter(files))
-    digests = {name: sha256_hex(text) for name, text in files.items()}
+    digests = {name: sha256_hex(data) for name, data in files.items()}
     pairs = [("command", command), ("code_version", __version__)]
     pairs.extend(config_pairs)
     pairs.append(("wall_time_s", f"{wall_time:.3f}"))

@@ -42,6 +42,9 @@ FERMI_MINUS = -FERMI_PLUS
 #: default central-difference step for coefficient extraction
 FD_STEP = 1e-5
 
+#: largest relative bias 1 - sin(x)/x a step may put on the measured gradient
+FD_BIAS_MAX = 1e-6
+
 #: |f| at the nominal touching point beyond which extraction is refused
 DISPLACEMENT_ATOL = 1e-8
 
@@ -140,9 +143,12 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
     Raises
     ------
     ValueError
-        If ``step`` is not finite and positive, or too small to move the
-        touching point: ``k0 + step`` or ``k0 - step`` rounds to ``k0``
-        in either component, so the measured gradient would be 0 or NaN.
+        If ``step`` is not finite and positive, too large to measure the
+        gradient (it would be scaled by ``sin(x)/x``, ``x = step/sqrt(2)``,
+        further than ``FD_BIAS_MAX`` from 1, about ``step > 3.5e-3``), or
+        too small to move the touching point: ``k0 + step`` or
+        ``k0 - step`` rounds to ``k0`` in either component, so the
+        measured gradient would be 0 or NaN.
     ExtractionInvalidError
         If |f| at the nominal touching point exceeds
         ``DISPLACEMENT_ATOL`` times the coupling scale (the background
@@ -156,6 +162,14 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
         raise ValueError(f"which must be 'P+' or 'P-', got {which!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {step}")
+    # every bond vector has components +-1/sqrt(2), so the central
+    # difference measures the exact gradient times sin(x)/x, x = step/sqrt(2)
+    x = step / SQRT2
+    bias = 1.0 - math.sin(x) / x
+    if bias > FD_BIAS_MAX:
+        raise ValueError(f"finite-difference step {step} is too large: it measures the "
+                         f"gradient times sin(x)/x, x = step/sqrt(2), off by {bias:.3g} "
+                         f"> {FD_BIAS_MAX}")
     if np.any(k0 + step == k0) or np.any(k0 - step == k0):
         raise ValueError(f"finite-difference step {step} is too small to move "
                          f"the touching point {which}")

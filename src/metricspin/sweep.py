@@ -72,11 +72,11 @@ def default_grid(count: int = 60, G_min: float = 0.01, G_max: float = 100.0,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Traces in grid order, the long-format table and one checksum per G body."""
+    """Traces in grid order, the long-format table's bytes and one checksum per G."""
 
     grid: SweepGrid
     traces: tuple[ObservableTrace, ...]
-    heatmap_csv: str
+    heatmap_csv: bytearray
     run_checksums: tuple[str, ...]
 
 
@@ -117,13 +117,19 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(one, grid.G_values))
 
-    # one body per G; each run checksum is the sha256 of its body
-    bodies = [render_csv(None, (np.full(tr.times.size, G), tr.times, tr.sx,
-                                tr.px, tr.n_alpha, tr.n_beta))
-              for G, tr in zip(grid.G_values, traces)]
-    return SweepResult(grid=grid, traces=tuple(traces),
-                       heatmap_csv=HEATMAP_HEADER + "\n" + "".join(bodies),
-                       run_checksums=tuple(sha256_hex(b) for b in bodies))
+    # one table over every G, so the shared t column is formatted once;
+    # each run checksum is the sha256 of that G's rows, cut at line ends
+    per_g = traces[0].times.size
+    columns = [np.repeat(grid.G_values, per_g)]
+    columns.extend(np.concatenate([getattr(tr, name) for tr in traces])
+                   for name in ("times", "sx", "px", "n_alpha", "n_beta"))
+    heatmap = render_csv(HEATMAP_HEADER, columns)
+    line_ends = np.flatnonzero(np.frombuffer(heatmap, dtype=np.uint8) == ord("\n")) + 1
+    cuts = line_ends[::per_g].tolist()          # the header's end, then each G's
+    view = memoryview(heatmap)
+    return SweepResult(grid=grid, traces=tuple(traces), heatmap_csv=heatmap,
+                       run_checksums=tuple(sha256_hex(view[a:b])
+                                           for a, b in zip(cuts, cuts[1:])))
 
 
 @dataclass(frozen=True)

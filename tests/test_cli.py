@@ -435,6 +435,8 @@ class TestOutOfRangeValues:
         ("lattice", "fd_step=1e-320", ()),
         ("lattice", "fd_step=1e-17", ()),          # k0 + step rounds to k0
         ("lattice", "fd_step=-1e-5", ()),
+        ("lattice", "fd_step=1e300", ()),          # gave C = D = -1 on the free lattice
+        ("lattice", "fd_step=0.01", ()),           # biases the gradient by 8.3e-6
         # t_max/dt is inf, or has no array index
         ("evolve", "dt=1e-320", ("N=2",)),
         ("evolve", "dt=1e-300", ("N=2",)),

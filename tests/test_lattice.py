@@ -14,7 +14,7 @@ from metricspin import (
     low_energy_coefficients,
     structure_factor,
 )
-from metricspin.lattice import FERMI_MINUS, FERMI_PLUS, N1, N2
+from metricspin.lattice import FD_BIAS_MAX, FERMI_MINUS, FERMI_PLUS, N1, N2
 from oracles import locate_band_minimum
 
 SQRT2 = math.sqrt(2.0)
@@ -258,6 +258,20 @@ class TestLowEnergyCoefficients:
         # and gave C = D = -1 on the free lattice, where both are 0
         with pytest.raises(ValueError, match="step"):
             low_energy_coefficients(LatticeCouplings.free(), which, step=step)
+
+    @pytest.mark.parametrize("step", [3.4642e-3, 0.01, 1e300])
+    def test_step_too_large_to_measure_refused(self, step):
+        # 1e300 gave C = D = -1 on the free lattice, where both are 0
+        with pytest.raises(ValueError, match="step .* too large"):
+            low_energy_coefficients(LatticeCouplings.free(), "P+", step=step)
+
+    @pytest.mark.parametrize("which", ["P+", "P-"])
+    def test_largest_step_biases_by_at_most_the_bound(self, which):
+        # the bias 1 - sin(x)/x reaches FD_BIAS_MAX = 1e-6 at step = 3.46410e-3;
+        # on the free lattice J = 1, so C and D read minus that bias
+        A, B, C, D = low_energy_coefficients(LatticeCouplings.free(), which, step=3.4641e-3)
+        assert 0.999e-6 < -C <= FD_BIAS_MAX and 0.999e-6 < -D <= FD_BIAS_MAX
+        assert abs(A - 1.0) <= 1e-12 and abs(B - 1.0) <= 1e-12
 
     def test_smallest_moving_step_accepted(self):
         # the largest component of P+ is 4.44, with a spacing of 8.9e-16

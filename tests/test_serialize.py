@@ -4,32 +4,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_oracle
 
+from metricspin import serialize
+from metricspin.cli import BANDS_HEADER
+from metricspin.lattice import LatticeCouplings, dispersion
 from metricspin.serialize import _BLOCK_ROWS, render_csv
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
 
-#: signed zeros, subnormals and the extremes of the exponent range
+#: signed zeros, subnormals, the extremes of the exponent range and NaN
+#: with either sign bit (``repr`` prints ``nan`` for both)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                -2.225073858507201e-308, 1.7976931348623157e308, -1e-300, 1e300,
-               1e16, 1e-5, 0.1, float("inf"), float("-inf"), float("nan"))
+               1e16, 1e-5, 0.1, float("inf"), float("-inf"), float("nan"),
+               float(np.copysign(np.nan, -1.0)))
 
 
-def _column(kind: str, mode: str, n: int, pool, seed: int) -> np.ndarray:
-    """An ``n``-row column: one value, all distinct, mixed signed zeros or
-    draws from ``pool``."""
+def _distinct(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "float":
+        # random bit patterns: spread over every exponent, distinct with
+        # overwhelming probability
+        return rng.integers(-2 ** 63, 2 ** 63 - 1, size=n, dtype=np.int64).view(np.float64)
+    return rng.permutation(n) * 7919 - 3 * n
+
+
+def _column(kind: str, mode: str, n: int, pool, seed: int, earlier=()) -> np.ndarray:
+    """An ``n``-row column: one value, all distinct, all distinct but one
+    repeat, a period that straddles blocks, mixed signed zeros, the exact
+    negation of an ``earlier`` float column, or draws from ``pool``."""
     rng = np.random.default_rng(seed)
     if mode == "zeros":
         values = rng.choice(np.array([0.0, -0.0]), size=n)
     elif mode == "constant":
         values = np.full(n, pool[0])
     elif mode == "distinct":
-        values = rng.permutation(n) * 7919 - 3 * n
-        if kind == "float":
-            # random bit patterns: spread over every exponent, distinct
-            # with overwhelming probability
-            values = rng.integers(-2 ** 63, 2 ** 63 - 1, size=n,
-                                  dtype=np.int64).view(np.float64)
+        values = _distinct(kind, n, rng)
+    elif mode == "one_repeat":
+        values = _distinct(kind, n, rng)
+        values[rng.integers(n)] = values[rng.integers(n)]
+    elif mode == "periodic":
+        values = np.resize(_distinct(kind, 1 + seed % (B + 2), rng), n)
+    elif mode == "negated" and kind == "float":
+        floats = [c for c in earlier if c.dtype.kind == "f"]
+        values = -(floats[seed % len(floats)] if floats
+                   else rng.choice(np.array(EDGE_FLOATS), size=n))
     else:
         values = rng.choice(np.array(pool), size=n)
     return np.asarray(values, dtype=np.float64 if kind == "float" else np.int64)
@@ -37,8 +55,8 @@ def _column(kind: str, mode: str, n: int, pool, seed: int) -> np.ndarray:
 
 def assert_matches_oracle(header, columns):
     """``render_csv`` equals the oracle; a failure names its first bad line."""
-    got = render_csv(header, columns).split("\n")
-    want = csv_oracle(header, columns).split("\n")
+    got = render_csv(header, columns).split(b"\n")
+    want = csv_oracle(header, columns).encode("ascii").split(b"\n")
     bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
     assert len(got) == len(want)
@@ -46,7 +64,8 @@ def assert_matches_oracle(header, columns):
 
 COLUMN = st.tuples(
     st.sampled_from(["float", "int"]),
-    st.sampled_from(["constant", "distinct", "zeros", "pool"]),
+    st.sampled_from(["constant", "distinct", "one_repeat", "periodic", "zeros", "pool",
+                     "negated"]),
     st.integers(0, 2 ** 32 - 1),
 )
 
@@ -61,8 +80,10 @@ COLUMN = st.tuples(
     header=st.none() | st.just("a,b"),
 )
 def test_matches_per_element_oracle(n, specs, float_pool, int_pool, header):
-    columns = [_column(kind, mode, n, float_pool if kind == "float" else int_pool, seed)
-               for kind, mode, seed in specs]
+    columns = []
+    for kind, mode, seed in specs:
+        pool = float_pool if kind == "float" else int_pool
+        columns.append(_column(kind, mode, n, pool, seed, columns))
     assert_matches_oracle(header, columns)
 
 
@@ -71,7 +92,7 @@ def test_signed_zeros_keep_their_text(n):
     zeros = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
     assert_matches_oracle("z,t", [zeros, np.arange(n, dtype=float)])
     if n > 1:
-        assert render_csv(None, [zeros]).startswith("0.0\n-0.0\n")
+        assert render_csv(None, [zeros]).startswith(b"0.0\n-0.0\n")
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -82,10 +103,49 @@ def test_edge_floats_and_constant_columns(n):
     assert_matches_oracle("e,c,i", [edge, const, ints])
 
 
+@pytest.mark.parametrize("n", LENGTHS)
+def test_negated_columns_take_flipped_texts(n):
+    # -edge flips every sign bit, NaN's included, and NaN still prints nan
+    edge = np.resize(np.array(EDGE_FLOATS), n)
+    assert_matches_oracle(None, [edge, -edge, edge, np.abs(edge), -np.arange(n, dtype=float)])
+
+
+def _formatted_bound(columns) -> int:
+    """Distinct values per column, less those whose exact negation (NaN
+    aside) an earlier column holds."""
+    seen, total = np.empty(0, dtype=np.int64), 0
+    for column in columns:
+        uniq = np.unique(column.view(np.int64)).view(np.float64)
+        negated = np.isin((-uniq).view(np.int64), seen) & ~np.isnan(uniq)
+        total += uniq.size - np.count_nonzero(negated)
+        seen = np.union1d(seen, uniq.view(np.int64))
+    return total
+
+
+def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
+    formatted = []
+
+    def counting(x):
+        formatted.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(serialize, "_text", counting)
+    k = np.linspace(-np.pi, np.pi, 61)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    e_lo, e_hi = dispersion(np.stack([kx, ky], axis=-1),
+                            LatticeCouplings.from_background(0.01, 0.0, 1.0))
+    columns = [kx.ravel(), ky.ravel(), e_lo.ravel(), e_hi.ravel()]
+    assert columns[0].size > _BLOCK_ROWS
+    assert_matches_oracle(BANDS_HEADER, columns)
+    per_block = sum(np.unique(c[i:i + B]).size
+                    for c in columns for i in range(0, c.size, B))
+    assert len(formatted) <= _formatted_bound(columns) < per_block / 2
+
+
 def test_rows_only_and_empty_columns():
-    assert render_csv(None, [np.array([1.5, 1.5])]) == "1.5\n1.5\n"
-    assert render_csv("h", [np.array([])]) == "h\n"
-    assert render_csv(None, [np.array([])]) == ""
+    assert render_csv(None, [np.array([1.5, 1.5])]) == b"1.5\n1.5\n"
+    assert render_csv("h", [np.array([])]) == b"h\n"
+    assert render_csv(None, [np.array([])]) == b""
 
 
 def test_float32_renders_as_its_double():

@@ -17,7 +17,8 @@ from metricspin import (
     revival_diagnostic,
     run_sweep,
 )
-from metricspin.serialize import sha256_hex, write_text
+from metricspin.serialize import _BLOCK_ROWS, render_csv, sha256_hex, write_text
+from metricspin.sweep import HEATMAP_HEADER
 
 SHORT = dict(N=8, t_max=6.0, dt=0.1)
 
@@ -123,8 +124,21 @@ class TestRunSweep:
         result = run_sweep(short_grid((0.1, 0.3)))
         rows = result.heatmap_csv.splitlines(keepends=True)[1:]
         per_g = len(rows) // 2
-        assert [sha256_hex("".join(rows[:per_g])), sha256_hex("".join(rows[per_g:]))] \
+        assert [sha256_hex(b"".join(rows[:per_g])), sha256_hex(b"".join(rows[per_g:]))] \
             == list(result.run_checksums)
+
+    def test_run_checksums_match_each_g_rendered_alone(self):
+        # the table spans every G, so blocks straddle G boundaries; each
+        # run checksum still equals that G's rows rendered on their own
+        grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
+        result = run_sweep(grid)
+        per_g = result.traces[0].times.size
+        assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
+        bodies = [render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
+                                    tr.n_alpha, tr.n_beta))
+                  for G, tr in zip(grid.G_values, result.traces)]
+        assert result.heatmap_csv == (HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
+        assert list(result.run_checksums) == [sha256_hex(b) for b in bodies]
 
 
 class TestHeatmapExport:
