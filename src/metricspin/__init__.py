@@ -35,6 +35,8 @@ from .model import (
     MinimalHamiltonian,
     ModelParams,
     ObservableTrace,
+    OperatorMatrix,
+    StateVector,
     build_minimal_hamiltonian,
     coupling_strength,
     evolve,
@@ -43,7 +45,6 @@ from .model import (
     symmetry_check,
     truncation_convergence,
 )
-from .operators import OperatorMatrix, SpaceSpec, StateVector
 from .sweep import (
     RevivalDiagnostic,
     SweepGrid,

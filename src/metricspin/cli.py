@@ -27,6 +27,7 @@ from .gravity import (
 )
 from .lattice import (
     LatticeCouplings,
+    check_k_window,
     dispersion,
     fermi_point_residual,
     low_energy_coefficients,
@@ -44,6 +45,7 @@ from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_swee
 from .sweep import revival_diagnostic
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
+HEATMAP_HEADER = "G,t,sx,px,n_alpha,n_beta"
 DIAGNOSTICS_HEADER = "G,revival_peak,first_peak_time"
 BANDS_HEADER = "kx,ky,E_minus,E_plus"
 GRAVITY_HEADER = ("mu,r,cosh2r,sinh2r,identity_residual,"
@@ -102,7 +104,7 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     params = _model_params(cfg, G=cfg.G, N=cfg.N)
     h = build_minimal_hamiltonian(params)
-    trace = observable_trace(h, initial_state(cfg.direction, _sign_value(cfg), params.space))
+    trace = observable_trace(h, initial_state(cfg.direction, _sign_value(cfg), params.N))
     config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N", "t_max", "dt")
     columns = (trace.times, trace.sx, trace.sy, trace.sz, trace.px, trace.py,
                trace.pz, trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
@@ -122,6 +124,21 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
         return default_grid(cfg.G_count, cfg.G_min, cfg.G_max, **shared)
 
 
+def _heatmap(G_values, traces) -> tuple[bytearray, list[str]]:
+    """``heatmap.csv`` as one table over every G, and the sha256 of each G's rows.
+
+    The shared t column is formatted once; each G's rows are cut at line ends."""
+    per_g = traces[0].times.size
+    columns = [np.repeat(G_values, per_g)]
+    columns.extend(np.concatenate([getattr(tr, name) for tr in traces])
+                   for name in ("times", "sx", "px", "n_alpha", "n_beta"))
+    heatmap = render_csv(HEATMAP_HEADER, columns)
+    line_ends = np.flatnonzero(np.frombuffer(heatmap, dtype=np.uint8) == ord("\n")) + 1
+    cuts = line_ends[::per_g].tolist()          # the header's end, then each G's
+    view = memoryview(heatmap)
+    return heatmap, [sha256_hex(view[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
     t0 = time.perf_counter()
     with _refused_as("--workers"):
@@ -130,13 +147,14 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
     with _refused_as():
         check_t_min(cfg.t_min, _model_params(cfg, G=0.0, N=cfg.N).times)
     grid = _sweep_grid(cfg)
-    result = run_sweep(grid, workers=workers)
-    diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in result.traces]
+    traces = run_sweep(grid, workers=workers)
+    heatmap, run_checksums = _heatmap(grid.G_values, traces)
+    diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in traces]
     diag_columns = (np.array(grid.G_values),
                     np.array([d.revival_peak for d in diags]),
                     np.array([d.first_peak_time for d in diags]))
     files = {
-        "heatmap.csv": result.heatmap_csv,
+        "heatmap.csv": heatmap,
         "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_columns),
     }
     config_pairs = [
@@ -145,7 +163,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         ("G_values", ",".join(fmt(v) for v in grid.G_values)),
         *_config_pairs(cfg, "t_min"),
     ]
-    extra = [(f"checksum.run.{i:03d}", c) for i, c in enumerate(result.run_checksums)]
+    extra = [(f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums)]
     _write_outputs(outdir, "sweep", config_pairs, files,
                    time.perf_counter() - t0, extra_pairs=extra)
     return 0
@@ -157,6 +175,8 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError("keys 'kx_count'/'ky_count' must be >= 2 per axis")
     with _refused_as("lattice_G", "alpha_c", "beta_c"):
         couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
+    with _refused_as("kx_min", "kx_max", "ky_min", "ky_max"):
+        check_k_window(cfg.kx_min, cfg.kx_max, cfg.ky_min, cfg.ky_max)
     res_p, res_m = fermi_point_residual(couplings)
     report = [("residual_P_plus", fmt(res_p)), ("residual_P_minus", fmt(res_m))]
     for which, tag in (("P+", "P_plus"), ("P-", "P_minus")):

@@ -62,9 +62,6 @@ class LatticeCouplings:
     Jx: complex
     Jy: complex
     Jz: complex
-    G: float = 0.0
-    alpha_c: float = 0.0
-    beta_c: float = 0.0
 
     @classmethod
     def from_background(cls, G: float = 0.0, alpha_c: float = 0.0,
@@ -81,8 +78,7 @@ class LatticeCouplings:
         if not math.isfinite(16.0 * (abs(J.real) + abs(J.imag))):
             raise ValueError(f"G={G}, alpha_c={alpha_c}, beta_c={beta_c} give the "
                              f"coupling factor J = {J}, too large for finite bands")
-        return cls(Jx=J, Jy=J, Jz=SQRT2 * J,
-                   G=float(G), alpha_c=float(alpha_c), beta_c=float(beta_c))
+        return cls(Jx=J, Jy=J, Jz=SQRT2 * J)
 
     @classmethod
     def free(cls) -> "LatticeCouplings":
@@ -95,6 +91,20 @@ def structure_factor(k, c: LatticeCouplings):
     ph1 = np.exp(1j * (k @ N1))
     ph2 = np.exp(1j * (k @ N2))
     return c.Jz + c.Jx * ph1 + c.Jy * ph2
+
+
+def check_k_window(kx_min: float, kx_max: float, ky_min: float, ky_max: float) -> None:
+    """Refuse a momentum window whose span, or phase ``k.n1``, ``k.n2`` at a corner, overflows.
+
+    The phases are linear in k, so the corners bound them on every grid point.
+    """
+    corners = np.array([[[kx, ky] for ky in (ky_min, ky_max)] for kx in (kx_min, kx_max)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = (math.isfinite(kx_max - kx_min) and math.isfinite(ky_max - ky_min)
+                  and np.isfinite(corners @ N1).all() and np.isfinite(corners @ N2).all())
+    if not finite:
+        raise ValueError(f"momentum window kx in [{kx_min}, {kx_max}], ky in [{ky_min}, "
+                         f"{ky_max}] is out of range: its span or a phase k.n overflows")
 
 
 def bloch_hamiltonian(k, c: LatticeCouplings) -> np.ndarray:
@@ -154,9 +164,9 @@ def low_energy_coefficients(c: LatticeCouplings, which: str = "P+",
         ``DISPLACEMENT_ATOL`` times the coupling scale (the background
         has moved or gapped the touching point).
     """
-    if which in ("P+", "plus", "+"):
+    if which == "P+":
         k0, sign = FERMI_PLUS, -1.0
-    elif which in ("P-", "minus", "-"):
+    elif which == "P-":
         k0, sign = FERMI_MINUS, +1.0
     else:
         raise ValueError(f"which must be 'P+' or 'P-', got {which!r}")

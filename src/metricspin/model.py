@@ -10,6 +10,11 @@ with spin-boson coupling ``g = -sqrt(2 G) / (sqrt(pi) mu^(3/2))``.  Note
 the beta mode couples through sigma_x and the alpha mode through
 sigma_y.
 
+Basis convention, frozen for the whole package: the full space is spin
+(x) alpha (x) beta, row-major, so ``|s, n_a, n_b>`` sits at flat index
+``s*N*N + n_a*N + n_b``; spin index 0 is sigma-z "up", and each mode
+keeps its Fock levels ``|0> ... |N-1>``, so a state has ``2 N^2`` entries.
+
 H commutes with the parity S = sigma_x (x) (-1)^n_alpha (x) 1, the Z2
 symmetry of the Rabi model, so it splits exactly into two blocks of
 N*N states.  Block s = +1 or -1 has the gauged basis
@@ -47,13 +52,16 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .gravity import bogoliubov_params
-from .operators import HERMITICITY_ATOL, OperatorMatrix, SpaceSpec, StateVector
 
 SQRT2 = math.sqrt(2.0)
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
+#: entrywise tolerance on the Hermiticity of a model matrix
+HERMITICITY_ATOL = 1e-12
+#: tolerance on | <psi|psi> - 1 | at state construction
+NORM_SQ_ATOL = 1e-10
 #: tolerance on | ||psi(t)|| - 1 | along a trace
 NORM_DRIFT_ATOL = 1e-10
 #: relative tolerance on energy constancy along a trace
@@ -88,10 +96,6 @@ class ModelParams:
         if not self.t_max / self.dt < np.iinfo(np.intp).max:
             raise ValueError(f"t_max/dt = {self.t_max / self.dt:.3g} time steps do not "
                              f"fit an array index (t_max={self.t_max}, dt={self.dt})")
-
-    @property
-    def space(self) -> SpaceSpec:
-        return SpaceSpec(spin_dim=2, fock_cutoffs=(self.N, self.N))
 
     @property
     def times(self) -> np.ndarray:
@@ -135,6 +139,53 @@ def _mode_factors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _gauge(N: int) -> np.ndarray:
     """The basis phase ``i^n_a`` of a block, at each flat index ``n_a*N + n_b``."""
     return np.repeat(np.array([1, 1j, -1, -1j])[np.arange(N) % 4], N)
+
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Read-only dense square matrix, Hermitian to ``HERMITICITY_ATOL`` (NaN fails)."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.entries, dtype=np.complex128, copy=True, order="C")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
+        dev = float(np.abs(m - m.conj().T).max(initial=0.0))
+        if not dev <= HERMITICITY_ATOL:
+            raise NumericalConsistencyError(
+                f"matrix deviates from Hermitian by {dev:.3e} (> {HERMITICITY_ATOL})")
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized complex vector on the full space, read-only."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        v = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        if v.ndim != 1:
+            raise ValueError(f"state must be a 1-D vector, got shape {v.shape}")
+        norm_sq = float(np.vdot(v, v).real)
+        if not abs(norm_sq - 1.0) <= NORM_SQ_ATOL:
+            raise NumericalConsistencyError(
+                f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
+        v.setflags(write=False)
+        object.__setattr__(self, "amplitudes", v)
+
+
+def _check_state(psi0: StateVector, N: int) -> None:
+    """Refuse a state whose length is not the ``2 N^2`` of the model at cutoff ``N``."""
+    if psi0.amplitudes.size != 2 * N * N:
+        raise ValueError(f"state length {psi0.amplitudes.size} does not match the "
+                         f"2 N^2 = {2 * N * N} states of cutoff N={N}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +259,6 @@ class MinimalHamiltonian:
     g: float
     blocks: tuple[ParityBlock, ParityBlock]
 
-    @property
-    def space(self) -> SpaceSpec:
-        return self.params.space
-
     @cached_property
     def matrix(self) -> OperatorMatrix:
         """Dense matrix on spin (x) alpha (x) beta, built on first access."""
@@ -222,7 +269,7 @@ class MinimalHamiltonian:
              + SQRT2 * np.kron(np.eye(2), np.diag(np.add.outer(levels, levels).ravel()))
              + self.g * (np.kron(_PAULI_X, np.kron(eye, quad))
                          + np.kron(_PAULI_Y, np.kron(quad, eye))))
-        return OperatorMatrix(self.space, m, hermitian_hint=True)
+        return OperatorMatrix(m)
 
     @cached_property
     def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -280,12 +327,12 @@ def spin_state(direction: str, sign: int) -> np.ndarray:
     return _SPIN_STATES[direction, sign]
 
 
-def initial_state(direction: str, sign: int, space: SpaceSpec) -> StateVector:
-    """Product state: spin along +/- direction, both modes in vacuum."""
+def initial_state(direction: str, sign: int, N: int) -> StateVector:
+    """Product state at cutoff ``N``: spin along +/- direction, both modes in vacuum."""
     spin = spin_state(direction, sign)
-    vac = np.zeros(math.prod(space.fock_cutoffs), dtype=np.complex128)
+    vac = np.zeros(N * N, dtype=np.complex128)
     vac[0] = 1.0
-    return StateVector(space, np.kron(spin, vac))
+    return StateVector(np.kron(spin, vac))
 
 
 def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +381,9 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
 
     ``times`` must be finite, non-negative and sorted.  The t = 0 entry returns
     the input state unchanged; every propagated state is re-validated to
-    unit norm on construction.
+    unit norm on construction.  A state of another cutoff raises ``ValueError``.
     """
-    if psi0.space != h.space:
-        raise ValueError("initial state does not live on the Hamiltonian's space")
+    _check_state(psi0, h.params.N)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
@@ -355,7 +401,7 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
         # back to the full space, W_+ plus + W_- minus; None is an empty block
         plus, minus = (0.0 if a is None else gauge * a[:, 0] for a in (plus, minus))
         amp = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2])
-        out.append(psi0 if t == 0.0 else StateVector(psi0.space, amp))
+        out.append(psi0 if t == 0.0 else StateVector(amp))
     return out
 
 
@@ -407,11 +453,10 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     energy constancy are enforced (``NORM_DRIFT_ATOL``,
     ``ENERGY_DRIFT_RTOL``); a violation, NaN included, raises
     :class:`NumericalConsistencyError` since it signals a broken
-    propagation, not physics.
+    propagation, not physics.  A state of another cutoff raises ``ValueError``.
     """
-    if psi0.space != h.space:
-        raise ValueError("initial state does not live on the Hamiltonian's space")
     params = h.params
+    _check_state(psi0, params.N)
     times = params.times
     N = params.N
     levels, _, parity = _mode_factors(N)
@@ -491,9 +536,8 @@ def symmetry_check(h: MinimalHamiltonian) -> float:
     is the exact reason a spin-x start never develops sigma_y or sigma_z
     components.
     """
-    N_a, N_b = h.space.fock_cutoffs
-    parity = np.diag((-1.0) ** np.arange(N_a))
-    s_op = np.kron(_PAULI_X, np.kron(parity, np.eye(N_b)))
+    N = h.params.N
+    s_op = np.kron(_PAULI_X, np.kron(np.diag(_mode_factors(N)[2]), np.eye(N)))
     H = h.matrix.entries
     return float(np.abs(H @ s_op - s_op @ H).max())
 
@@ -518,7 +562,7 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     """
     cutoffs = convergence_params(params, N_list)
     traces = [observable_trace(build_minimal_hamiltonian(p),
-                               initial_state(direction, sign, p.space))
+                               initial_state(direction, sign, p.N))
               for p in cutoffs]
     return [(p_lo.N, p_hi.N,
              max(float(np.abs(getattr(tr_lo, name) - getattr(tr_hi, name)).max())

@@ -2,9 +2,8 @@
 
 A sweep runs one trace per G value (grid points are independent and may
 run on a thread pool; results are merged by grid index so the output is
-identical however it was scheduled) and assembles a long-format table
-with one checksum per G.  Nothing in the pipeline is random, so the
-grid fully determines its outputs.
+identical however it was scheduled).  Nothing in the pipeline is random,
+so the grid fully determines its outputs.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from .model import (
     observable_trace,
     spin_state,
 )
-from .serialize import render_csv, sha256_hex
-
-HEATMAP_HEADER = "G,t,sx,px,n_alpha,n_beta"
 
 #: diagnostics ignore times at or before this, i.e. the initial decay
 DEFAULT_T_MIN = 2.0
@@ -70,16 +66,6 @@ def default_grid(count: int = 60, G_min: float = 0.01, G_max: float = 100.0,
     return SweepGrid(G_values=G_values, **kwargs)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Traces in grid order, the long-format table's bytes and one checksum per G."""
-
-    grid: SweepGrid
-    traces: tuple[ObservableTrace, ...]
-    heatmap_csv: bytearray
-    run_checksums: tuple[str, ...]
-
-
 def _failed_at(G: float, exc: Exception) -> Exception:
     """``exc`` re-made with the failing G in its message, keeping its type.
 
@@ -100,36 +86,24 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepResult:
-    """Run one trace per G value, in the calling thread for one worker; a failure aborts."""
+def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
+    """One trace per G value in grid order; one worker runs in the calling thread.
+
+    A failure aborts the sweep.
+    """
 
     def one(G: float) -> ObservableTrace:
         try:
             h = build_minimal_hamiltonian(grid.params_at(G))
-            return observable_trace(h, initial_state(grid.direction, grid.sign, h.space))
+            return observable_trace(h, initial_state(grid.direction, grid.sign, grid.N))
         except Exception as exc:
             raise _failed_at(G, exc) from exc
 
     check_workers(workers)
     if workers == 1:
-        traces = list(map(one, grid.G_values))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(one, grid.G_values))
-
-    # one table over every G, so the shared t column is formatted once;
-    # each run checksum is the sha256 of that G's rows, cut at line ends
-    per_g = traces[0].times.size
-    columns = [np.repeat(grid.G_values, per_g)]
-    columns.extend(np.concatenate([getattr(tr, name) for tr in traces])
-                   for name in ("times", "sx", "px", "n_alpha", "n_beta"))
-    heatmap = render_csv(HEATMAP_HEADER, columns)
-    line_ends = np.flatnonzero(np.frombuffer(heatmap, dtype=np.uint8) == ord("\n")) + 1
-    cuts = line_ends[::per_g].tolist()          # the header's end, then each G's
-    view = memoryview(heatmap)
-    return SweepResult(grid=grid, traces=tuple(traces), heatmap_csv=heatmap,
-                       run_checksums=tuple(sha256_hex(view[a:b])
-                                           for a, b in zip(cuts, cuts[1:])))
+        return list(map(one, grid.G_values))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, grid.G_values))
 
 
 @dataclass(frozen=True)

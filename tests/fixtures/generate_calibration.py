@@ -5,6 +5,10 @@ constants: the first full run of the default sweep fixed them and this
 script reproduces that run.  Run from the repository root:
 
     python tests/fixtures/generate_calibration.py
+
+``main(out, count)`` writes the payload to ``out`` (the fixture by
+default) from a ``count``-point default grid; the named-G entries do not
+depend on the grid.
 """
 
 import json
@@ -15,12 +19,13 @@ import metricspin as ms
 
 T_MIN = 2.0
 NAMED_G = (0.05, 0.46, math.pi, 10.0)
+FIXTURE = Path(__file__).with_name("revival_calibration.json")
 
 
-def main():
-    grid = ms.default_grid()
-    result = ms.run_sweep(grid, workers=4)
-    diags = [ms.revival_diagnostic(tr, t_min=T_MIN) for tr in result.traces]
+def main(out: Path = FIXTURE, count: int = 60):
+    grid = ms.default_grid(count)
+    traces = ms.run_sweep(grid, workers=4)
+    diags = [ms.revival_diagnostic(tr, t_min=T_MIN) for tr in traces]
 
     weak = [d.revival_peak for G, d in zip(grid.G_values, diags) if G <= 0.1]
     strong = [d.revival_peak for G, d in zip(grid.G_values, diags) if G >= 10.0]
@@ -31,7 +36,7 @@ def main():
         params = ms.ModelParams(G=G, mu=grid.mu, N=grid.N,
                                 t_max=grid.t_max, dt=grid.dt)
         h = ms.build_minimal_hamiltonian(params)
-        psi0 = ms.initial_state(grid.direction, grid.sign, params.space)
+        psi0 = ms.initial_state(grid.direction, grid.sign, grid.N)
         d = ms.revival_diagnostic(ms.observable_trace(h, psi0), t_min=T_MIN)
         named_peaks.append(d.revival_peak)
         if G == 0.05:
@@ -54,7 +59,6 @@ def main():
                  "G_max": grid.G_values[-1], "N": grid.N, "mu": grid.mu,
                  "t_max": grid.t_max, "dt": grid.dt},
     }
-    out = Path(__file__).with_name("revival_calibration.json")
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     for key in ("weak_side_min_revival", "strong_side_max_peak",

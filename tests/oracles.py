@@ -160,15 +160,15 @@ def metric_expectations(psi, params) -> tuple[float, float]:
     mode the fluctuation operator is ``a cosh r - a^dag sinh r``, so each
     component is ``sqrt(2) exp(-r) Re <a>`` with ``a|n> = sqrt(n)|n-1>``.
     """
-    space = psi.space
-    if space.spin_dim != 2 or len(space.fock_cutoffs) != 2:
-        raise ValueError(f"state must live on a spin (x) two-mode space, got {space}")
-    N_a, N_b = space.fock_cutoffs
-    amp = psi.amplitudes.reshape(2, N_a, N_b)
+    size = psi.amplitudes.size
+    N = math.isqrt(size // 2)
+    if size != 2 * N * N:
+        raise ValueError(f"a state of length {size} is not a spin (x) two-mode state")
+    amp = psi.amplitudes.reshape(2, N, N)
     mean_a = mean_b = 0.0
     for s in range(2):
-        for na in range(N_a):
-            for nb in range(N_b):
+        for na in range(N):
+            for nb in range(N):
                 if na > 0:
                     mean_a += np.conj(amp[s, na - 1, nb]) * math.sqrt(na) * amp[s, na, nb]
                 if nb > 0:

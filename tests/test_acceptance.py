@@ -6,6 +6,7 @@ fixtures/revival_calibration.json, written by the first full sweep and
 regenerated with fixtures/generate_calibration.py.
 """
 
+import importlib.util
 import json
 import math
 import time
@@ -58,7 +59,7 @@ def _named_trace(G: float):
     if G not in _NAMED_CACHE:
         params = ModelParams(G=G, **DEFAULTS)
         h = build_minimal_hamiltonian(params)
-        psi0 = initial_state("x", +1, params.space)
+        psi0 = initial_state("x", +1, params.N)
         _NAMED_CACHE[G] = observable_trace(h, psi0)
         _TRACE_LOG[f"x-start G={G:.6g}"] = _NAMED_CACHE[G]
     return _NAMED_CACHE[G]
@@ -119,10 +120,10 @@ def test_c05_frozen_dynamics():
     # one untimed run first, so the timed one does not include waking idle
     # BLAS threads after the single-threaded work that precedes it
     observable_trace(build_minimal_hamiltonian(params, g=0.0),
-                     initial_state("x", +1, params.space))
+                     initial_state("x", +1, params.N))
     t0 = time.perf_counter()
     h = build_minimal_hamiltonian(params, g=0.0)
-    psi0 = initial_state("x", +1, params.space)
+    psi0 = initial_state("x", +1, params.N)
     trace = observable_trace(h, psi0)
     elapsed = time.perf_counter() - t0
     _TRACE_LOG["frozen g=0"] = trace
@@ -153,7 +154,7 @@ def test_c06_symmetry_sector():
 def test_c08_precession_peaks():
     params = ModelParams(G=1.0, mu=1.0, N=6, t_max=25.0, dt=0.02)
     h = build_minimal_hamiltonian(params, g=0.0)
-    psi0 = initial_state("y", +1, params.space)
+    psi0 = initial_state("y", +1, params.N)
     trace = observable_trace(h, psi0)
     _TRACE_LOG["precession g=0"] = trace
     err_curve = float(np.abs(trace.sy - np.cos(2 * SQRT2 * trace.times)).max())
@@ -194,20 +195,20 @@ def test_c09_truncation_convergence():
 def default_sweep():
     grid = default_grid()
     t0 = time.perf_counter()
-    result = run_sweep(grid, workers=4)
+    traces = run_sweep(grid, workers=4)
     elapsed = time.perf_counter() - t0
-    return result, elapsed
+    return grid, traces, elapsed
 
 
 def test_c10_crossover_phenomenology(default_sweep):
-    result, elapsed = default_sweep
+    grid, traces, elapsed = default_sweep
     cal = CALIBRATION
     t_min = cal["t_min"]
     keep = cal["revival_keep_threshold"]
     lost = cal["reattain_threshold"]
 
     weak, strong = [], []
-    for G, trace in zip(result.grid.G_values, result.traces):
+    for G, trace in zip(grid.G_values, traces):
         peak = revival_diagnostic(trace, t_min=t_min).revival_peak
         if G <= cal["weak_side_max_G"]:
             weak.append(peak)
@@ -230,6 +231,23 @@ def test_c10_crossover_phenomenology(default_sweep):
     _report(10, "revival crossover across the coupling grid", ok,
             f"weak min {min(weak):.4f} >= {keep}, strong max {max(strong):.4f} "
             f"< {lost}, named peaks non-increasing {ok_mono}, sweep {elapsed:.0f} s")
+
+
+def test_calibration_generator_reproduces_fixture(tmp_path):
+    # the generator runs on a 2-point grid; its named-G entries do not
+    # depend on the grid and must reproduce the committed fixture
+    spec = importlib.util.spec_from_file_location(
+        "generate_calibration", FIXTURES / "generate_calibration.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    out = tmp_path / "calibration.json"
+    generator.main(out, count=2)
+    got = json.loads(out.read_text())
+    assert got["grid"]["count"] == 2
+    assert got["named_G"] == CALIBRATION["named_G"]
+    assert np.abs(np.subtract(got["named_revival_peaks"],
+                              CALIBRATION["named_revival_peaks"])).max() <= 1e-6
+    assert abs(got["first_peak_time_G005"] - CALIBRATION["first_peak_time_G005"]) <= 1e-6
 
 
 def test_c11_quadratic_spectrum(capsys=None):

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -19,12 +20,22 @@ from metricspin.model import (
     initial_state,
     observable_trace,
 )
-from metricspin.sweep import HEATMAP_HEADER
+from metricspin.serialize import _BLOCK_ROWS, render_csv, sha256_hex, write_text
+from metricspin.sweep import SweepGrid, run_sweep
 from oracles import csv_oracle
 
 SQRT2 = math.sqrt(2.0)
 
 FAST = ["--set", "t_max=5", "--set", "dt=0.1"]
+
+
+def short_grid(values):
+    return SweepGrid(G_values=values, N=8, t_max=6.0, dt=0.1)
+
+
+def heatmap_of(grid):
+    """``heatmap.csv`` bytes and run checksums of ``grid``, as ``cmd_sweep`` renders them."""
+    return cli._heatmap(grid.G_values, run_sweep(grid))
 
 
 def read_csv(path):
@@ -95,7 +106,7 @@ class TestEvolveCommand:
                        "--set", "t_max=45", "--set", "dt=0.02"])
         assert rc == 0
         params = ModelParams(G=2.5, mu=1.0, N=6, t_max=45.0, dt=0.02)
-        psi0 = initial_state(direction, 1 if sign == "+" else -1, params.space)
+        psi0 = initial_state(direction, 1 if sign == "+" else -1, params.N)
         tr = observable_trace(build_minimal_hamiltonian(params), psi0)
         columns = (tr.times, tr.sx, tr.sy, tr.sz, tr.px, tr.py, tr.pz,
                    tr.n_alpha, tr.n_beta, tr.energy, tr.norm)
@@ -268,12 +279,11 @@ class TestSweepCommand:
                        "--set", "N=6", "--set", "t_max=45", "--set", "dt=0.02",
                        "--set", "t_min=1"])
         assert rc == 0
-        result = sweep_mod.run_sweep(sweep_mod.SweepGrid(G_values=G_values, N=6,
-                                                         t_max=45.0, dt=0.02))
+        traces = run_sweep(SweepGrid(G_values=G_values, N=6, t_max=45.0, dt=0.02))
         parts = [(np.full(tr.times.size, G), tr.times, tr.sx, tr.px, tr.n_alpha, tr.n_beta)
-                 for G, tr in zip(G_values, result.traces)]
+                 for G, tr in zip(G_values, traces)]
         columns = [np.concatenate(col) for col in zip(*parts)]
-        want = csv_oracle(HEATMAP_HEADER, columns).encode()
+        want = csv_oracle(cli.HEATMAP_HEADER, columns).encode()
         assert (tmp_path / "heatmap.csv").read_bytes() == want
 
     def test_run_checksums_hash_each_g_rows(self, tmp_path):
@@ -303,6 +313,60 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--out", str(tmp_path), *FAST, "--set", "t_min=9"])
         assert rc == 2
         assert "t_min" in capsys.readouterr().err
+
+
+class TestHeatmapExport:
+    """``heatmap.csv`` and its run checksums, rendered from a sweep's traces."""
+
+    def test_manifest_checksum_matches_csv(self):
+        # each run checksum is the sha256 of that G's rows in the table
+        heatmap, run_checksums = heatmap_of(short_grid((0.1, 0.3)))
+        rows = heatmap.splitlines(keepends=True)[1:]
+        per_g = len(rows) // 2
+        assert [sha256_hex(b"".join(rows[:per_g])), sha256_hex(b"".join(rows[per_g:]))] \
+            == run_checksums
+
+    def test_run_checksums_match_each_g_rendered_alone(self):
+        # the table spans every G, so blocks straddle G boundaries; each
+        # run checksum still equals that G's rows rendered on their own
+        grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
+        traces = run_sweep(grid)
+        heatmap, run_checksums = cli._heatmap(grid.G_values, traces)
+        per_g = traces[0].times.size
+        assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
+        bodies = [render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
+                                    tr.n_alpha, tr.n_beta))
+                  for G, tr in zip(grid.G_values, traces)]
+        assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
+        assert run_checksums == [sha256_hex(b) for b in bodies]
+
+    def test_row_count_and_header(self, tmp_path):
+        grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
+        path = write_text(tmp_path / "heatmap.csv", heatmap_of(grid)[0])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "G,t,sx,px,n_alpha,n_beta"
+        assert len(lines) == 1 + 2 * 3  # header + |G| * |times|
+
+    def test_reexport_is_byte_identical(self, tmp_path):
+        p1 = write_text(tmp_path / "a.csv", heatmap_of(short_grid((0.3,)))[0])
+        p2 = write_text(tmp_path / "b.csv", heatmap_of(short_grid((0.3,)))[0])
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rows_sorted_by_g_then_t(self, tmp_path):
+        grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
+        heatmap = heatmap_of(grid)[0]
+        path = write_text(tmp_path / "heatmap.csv", heatmap)
+        assert path.read_bytes() == heatmap
+        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+        keys = [(float(g), float(t)) for g, t in rows]
+        assert keys == sorted(keys)
+
+    def test_io_error_carries_path(self, tmp_path):
+        heatmap = heatmap_of(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))[0]
+        missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
+        with pytest.raises(OSError) as err:
+            write_text(missing, heatmap)
+        assert str(missing) in str(err.value) or missing.name in str(err.value)
 
 
 class TestLatticeCommand:
@@ -355,6 +419,23 @@ class TestLatticeCommand:
                 col.extend(part)
         want = csv_oracle("kx,ky,E_minus,E_plus", columns).encode()
         assert (tmp_path / "bands.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("window", [
+        ["ky_min=-1e308", "ky_max=1e308"],
+        ["kx_min=-1.7e308", "kx_max=-1.6e308", "ky_min=1.6e308", "ky_max=1.7e308"],
+    ])
+    def test_overflowing_window_refused(self, tmp_path, capsys, window):
+        # these wrote nan into every band cell, with numpy RuntimeWarnings
+        out = tmp_path / "o"
+        sets = [a for item in [*window, "kx_count=2", "ky_count=2"] for a in ("--set", item)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["lattice", *sets, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kx_min/kx_max/ky_min/ky_max:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_degenerate_grid_rejected(self, tmp_path, capsys):
         rc = cli.main(["lattice", "--out", str(tmp_path), "--set", "kx_count=1"])
@@ -448,6 +529,10 @@ class TestOutOfRangeValues:
         # sqrt(2 pi G) = inf: the couplings would be NaN
         ("lattice", "lattice_G=1e308", ("kx_count=3", "ky_count=3")),
         ("lattice", "lattice_G=1e300", ("beta_c=1e300", "kx_count=3", "ky_count=3")),
+        # the k-grid span overflows, or k.n1 does on a finite grid
+        ("lattice", "ky_min=-1e308", ("ky_max=1e308", "kx_count=2", "ky_count=2")),
+        ("lattice", "kx_min=-1.7e308", ("kx_max=-1.6e308", "ky_min=1.6e308",
+                                        "ky_max=1.7e308", "kx_count=2", "ky_count=2")),
         ("sweep", "G_list=-1", ()),
         ("sweep", "G_list=0.5,0.1", ()),
         ("sweep", "G_min=-1", ()),

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from metricspin import (
     NumericalConsistencyError,
-    SpaceSpec,
     StateVector,
     bogoliubov_params,
     quadratic_site_hamiltonian,
@@ -230,11 +229,8 @@ class TestResonantMomentum:
 
 
 class TestMetricExpectations:
-    def setup_method(self):
-        self.space = SpaceSpec(2, (14, 14))
-
     def test_vacuum_is_flat(self):
-        psi = initial_state("x", +1, self.space)
+        psi = initial_state("x", +1, 14)
         h11, h12 = metric_expectations(psi, bogoliubov_params(2.0))
         assert h11 == 0.0 and h12 == 0.0
 
@@ -245,7 +241,7 @@ class TestMetricExpectations:
         c /= np.linalg.norm(c)
         beta_vac = np.eye(1, N, 0).ravel()
         amp = np.kron(np.array([1.0, 0.0]), np.kron(c, beta_vac))
-        return StateVector(self.space, amp)
+        return StateVector(amp)
 
     def test_unsqueezed_displacement(self):
         # truncated coherent state with <a> = 1 - O(1e-11); at mu = 2 the
@@ -273,6 +269,6 @@ class TestMetricExpectations:
         assert h11_mu1 / h11_mu2 == pytest.approx(math.exp(-bp1.r), abs=1e-12)
 
     def test_space_mismatch(self):
-        psi = StateVector(SpaceSpec(1, (4,)), np.array([1.0, 0, 0, 0]))
+        psi = StateVector(np.array([1.0, 0, 0, 0]))     # not 2 N^2 long
         with pytest.raises(ValueError):
             metric_expectations(psi, bogoliubov_params(1.0))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,7 @@ from metricspin import (
     low_energy_coefficients,
     structure_factor,
 )
-from metricspin.lattice import FD_BIAS_MAX, FERMI_MINUS, FERMI_PLUS, N1, N2
+from metricspin.lattice import FD_BIAS_MAX, FERMI_MINUS, FERMI_PLUS, N1, N2, check_k_window
 from oracles import locate_band_minimum
 
 SQRT2 = math.sqrt(2.0)
@@ -131,6 +132,29 @@ class TestDispersion:
                   for q in (1e-4, 1e-3, 1e-2)]
         for r in ratios:
             assert abs(r / ratios[0] - 1.0) < 0.01
+
+
+class TestMomentumWindow:
+    @pytest.mark.parametrize("window", [
+        (-1e308, 1e308, 0.0, 0.0),            # span 2e308 overflows, phases would not
+        (-1.7e308, -1.6e308, -1.7e308, -1.6e308),   # |k.n2| near 2.3e308 overflows
+    ])
+    def test_overflow_refused_without_warning(self, window):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of range"):
+                check_k_window(*window)
+
+    def test_finite_window_gives_finite_bands(self):
+        # the largest |k.n| here is 1.2e308 at the corners, and the span 1.6e308
+        kx = np.linspace(-0.8e308, 0.8e308, 5)
+        ky = np.linspace(0.0, 0.9e308, 4)
+        check_k_window(kx[0], kx[-1], ky[0], ky[-1])
+        grid = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e_lo, e_hi = dispersion(grid, LatticeCouplings.free())
+        assert np.isfinite(e_lo).all() and np.isfinite(e_hi).all()
 
 
 class TestFermiPointResidual:
@@ -250,6 +274,9 @@ class TestLowEnergyCoefficients:
     def test_which_validation(self):
         with pytest.raises(ValueError):
             low_energy_coefficients(LatticeCouplings.free(), "P0")
+        for which in ("plus", "+", "minus", "-"):
+            with pytest.raises(ValueError, match="'P\\+' or 'P-'"):
+                low_energy_coefficients(LatticeCouplings.free(), which)
 
     @pytest.mark.parametrize("step", [0.0, 1e-320, 1e-17, -1e-5, math.nan, math.inf])
     @pytest.mark.parametrize("which", ["P+", "P-"])

@@ -147,25 +147,25 @@ class TestBuildHamiltonian:
 
 class TestInitialState:
     def setup_method(self):
-        self.space = ModelParams(G=0.0, N=3, t_max=1.0, dt=0.5).space
+        self.N = ModelParams(G=0.0, N=3, t_max=1.0, dt=0.5).N
 
     def test_plus_x_amplitudes(self):
-        psi = initial_state("x", +1, self.space)
+        psi = initial_state("x", +1, self.N)
         amp = psi.amplitudes
         assert amp[0] == pytest.approx(1 / SQRT2)        # |up, 0, 0>
         assert amp[9] == pytest.approx(1 / SQRT2)        # |down, 0, 0> at N = 3
         assert np.count_nonzero(amp) == 2
 
     def test_plus_z_is_basis_state(self):
-        psi = initial_state("z", +1, self.space)
-        expected = np.zeros(self.space.dim)
+        psi = initial_state("z", +1, self.N)
+        expected = np.zeros(2 * self.N ** 2)
         expected[0] = 1.0
         npt.assert_array_equal(psi.amplitudes, expected)
 
     @pytest.mark.parametrize("direction", ["x", "y", "z"])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_modes_start_in_vacuum(self, direction, sign):
-        psi = initial_state(direction, sign, self.space)
+        psi = initial_state(direction, sign, self.N)
         n = np.diag([0.0, 1.0, 2.0])
         for n_op in (np.kron(np.eye(2), np.kron(n, np.eye(3))),
                      np.kron(np.eye(6), n)):
@@ -174,23 +174,23 @@ class TestInitialState:
 
     def test_invalid_direction(self):
         with pytest.raises(ValueError):
-            initial_state("w", +1, self.space)
+            initial_state("w", +1, self.N)
         with pytest.raises(ValueError):
-            initial_state("x", 0, self.space)
+            initial_state("x", 0, self.N)
 
 
 class TestEvolve:
     def test_time_zero_returns_input(self):
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.space)
+        psi0 = initial_state("x", +1, p.N)
         out = evolve(h, psi0, [0.0])
         assert out[0] is psi0
 
     def test_matches_expm_oracle(self):
         p = ModelParams(G=0.3, N=4, t_max=5.0, dt=1.0)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("y", +1, p.space)
+        psi0 = initial_state("y", +1, p.N)
         t = 1.7
         state = evolve(h, psi0, [t])[0]
         ref = scipy.linalg.expm(-1j * h.matrix.entries * t) @ psi0.amplitudes
@@ -199,7 +199,7 @@ class TestEvolve:
     def test_composition(self):
         p = ModelParams(G=0.7, N=5, t_max=10.0, dt=1.0)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("z", -1, p.space)
+        psi0 = initial_state("z", -1, p.N)
         one_shot = evolve(h, psi0, [3.9])[0]
         stepped = evolve(h, evolve(h, psi0, [1.4])[0], [2.5])[0]
         fidelity = abs(np.vdot(stepped.amplitudes, one_shot.amplitudes))
@@ -208,7 +208,7 @@ class TestEvolve:
     def test_stationary_at_zero_coupling(self):
         p = ModelParams(G=0.0, N=6, t_max=20.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.space)
+        psi0 = initial_state("x", +1, p.N)
         tr = observable_trace(h, psi0)
         for name in ("sx", "sy", "sz", "n_alpha", "n_beta"):
             col = getattr(tr, name)
@@ -217,14 +217,14 @@ class TestEvolve:
     def test_precession_closed_form(self):
         p = ModelParams(G=1.0, N=4, t_max=10.0, dt=0.01)
         h = build_minimal_hamiltonian(p, g=0.0)
-        psi0 = initial_state("y", +1, p.space)
+        psi0 = initial_state("y", +1, p.N)
         tr = observable_trace(h, psi0)
         npt.assert_allclose(tr.sy, np.cos(2 * SQRT2 * tr.times), atol=1e-8)
 
     def test_times_validation(self):
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.space)
+        psi0 = initial_state("x", +1, p.N)
         with pytest.raises(ValueError):
             evolve(h, psi0, [1.0, 0.5])
         with pytest.raises(ValueError):
@@ -238,13 +238,13 @@ class TestEvolve:
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         with pytest.raises(ValueError, match="finite"):
-            evolve(h, initial_state("x", +1, p.space), times)
+            evolve(h, initial_state("x", +1, p.N), times)
 
     def test_space_mismatch(self):
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        other = initial_state("x", +1, ModelParams(G=0.3, N=5, t_max=1, dt=0.5).space)
-        with pytest.raises(ValueError):
+        other = initial_state("x", +1, 5)
+        with pytest.raises(ValueError, match="cutoff N=4"):
             evolve(h, other, [0.5])
 
 
@@ -252,14 +252,14 @@ class TestEvolve:
 def weak_x_trace():
     p = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
     h = build_minimal_hamiltonian(p)
-    return observable_trace(h, initial_state("x", +1, p.space))
+    return observable_trace(h, initial_state("x", +1, p.N))
 
 
 @pytest.fixture(scope="module")
 def weak_y_trace():
     p = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
     h = build_minimal_hamiltonian(p)
-    return observable_trace(h, initial_state("y", +1, p.space))
+    return observable_trace(h, initial_state("y", +1, p.N))
 
 
 class TestWeakCouplingTrace:
@@ -358,7 +358,7 @@ class TestSymmetrySector:
     def test_spin_x_start_keeps_transverse_components_zero(self):
         p = ModelParams(G=0.46, N=12, t_max=20.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state("x", -1, p.space))
+        tr = observable_trace(h, initial_state("x", -1, p.N))
         assert np.abs(tr.sy).max() <= 1e-10
         assert np.abs(tr.sz).max() <= 1e-10
 
@@ -385,7 +385,7 @@ class TestParityBlocks:
     def test_kernel_matches_dense_oracle(self, direction, sign, G, N):
         p = ModelParams(G=G, mu=1.3, N=N, t_max=10.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.space),
+        tr = observable_trace(h, initial_state(direction, sign, p.N),
                               include_metric=True)
         ref = dense_trace_oracle(G, 1.3, N, p.times, direction, sign)
         for name, want in ref.items():
@@ -404,7 +404,7 @@ class TestParityBlocks:
         p = ModelParams(G=G, N=N, t_max=400.0, dt=0.05)
         assert p.times.size > 50 * _CHUNK_STEPS and p.times.size % _CHUNK_STEPS
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.space),
+        tr = observable_trace(h, initial_state(direction, sign, p.N),
                               include_metric=True)
         ref = dense_trace_oracle(G, 1.0, N, p.times, direction, sign)
         for name, want in ref.items():
@@ -416,7 +416,7 @@ class TestParityBlocks:
         # x+ lives in block +1 and x- in block -1, so each block's bands are used
         p = ModelParams(G=G, N=6, t_max=20.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", sign, p.space)
+        psi0 = initial_state("x", sign, p.N)
         tr = observable_trace(h, psi0)
         states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
         H = minimal_hamiltonian_oracle(G, 1.0, 6)
@@ -477,12 +477,12 @@ class TestParityBlocks:
         m[0, 2] = m[2, 0] = 1e-3        # offset 2: neither an n_b nor an n_a hop at N = 4
         broken = dataclasses.replace(h, blocks=(ParityBlock(block.sign, m), h.blocks[1]))
         with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
-            observable_trace(broken, initial_state("x", +1, p.space))
+            observable_trace(broken, initial_state("x", +1, p.N))
 
     def test_x_start_diagonalizes_one_block(self):
         p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        observable_trace(h, initial_state("x", -1, p.space))
+        observable_trace(h, initial_state("x", -1, p.N))
         solved = ["eigensystem" in vars(block) for block in h.blocks]
         assert solved == [False, True]
 
@@ -495,7 +495,7 @@ class TestEvolveAgainstTrace:
         times = np.sort(np.random.default_rng(7).uniform(0.0, 80.0, 40))
         p = ModelParams(G=math.pi, N=5, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        states = evolve(h, initial_state(direction, sign, p.space), times)
+        states = evolve(h, initial_state(direction, sign, p.N), times)
         ref = dense_state_oracle(math.pi, 1.0, 5, times, direction, sign)
         got = np.array([s.amplitudes for s in states])
         assert np.abs(got - ref).max() <= 1e-10
@@ -504,7 +504,7 @@ class TestEvolveAgainstTrace:
     def test_grid_states_reproduce_trace_columns(self, direction, sign):
         p = ModelParams(G=2.0, mu=1.3, N=5, t_max=30.0, dt=0.1)   # 301 points, 3 chunks
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state(direction, sign, p.space)
+        psi0 = initial_state(direction, sign, p.N)
         tr = observable_trace(h, psi0, include_metric=True)
         states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
         for name, want in state_columns_oracle(states, 2.0, 1.3, 5).items():
@@ -543,7 +543,7 @@ class TestTraceAgainstScalarPath:
     def test_columns_match_pointwise_expectations(self):
         p = ModelParams(G=0.8, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("y", -1, p.space)
+        psi0 = initial_state("y", -1, p.N)
         trace = observable_trace(h, psi0)
         states = evolve(h, psi0, p.times)
         n = np.diag(np.arange(5.0))
@@ -562,12 +562,12 @@ class TestTraceAgainstScalarPath:
             assert trace.n_beta[i] == pytest.approx(expectation(nb_op, state), abs=1e-12)
             assert trace.energy[i] == pytest.approx(
                 expectation(h.matrix.entries, state), abs=1e-12)
-            assert trace.norm[i] == pytest.approx(state.norm, abs=1e-12)
+            assert trace.norm[i] == pytest.approx(np.linalg.norm(state.amplitudes), abs=1e-12)
 
     def test_metric_columns_match_scalar_readout(self):
         p = ModelParams(G=0.8, mu=1.3, N=5, t_max=4.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("z", +1, p.space)
+        psi0 = initial_state("z", +1, p.N)
         trace = observable_trace(h, psi0, include_metric=True)
         bp = bogoliubov_params(p.mu)
         for i, state in enumerate(evolve(h, psi0, p.times)):
@@ -580,7 +580,7 @@ class TestTraceValidation:
     def test_metric_columns_optional(self):
         p = ModelParams(G=0.05, N=6, t_max=5.0, dt=0.1)
         h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.space)
+        psi0 = initial_state("x", +1, p.N)
         tr = observable_trace(h, psi0)
         assert tr.h11 is None and tr.h12 is None
         tr_m = observable_trace(h, psi0, include_metric=True)
@@ -592,15 +592,15 @@ class TestTraceValidation:
     def test_population_properties(self):
         p = ModelParams(G=0.0, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state("x", +1, p.space))
+        tr = observable_trace(h, initial_state("x", +1, p.N))
         npt.assert_allclose(tr.px, 0.5 * (1 + tr.sx), atol=0)
         npt.assert_allclose(tr.pz, 0.5 * (1 + tr.sz), atol=0)
 
     def test_space_mismatch(self):
         p = ModelParams(G=0.1, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        other = initial_state("x", +1, ModelParams(G=0.1, N=5, t_max=1, dt=0.5).space)
-        with pytest.raises(ValueError):
+        other = initial_state("x", +1, 5)
+        with pytest.raises(ValueError, match="cutoff N=4"):
             observable_trace(h, other)
 
     @pytest.mark.parametrize("corrupt,guard", [("eigenvalues", "norm"),
@@ -627,7 +627,7 @@ class TestTraceValidation:
 
         monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(NumericalConsistencyError, match=guard):
-            observable_trace(h, initial_state("z", +1, p.space))
+            observable_trace(h, initial_state("z", +1, p.N))
 
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         from metricspin import NumericalConsistencyError

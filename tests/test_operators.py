@@ -8,7 +8,6 @@ from metricspin import (
     ModelParams,
     NumericalConsistencyError,
     OperatorMatrix,
-    SpaceSpec,
     StateVector,
     build_minimal_hamiltonian,
     observable_trace,
@@ -35,10 +34,11 @@ def ladder(N: int) -> np.ndarray:
     return np.triu(_mode_factors(N)[1])
 
 
-class TestSpaceSpec:
+class TestBasisConvention:
     def test_minimal_model_dimension(self):
-        space = SpaceSpec(2, (14, 14))
-        assert space.dim == 392
+        h = build_minimal_hamiltonian(ModelParams(G=0.3, N=14, t_max=1.0, dt=0.5))
+        assert h.matrix.dim == 392
+        assert initial_state("x", +1, 14).amplitudes.shape == (392,)
 
     def test_row_major_index(self):
         # the decoupled dense matrix has sqrt(2) (n_a + n_b) at s*N*N + n_a*N + n_b
@@ -48,12 +48,6 @@ class TestSpaceSpec:
         for s, na, nb in [(0, 0, 0), (0, 0, 13), (0, 1, 0), (1, 0, 0), (1, 13, 13)]:
             assert diag[s * N * N + na * N + nb] == pytest.approx(SQRT2 * (na + nb))
         assert diag.size == 392
-
-    def test_invalid_cutoffs_rejected(self):
-        with pytest.raises(ValueError):
-            SpaceSpec(2, (0, 14))
-        with pytest.raises(ValueError):
-            SpaceSpec(0, (3,))
 
 
 class TestLadderOperators:
@@ -126,7 +120,7 @@ class TestPauli:
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            initial_state("w", +1, SpaceSpec(2, (3, 3)))
+            initial_state("w", +1, 3)
 
 
 class TestTensorEmbed:
@@ -174,28 +168,28 @@ class TestExpectation:
     """Expectation values of the initial states, with literal Kronecker operators."""
 
     def setup_method(self):
-        self.space = SpaceSpec(2, (3, 3))
+        self.N = 3
 
     def _mean(self, op, psi):
         return complex(np.vdot(psi.amplitudes, op @ psi.amplitudes))
 
     def test_sigma_z_on_up(self):
-        psi = initial_state("z", +1, self.space)
+        psi = initial_state("z", +1, self.N)
         assert self._mean(kron_embed(SIGMA_Z, 0, (2, 3, 3)), psi) == pytest.approx(1.0, abs=1e-14)
 
     def test_mode_population_in_vacuum(self):
-        psi = initial_state("y", -1, self.space)
+        psi = initial_state("y", -1, self.N)
         n_a = kron_embed(np.diag([0.0, 1.0, 2.0]), 1, (2, 3, 3))
         assert self._mean(n_a, psi) == pytest.approx(0.0, abs=1e-14)
 
     def test_sigma_x_on_plus_x(self):
-        psi = initial_state("x", +1, self.space)
+        psi = initial_state("x", +1, self.N)
         assert self._mean(kron_embed(_PAULI_X, 0, (2, 3, 3)), psi) == pytest.approx(1.0, abs=1e-14)
 
     def test_space_mismatch(self):
         p = ModelParams(G=0.3, N=3, t_max=1.0, dt=0.5)
-        psi = initial_state("x", +1, SpaceSpec(2, (4, 4)))
-        with pytest.raises(ValueError):
+        psi = initial_state("x", +1, 4)
+        with pytest.raises(ValueError, match="cutoff N=3"):
             observable_trace(build_minimal_hamiltonian(p), psi)
 
     def test_imaginary_part_guard(self):
@@ -214,30 +208,40 @@ class TestExpectation:
 
 
 class TestValidation:
-    def test_hermitian_hint_rejects_non_hermitian(self):
-        space = SpaceSpec(1, (3,))
-        with pytest.raises(NumericalConsistencyError):
-            OperatorMatrix(space, ladder(3), hermitian_hint=True)
+    def test_operator_rejects_non_hermitian(self):
+        with pytest.raises(NumericalConsistencyError, match="Hermitian"):
+            OperatorMatrix(ladder(3))
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = 2e-12                 # above HERMITICITY_ATOL
+        with pytest.raises(NumericalConsistencyError, match="Hermitian"):
+            OperatorMatrix(m)
+        m[0, 1] = 5e-13                 # within it
+        assert OperatorMatrix(m).dim == 3
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_operator_rejects_nan(self, where):
+        # a NaN must not pass the Hermiticity gate as "not too large"
+        m = np.eye(3)
+        m[where] = math.nan
+        with pytest.raises(NumericalConsistencyError, match="Hermitian"):
+            OperatorMatrix(m)
 
     def test_operator_shape_checks(self):
-        space = SpaceSpec(1, (3,))
         with pytest.raises(ValueError):
-            OperatorMatrix(space, np.zeros((3, 4)))
+            OperatorMatrix(np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            OperatorMatrix(space, np.zeros((4, 4)))
+            OperatorMatrix(np.zeros(4))
 
     def test_state_norm_enforced(self):
-        space = SpaceSpec(1, (4,))
         with pytest.raises(NumericalConsistencyError):
-            StateVector(space, np.array([1.0, 1.0, 0.0, 0.0]))
+            StateVector(np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_state_shape_checks(self):
-        space = SpaceSpec(1, (4,))
-        with pytest.raises(ValueError):
-            StateVector(space, np.zeros(5))
+        with pytest.raises(ValueError, match="1-D"):
+            StateVector(np.eye(1, 4))
 
     def test_entries_are_readonly(self):
-        op = OperatorMatrix(SpaceSpec(1, (3,)), ladder(3))
+        op = OperatorMatrix(ladder(3) + ladder(3).T)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
         block = ParityBlock(1, np.eye(4))

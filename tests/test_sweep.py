@@ -17,14 +17,20 @@ from metricspin import (
     revival_diagnostic,
     run_sweep,
 )
-from metricspin.serialize import _BLOCK_ROWS, render_csv, sha256_hex, write_text
-from metricspin.sweep import HEATMAP_HEADER
 
 SHORT = dict(N=8, t_max=6.0, dt=0.1)
+COLUMNS = ("times", "sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
 
 
 def short_grid(values):
     return SweepGrid(G_values=values, **SHORT)
+
+
+def assert_same_traces(a, b):
+    assert len(a) == len(b)
+    for ta, tb in zip(a, b):
+        for name in COLUMNS:
+            npt.assert_array_equal(getattr(ta, name), getattr(tb, name))
 
 
 class TestSweepGrid:
@@ -75,31 +81,27 @@ class TestSweepGrid:
 class TestRunSweep:
     def test_single_point_matches_standalone_trace(self):
         grid = short_grid((0.05,))
-        result = run_sweep(grid)
+        traces = run_sweep(grid)
         params = ModelParams(G=0.05, **SHORT)
         h = build_minimal_hamiltonian(params)
-        ref = observable_trace(h, initial_state("x", +1, params.space))
-        got = result.traces[0]
-        for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
-            npt.assert_array_equal(getattr(got, name), getattr(ref, name))
+        ref = observable_trace(h, initial_state("x", +1, params.N))
+        assert_same_traces(traces, [ref])
 
     def test_zero_coupling_row_is_frozen(self):
-        result = run_sweep(short_grid((0.0, 0.05)))
-        px = result.traces[0].px
+        px = run_sweep(short_grid((0.0, 0.05)))[0].px
         assert np.abs(px - 1.0).max() <= 1e-10
 
     def test_deterministic_rerun(self):
         grid = short_grid((0.02, 0.2, 2.0))
         r1 = run_sweep(grid)
         for r2 in (run_sweep(grid), run_sweep(grid, workers=4)):
-            assert r1.heatmap_csv == r2.heatmap_csv
-            assert r1.run_checksums == r2.run_checksums
+            assert_same_traces(r1, r2)
 
     def test_concurrent_matches_sequential(self):
         grid = short_grid((0.02, 0.2, 2.0, 20.0))
         seq = run_sweep(grid, workers=1)
         par = run_sweep(grid, workers=4)
-        assert seq.heatmap_csv == par.heatmap_csv
+        assert_same_traces(seq, par)
 
     def test_workers_below_one_refused(self):
         with pytest.raises(ValueError, match="workers"):
@@ -118,58 +120,6 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "observable_trace", flaky)
         with pytest.raises(RuntimeError, match="G=0.2"):
             run_sweep(short_grid((0.02, 0.2)))
-
-    def test_manifest_checksum_matches_csv(self):
-        # each run checksum is the sha256 of that G's rows in the table
-        result = run_sweep(short_grid((0.1, 0.3)))
-        rows = result.heatmap_csv.splitlines(keepends=True)[1:]
-        per_g = len(rows) // 2
-        assert [sha256_hex(b"".join(rows[:per_g])), sha256_hex(b"".join(rows[per_g:]))] \
-            == list(result.run_checksums)
-
-    def test_run_checksums_match_each_g_rendered_alone(self):
-        # the table spans every G, so blocks straddle G boundaries; each
-        # run checksum still equals that G's rows rendered on their own
-        grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
-        result = run_sweep(grid)
-        per_g = result.traces[0].times.size
-        assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
-        bodies = [render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
-                                    tr.n_alpha, tr.n_beta))
-                  for G, tr in zip(grid.G_values, result.traces)]
-        assert result.heatmap_csv == (HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
-        assert list(result.run_checksums) == [sha256_hex(b) for b in bodies]
-
-
-class TestHeatmapExport:
-    def test_row_count_and_header(self, tmp_path):
-        grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
-        result = run_sweep(grid)
-        path = write_text(tmp_path / "heatmap.csv", result.heatmap_csv)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "G,t,sx,px,n_alpha,n_beta"
-        assert len(lines) == 1 + 2 * 3  # header + |G| * |times|
-
-    def test_reexport_is_byte_identical(self, tmp_path):
-        p1 = write_text(tmp_path / "a.csv", run_sweep(short_grid((0.3,))).heatmap_csv)
-        p2 = write_text(tmp_path / "b.csv", run_sweep(short_grid((0.3,))).heatmap_csv)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_rows_sorted_by_g_then_t(self, tmp_path):
-        grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
-        result = run_sweep(grid)
-        path = write_text(tmp_path / "heatmap.csv", result.heatmap_csv)
-        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
-        keys = [(float(g), float(t)) for g, t in rows]
-        assert keys == sorted(keys)
-
-    def test_io_error_carries_path(self, tmp_path):
-        result = run_sweep(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))
-        missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
-        with pytest.raises(OSError) as err:
-            write_text(missing, result.heatmap_csv)
-        assert str(missing) in str(err.value) or missing.name in str(err.value)
-
 
 def _synthetic_trace(times, px):
     sx = 2.0 * np.asarray(px) - 1.0
@@ -204,8 +154,7 @@ class TestRevivalDiagnostic:
 
     def test_peak_bounded_for_real_run(self):
         grid = short_grid((0.2,))
-        result = run_sweep(grid)
-        d = revival_diagnostic(result.traces[0], t_min=1.0)
+        d = revival_diagnostic(run_sweep(grid)[0], t_min=1.0)
         assert 0.0 <= d.revival_peak <= 1.0
 
     def test_insufficient_data(self):
@@ -240,7 +189,7 @@ class TestRevivalDiagnostic:
                           / "revival_calibration.json").read_text())
         params = ModelParams(G=0.05, mu=1.0, N=14, t_max=100.0, dt=0.02)
         h = build_minimal_hamiltonian(params)
-        trace = observable_trace(h, initial_state("x", +1, params.space))
+        trace = observable_trace(h, initial_state("x", +1, params.N))
         d = revival_diagnostic(trace, t_min=cal["t_min"])
         assert d.first_peak_time == pytest.approx(cal["first_peak_time_G005"],
                                                   abs=2 * params.dt)
