@@ -9,6 +9,7 @@ out-of-range values, before any work; :func:`_refused_as` names the key.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import fmt, render_csv, render_manifest, sha256_hex, write_text
+from .serialize import fmt, render_csv, render_manifest, write_text
 from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
 from .sweep import revival_diagnostic
 
@@ -84,19 +85,34 @@ def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
     return [(k, fmt(v) if isinstance(v, float) else str(v)) for k, v in zip(keys, values)]
 
 
-def _write_outputs(outdir: Path, command: str, config_pairs, files: dict[str, bytes | bytearray],
-                   wall_time: float, extra_pairs=()):
+def _hashed(blocks, digest):
+    """``blocks`` as they are, each fed to ``digest`` on its way past."""
+    for block in blocks:
+        digest.update(block)
+        yield block
+
+
+def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
+                   run_checksums=()):
+    """Write ``files`` (name -> iterable of bytes blocks, the primary first), then the manifest.
+
+    Each file's sha256 is taken from its blocks as they are written.  A
+    sweep's ``run_checksums`` fill while its heatmap streams, so they are
+    read once every file is written.  ``wall_time_s`` runs from ``t0``
+    to the last file written.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        write_text(outdir / name, data)
-    primary = next(iter(files))
-    digests = {name: sha256_hex(data) for name, data in files.items()}
+    digests = {}
+    for name, blocks in files.items():
+        digest = hashlib.sha256()
+        write_text(outdir / name, _hashed(blocks, digest))
+        digests[name] = digest.hexdigest()
     pairs = [("command", command), ("code_version", __version__)]
     pairs.extend(config_pairs)
-    pairs.append(("wall_time_s", f"{wall_time:.3f}"))
-    pairs.append(("checksum_sha256", digests[primary]))
+    pairs.append(("wall_time_s", f"{time.perf_counter() - t0:.3f}"))
+    pairs.append(("checksum_sha256", next(iter(digests.values()))))
     pairs.extend((f"checksum_sha256.{name}", d) for name, d in digests.items())
-    pairs.extend(extra_pairs)
+    pairs.extend((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))
     write_text(outdir / "manifest.txt", render_manifest(pairs))
 
 
@@ -109,8 +125,7 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     columns = (trace.times, trace.sx, trace.sy, trace.sz, trace.px, trace.py,
                trace.pz, trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
     _write_outputs(outdir, "evolve", config_pairs,
-                   {"trace.csv": render_csv(TRACE_HEADER, columns)},
-                   time.perf_counter() - t0)
+                   {"trace.csv": render_csv(TRACE_HEADER, columns)}, t0)
     return 0
 
 
@@ -124,19 +139,30 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
         return default_grid(cfg.G_count, cfg.G_min, cfg.G_max, **shared)
 
 
-def _heatmap(G_values, traces) -> tuple[bytearray, list[str]]:
-    """``heatmap.csv`` as one table over every G, and the sha256 of each G's rows.
+def _heatmap(G_values, traces, run_checksums: list):
+    """``heatmap.csv`` as one table over every G, in blocks; each G's sha256
+    goes onto ``run_checksums`` as its last row passes.
 
-    The shared t column is formatted once; each G's rows are cut at line ends."""
+    The shared t column is formatted once.  Each G's rows are cut from
+    the blocks at line ends; a G whose rows span blocks is hashed across
+    them."""
     per_g = traces[0].times.size
     columns = [np.repeat(G_values, per_g)]
     columns.extend(np.concatenate([getattr(tr, name) for tr in traces])
                    for name in ("times", "sx", "px", "n_alpha", "n_beta"))
-    heatmap = render_csv(HEATMAP_HEADER, columns)
-    line_ends = np.flatnonzero(np.frombuffer(heatmap, dtype=np.uint8) == ord("\n")) + 1
-    cuts = line_ends[::per_g].tolist()          # the header's end, then each G's
-    view = memoryview(heatmap)
-    return heatmap, [sha256_hex(view[a:b]) for a, b in zip(cuts, cuts[1:])]
+    blocks = render_csv(HEATMAP_HEADER, columns)
+    yield next(blocks)                  # the header line
+    digest, row = hashlib.sha256(), 0   # row: rows in the blocks before this one
+    for block in blocks:
+        line_ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
+        view, start = memoryview(block), 0
+        for end in line_ends[per_g - 1 - row % per_g::per_g].tolist():   # each G's last row
+            digest.update(view[start:end])
+            run_checksums.append(digest.hexdigest())
+            digest, start = hashlib.sha256(), end
+        digest.update(view[start:])
+        row += line_ends.size
+        yield block
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
@@ -148,14 +174,16 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         check_t_min(cfg.t_min, _model_params(cfg, G=0.0, N=cfg.N).times)
     grid = _sweep_grid(cfg)
     traces = run_sweep(grid, workers=workers)
-    heatmap, run_checksums = _heatmap(grid.G_values, traces)
     diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in traces]
     diag_columns = (np.array(grid.G_values),
                     np.array([d.revival_peak for d in diags]),
                     np.array([d.first_peak_time for d in diags]))
+    run_checksums = []
     files = {
-        "heatmap.csv": heatmap,
-        "diagnostics.csv": render_csv(DIAGNOSTICS_HEADER, diag_columns),
+        "heatmap.csv": _heatmap(grid.G_values, traces, run_checksums),
+        # G_count rows, rendered before the heatmap streams, so that a
+        # failing render leaves an earlier run in ``outdir`` as it was
+        "diagnostics.csv": [b"".join(render_csv(DIAGNOSTICS_HEADER, diag_columns))],
     }
     config_pairs = [
         *_config_pairs(cfg, "direction", "sign", "mu", "N", "t_max", "dt"),
@@ -163,9 +191,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         ("G_values", ",".join(fmt(v) for v in grid.G_values)),
         *_config_pairs(cfg, "t_min"),
     ]
-    extra = [(f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums)]
-    _write_outputs(outdir, "sweep", config_pairs, files,
-                   time.perf_counter() - t0, extra_pairs=extra)
+    _write_outputs(outdir, "sweep", config_pairs, files, t0, run_checksums)
     return 0
 
 
@@ -191,11 +217,11 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     band_columns = (kx_grid.ravel(), ky_grid.ravel(), e_lo.ravel(), e_hi.ravel())
     files = {
         "bands.csv": render_csv(BANDS_HEADER, band_columns),
-        "fermi_report.txt": render_manifest(report),
+        "fermi_report.txt": [render_manifest(report)],
     }
     config_pairs = _config_pairs(cfg, "lattice_G", "alpha_c", "beta_c", "kx_min", "kx_max",
                                  "ky_min", "ky_max", "kx_count", "ky_count", "fd_step")
-    _write_outputs(outdir, "lattice", config_pairs, files, time.perf_counter() - t0)
+    _write_outputs(outdir, "lattice", config_pairs, files, t0)
     return 0
 
 
@@ -223,7 +249,7 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
     _write_outputs(outdir, "gravity-check", config_pairs,
                    {"gravity_report.csv": render_csv(GRAVITY_HEADER,
                                                       np.array(rows, dtype=float).T)},
-                   time.perf_counter() - t0)
+                   t0)
     return 0
 
 
@@ -238,8 +264,7 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
     columns = (np.array(lo), np.array(hi), np.array(dev, dtype=float))
     config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N_list", "t_max", "dt")
     _write_outputs(outdir, "convergence", config_pairs,
-                   {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)},
-                   time.perf_counter() - t0)
+                   {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)}, t0)
     return 0
 
 

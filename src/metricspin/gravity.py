@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalConsistencyError
 
@@ -123,6 +122,10 @@ def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, f
     if levels > N // 3:
         raise ValueError(f"levels={levels} too close to the truncation edge "
                          f"for N={N}; keep levels <= N//3")
+    # the package's only scipy use; importing it at module level would
+    # cost every command more start-up time than the rest of the package
+    import scipy.linalg
+
     # a symmetric tridiagonal matrix has the spectrum of the one built
     # from the moduli of its off-diagonal entries
     pair = np.abs(h.pair)

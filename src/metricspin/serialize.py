@@ -3,7 +3,7 @@
 Floats are rendered as shortest round-trip decimals (Python ``repr``)
 so re-running a manifest reproduces files byte for byte on any platform
 with IEEE-754 doubles.  Every output is rendered to bytes (CSVs in
-ASCII, manifests in UTF-8) and hashed and written as it is.
+ASCII, manifests in UTF-8) and written through :func:`write_text`.
 
 Every CSV goes through :func:`render_csv`, which takes the file's columns
 as 1-D arrays.  The distinct values of a column are found over the whole
@@ -14,18 +14,19 @@ formatted takes that text with a leading ``-`` added or dropped: that is
 ``repr(-x)`` for every double ``x`` but NaN, signed zeros and infinities
 included.  A column that would still format more than ``_TABLE_SHARE``
 of its rows has no table and is formatted row by row.  Rows are
-assembled in blocks of ``_BLOCK_ROWS``, which bounds the transient cell
-objects; the bytes are those of rendering every number on its own.
+rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the
+whole file is never held; the bytes are those of rendering every number
+on its own.
 """
 
 from __future__ import annotations
 
-import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
 
-#: rows assembled together; bounds the per-block cell objects
+#: rows rendered together; bounds the per-block cell objects and text
 _BLOCK_ROWS = 2048
 
 #: the sign bit of a float64 bit pattern read as int64
@@ -120,13 +121,14 @@ def _table(keys: np.ndarray, is_float: bool, tables):
     return uniq, texts.astype(object) if uniq.size <= _BLOCK_ROWS else texts
 
 
-def render_csv(header: str | None, columns) -> bytearray:
-    """ASCII CSV with one line per row of the equal-length 1-D ``columns``.
+def render_csv(header: str | None, columns):
+    """ASCII CSV, one line per row of the equal-length 1-D ``columns``, as bytes blocks.
 
     Floats render as ``fmt`` does, integers as ``repr(int)``.  The
-    ``header`` line comes first; with ``header=None`` only the rows are
-    returned, each ending in a newline.  The text grows block by block
-    in one ``bytearray``, so no joined copy of the whole file is made.
+    columns are checked and their value tables built here; the returned
+    iterator yields the ``header`` line on its own (nothing for
+    ``header=None``), then one bytes object per ``_BLOCK_ROWS`` rows (the
+    last may be shorter), every row ending in a newline.
     """
     keyed = [_keyed(c) for c in columns]
     n = keyed[0][0].size if keyed else 0
@@ -134,20 +136,19 @@ def render_csv(header: str | None, columns) -> bytearray:
         raise ValueError("CSV columns must have equal lengths")
     tables = []         # float tables of earlier columns, for negation reuse
     plans = [_table(k, v.dtype.kind == "f", tables) for v, k in keyed]
-    out = bytearray() if header is None else bytearray(header.encode() + b"\n")
+    return _blocks(header, n, keyed, plans)
+
+
+def _blocks(header, n, keyed, plans):
+    """The blocks of :func:`render_csv`: rows ``_BLOCK_ROWS`` at a time."""
+    if header is not None:
+        yield header.encode() + b"\n"
     for start in range(0, n, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         cells = [list(map(str.encode, map(_text, v[start:stop].tolist()))) if plan is None
                  else plan[1][np.searchsorted(plan[0], k[start:stop])].tolist()
                  for (v, k), plan in zip(keyed, plans)]
-        out += b"\n".join(map(b",".join, zip(*cells)))
-        out += b"\n"
-    return out
-
-
-def sha256_hex(data) -> str:
-    """Hex sha256 of the bytes-like ``data``."""
-    return hashlib.sha256(data).hexdigest()
+        yield b"\n".join([*map(b",".join, zip(*cells)), b""])    # every row ends in "\n"
 
 
 def render_manifest(pairs) -> bytes:
@@ -156,7 +157,23 @@ def render_manifest(pairs) -> bytes:
 
 
 def write_text(path, data) -> Path:
-    """Write the bytes-like ``data`` as it is; newlines stay as rendered."""
+    """Write ``data``, bytes or an iterable of bytes blocks, to ``path``; return ``path``.
+
+    The blocks go as they come to ``<name>.partial`` beside ``path``,
+    which replaces ``path`` only once the last block is written, so
+    ``path`` is never left half written.  On any exception, a failing
+    block included, the partial file is removed and ``path`` keeps what
+    it held.
+    """
     path = Path(path)
-    path.write_bytes(data)
+    partial = path.with_name(path.name + ".partial")
+    blocks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    try:
+        with open(partial, "wb") as fh:
+            for block in blocks:
+                fh.write(block)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path

@@ -1,15 +1,20 @@
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import metricspin
 import metricspin.cli as cli
+import metricspin.serialize as serialize_mod
 import metricspin.model as model_mod
 import metricspin.sweep as sweep_mod
 from metricspin.errors import NumericalConsistencyError
@@ -20,7 +25,7 @@ from metricspin.model import (
     initial_state,
     observable_trace,
 )
-from metricspin.serialize import _BLOCK_ROWS, render_csv, sha256_hex, write_text
+from metricspin.serialize import _BLOCK_ROWS, render_csv, write_text
 from metricspin.sweep import SweepGrid, run_sweep
 from oracles import csv_oracle
 
@@ -33,9 +38,15 @@ def short_grid(values):
     return SweepGrid(G_values=values, N=8, t_max=6.0, dt=0.1)
 
 
-def heatmap_of(grid):
+def sha256_hex(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def heatmap_of(grid, traces=None):
     """``heatmap.csv`` bytes and run checksums of ``grid``, as ``cmd_sweep`` renders them."""
-    return cli._heatmap(grid.G_values, run_sweep(grid))
+    run_checksums = []
+    blocks = cli._heatmap(grid.G_values, traces or run_sweep(grid), run_checksums)
+    return b"".join(blocks), run_checksums
 
 
 def read_csv(path):
@@ -331,11 +342,11 @@ class TestHeatmapExport:
         # run checksum still equals that G's rows rendered on their own
         grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
         traces = run_sweep(grid)
-        heatmap, run_checksums = cli._heatmap(grid.G_values, traces)
+        heatmap, run_checksums = heatmap_of(grid, traces)
         per_g = traces[0].times.size
         assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
-        bodies = [render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
-                                    tr.n_alpha, tr.n_beta))
+        bodies = [b"".join(render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
+                                             tr.n_alpha, tr.n_beta)))
                   for G, tr in zip(grid.G_values, traces)]
         assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
         assert run_checksums == [sha256_hex(b) for b in bodies]
@@ -367,6 +378,95 @@ class TestHeatmapExport:
         with pytest.raises(OSError) as err:
             write_text(missing, heatmap)
         assert str(missing) in str(err.value) or missing.name in str(err.value)
+
+
+    @pytest.mark.parametrize("per_g", [1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                       2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("G_count", [1, 3])
+    def test_run_checksums_for_every_block_alignment(self, per_g, G_count):
+        # G boundaries before, on and after block boundaries, several G
+        # in one block and one G over several blocks
+        rng = np.random.default_rng(per_g + G_count)
+        G_values = tuple(range(G_count))
+        traces = [SimpleNamespace(times=np.arange(per_g) * 0.02, sx=rng.standard_normal(per_g),
+                                  px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
+                                  n_beta=np.full(per_g, 0.5)) for _ in G_values]
+        run_checksums = []
+        heatmap = b"".join(cli._heatmap(G_values, traces, run_checksums))
+        bodies = [b"".join(render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
+                                             tr.n_alpha, tr.n_beta)))
+                  for G, tr in zip(G_values, traces)]
+        assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
+        assert run_checksums == [sha256_hex(b) for b in bodies]
+
+
+def snapshot(out):
+    """Every file under ``out``, name -> bytes."""
+    return {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+
+
+class TestStreamedOutputs:
+    """A run that fails while its CSVs stream leaves ``outdir`` as it found it."""
+
+    # asymmetric k window: the E columns have no value table, so they are
+    # formatted as the bands stream (6561 rows, four blocks)
+    LATTICE = ["lattice", "--set", "kx_count=81", "--set", "ky_count=81",
+               "--set", "kx_min=0.1", "--set", "kx_max=1.3",
+               "--set", "ky_min=0.2", "--set", "ky_max=0.9"]
+    # 3 x 2051 heatmap rows, four blocks; a G's rows span two of them
+    SWEEP = ["sweep", "--set", "G_list=0.05,0.5,5", "--set", "N=4",
+             "--set", "t_max=41", "--set", "dt=0.02", "--set", "t_min=1"]
+    OTHER = ["--set", "lattice_G=0.02", "--set", "G_list=0.06,0.6,6"]
+
+    @staticmethod
+    def fail_at(monkeypatch, tmp_path, argv, share):
+        """Make the CSV number format of ``argv`` that comes ``share`` of the
+        way through its run (0: the first, 1: the last) raise MemoryError.
+        Returns the names of the files in ``argv``'s outdir at that moment."""
+        count, seen = [0], []
+
+        def counting(x):
+            count[0] += 1
+            return repr(x)
+
+        monkeypatch.setattr(serialize_mod, "_text", counting)
+        assert cli.main([*argv, "--out", str(tmp_path / "count")]) == 0
+        calls, out = max(1, round(share * count[0])), Path(argv[-1])
+        count[0] = 0
+
+        def failing(x):
+            count[0] += 1
+            if count[0] == calls:
+                seen.extend(sorted(f.name for f in out.iterdir()) if out.exists() else [])
+                raise MemoryError("injected")
+            return repr(x)
+
+        monkeypatch.setattr(serialize_mod, "_text", failing)
+        return seen
+
+    @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_failure_leaves_no_files(self, tmp_path, monkeypatch, capsys, command, share):
+        out = tmp_path / "run"
+        argv = [*getattr(self, command), "--out", str(out)]
+        seen = self.fail_at(monkeypatch, tmp_path, argv, share)
+        assert cli.main(argv) == 2
+        assert "run too large for memory" in capsys.readouterr().err
+        if share > 0:                   # failed while a CSV streamed
+            assert any(name.endswith(".csv.partial") for name in seen), seen
+        assert snapshot(out) == {}
+
+    @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_failure_keeps_an_earlier_run(self, tmp_path, monkeypatch, command, share):
+        out = tmp_path / "run"
+        assert cli.main([*getattr(self, command), "--out", str(out)]) == 0
+        before = snapshot(out)
+        # other values, so any file the failing run replaced would differ
+        argv = [*getattr(self, command), *self.OTHER, "--out", str(out)]
+        self.fail_at(monkeypatch, tmp_path, argv, share)
+        assert cli.main(argv) == 2
+        assert snapshot(out) == before
 
 
 class TestLatticeCommand:
@@ -487,6 +587,17 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg costs about 0.4 s to import; only gravity-check uses it
+    src = Path(metricspin.__file__).resolve().parents[1]
+    code = ("import sys, metricspin.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def assert_refused(tmp_path, capsys, command, setting, extra):

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from oracles import csv_oracle
 from metricspin import serialize
 from metricspin.cli import BANDS_HEADER
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, render_csv
+from metricspin.serialize import _BLOCK_ROWS, _WIDTH, render_csv, write_text
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
@@ -53,9 +56,14 @@ def _column(kind: str, mode: str, n: int, pool, seed: int, earlier=()) -> np.nda
     return np.asarray(values, dtype=np.float64 if kind == "float" else np.int64)
 
 
+def rendered(header, columns) -> bytes:
+    """The whole text of ``render_csv``'s blocks."""
+    return b"".join(render_csv(header, columns))
+
+
 def assert_matches_oracle(header, columns):
     """``render_csv`` equals the oracle; a failure names its first bad line."""
-    got = render_csv(header, columns).split(b"\n")
+    got = rendered(header, columns).split(b"\n")
     want = csv_oracle(header, columns).encode("ascii").split(b"\n")
     bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
@@ -92,7 +100,7 @@ def test_signed_zeros_keep_their_text(n):
     zeros = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
     assert_matches_oracle("z,t", [zeros, np.arange(n, dtype=float)])
     if n > 1:
-        assert render_csv(None, [zeros]).startswith(b"0.0\n-0.0\n")
+        assert rendered(None, [zeros]).startswith(b"0.0\n-0.0\n")
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -143,9 +151,9 @@ def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
 
 
 def test_rows_only_and_empty_columns():
-    assert render_csv(None, [np.array([1.5, 1.5])]) == b"1.5\n1.5\n"
-    assert render_csv("h", [np.array([])]) == b"h\n"
-    assert render_csv(None, [np.array([])]) == b""
+    assert rendered(None, [np.array([1.5, 1.5])]) == b"1.5\n1.5\n"
+    assert rendered("h", [np.array([])]) == b"h\n"
+    assert rendered(None, [np.array([])]) == b""
 
 
 def test_float32_renders_as_its_double():
@@ -162,3 +170,64 @@ def test_float32_renders_as_its_double():
 def test_bad_columns_refused(columns, error):
     with pytest.raises(error):
         render_csv("h", columns)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_blocks_are_the_header_then_whole_row_blocks(n):
+    blocks = list(render_csv("a,b", [np.arange(n, dtype=float), -np.arange(n)]))
+    assert blocks[0] == b"a,b\n"
+    assert [b.count(b"\n") for b in blocks[1:]] == [min(B, n - i) for i in range(0, n, B)]
+    assert all(b.endswith(b"\n") for b in blocks)
+
+
+def test_write_text_takes_bytes_or_blocks(tmp_path):
+    path = tmp_path / "a.csv"
+    assert write_text(path, b"x\n") == path
+    assert path.read_bytes() == b"x\n"
+    assert write_text(str(path), iter([b"1\n", b"", b"2\n"])) == path
+    assert path.read_bytes() == b"1\n2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+
+def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
+    path = tmp_path / "a.csv"
+    write_text(path, b"old\n")
+
+    def blocks():
+        yield b"new\n"
+        assert (tmp_path / "a.csv.partial").exists()
+        raise MemoryError("injected")
+
+    with pytest.raises(MemoryError):
+        write_text(path, blocks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert path.read_bytes() == b"old\n"
+
+
+def test_streaming_holds_no_whole_file_text(tmp_path):
+    # two columns of distinct floats, 22-23 characters each: no value tables, so
+    # every number is formatted as its block streams
+    n, k = 100_000, 2
+    rng = np.random.default_rng(7)
+    columns = [rng.uniform(1.0, 2.0, n) * 1e-300 for _ in range(k)]
+    tracemalloc.start()
+    try:
+        path = write_text(tmp_path / "big.csv", render_csv("a,b", columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    # A column's table search holds two int64 copies of its keys (the
+    # sort and its distinct subset) and one bool mask.
+    key_sort = n * (2 * 8 + 1)
+    # A block holds, per cell, a float, its str and its bytes text and
+    # three list slots; per row, a tuple and the joined line; then the
+    # block's text, joined and with its last newline added.
+    line = k * (_WIDTH + 1)
+    cell = sys.getsizeof(1.0) + sys.getsizeof("x" * _WIDTH) + sys.getsizeof(b"x" * _WIDTH) + 3 * 8
+    row = k * cell + sys.getsizeof((None,) * k) + sys.getsizeof(b"x" * line)
+    block = B * (row + 2 * line)
+    bound = key_sort + block        # about 0.6 of the file
+    # whole-file buffering would hold at least ``size`` bytes at its peak
+    assert bound < size
+    assert peak < bound, f"peak {peak} B is {peak / size:.2f} of the {size} B file"
