@@ -419,10 +419,11 @@ class TestStreamedOutputs:
     OTHER = ["--set", "lattice_G=0.02", "--set", "G_list=0.06,0.6,6"]
 
     @staticmethod
-    def fail_at(monkeypatch, tmp_path, argv, share):
-        """Make the CSV number format of ``argv`` that comes ``share`` of the
-        way through its run (0: the first, 1: the last) raise MemoryError.
-        Returns the names of the files in ``argv``'s outdir at that moment."""
+    def fail_at(monkeypatch, tmp_path, argv, out, share):
+        """Make the CSV number format of ``argv`` run into ``out`` that comes
+        ``share`` of the way through the run (0: the first, 1: the last)
+        raise MemoryError.  Returns the names of the files in ``out`` at
+        that moment."""
         count, seen = [0], []
 
         def counting(x):
@@ -431,8 +432,7 @@ class TestStreamedOutputs:
 
         monkeypatch.setattr(serialize_mod, "_text", counting)
         assert cli.main([*argv, "--out", str(tmp_path / "count")]) == 0
-        calls, out = max(1, round(share * count[0])), Path(argv[-1])
-        count[0] = 0
+        calls, count[0] = max(1, round(share * count[0])), 0
 
         def failing(x):
             count[0] += 1
@@ -448,9 +448,8 @@ class TestStreamedOutputs:
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_failure_leaves_no_files(self, tmp_path, monkeypatch, capsys, command, share):
         out = tmp_path / "run"
-        argv = [*getattr(self, command), "--out", str(out)]
-        seen = self.fail_at(monkeypatch, tmp_path, argv, share)
-        assert cli.main(argv) == 2
+        seen = self.fail_at(monkeypatch, tmp_path, getattr(self, command), out, share)
+        assert cli.main([*getattr(self, command), "--out", str(out)]) == 2
         assert "run too large for memory" in capsys.readouterr().err
         if share > 0:                   # failed while a CSV streamed
             assert any(name.endswith(".csv.partial") for name in seen), seen
@@ -463,9 +462,9 @@ class TestStreamedOutputs:
         assert cli.main([*getattr(self, command), "--out", str(out)]) == 0
         before = snapshot(out)
         # other values, so any file the failing run replaced would differ
-        argv = [*getattr(self, command), *self.OTHER, "--out", str(out)]
-        self.fail_at(monkeypatch, tmp_path, argv, share)
-        assert cli.main(argv) == 2
+        argv = [*getattr(self, command), *self.OTHER]
+        self.fail_at(monkeypatch, tmp_path, argv, out, share)
+        assert cli.main([*argv, "--out", str(out)]) == 2
         assert snapshot(out) == before
 
 
