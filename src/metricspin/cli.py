@@ -22,6 +22,7 @@ from .config import RunConfig, parse_config, parse_float_list, parse_int_list
 from .errors import ConfigError, ExtractionInvalidError, NumericalConsistencyError
 from .gravity import (
     bogoliubov_params,
+    check_levels,
     quadratic_site_hamiltonian,
     resonant_momentum,
     spectrum_spacing,
@@ -140,29 +141,18 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 
 def _heatmap(G_values, traces, run_checksums: list):
-    """``heatmap.csv`` as one table over every G, in blocks; each G's sha256
-    goes onto ``run_checksums`` as its last row passes.
+    """``heatmap.csv`` in blocks: the header, then each G's rows rendered on
+    their own; each G's sha256 goes onto ``run_checksums`` as its rows end.
 
-    The shared t column is formatted once.  Each G's rows are cut from
-    the blocks at line ends; a G whose rows span blocks is hashed across
-    them."""
-    per_g = traces[0].times.size
-    columns = [np.repeat(G_values, per_g)]
-    columns.extend(np.concatenate([getattr(tr, name) for tr in traces])
-                   for name in ("times", "sx", "px", "n_alpha", "n_beta"))
-    blocks = render_csv(HEATMAP_HEADER, columns)
-    yield next(blocks)                  # the header line
-    digest, row = hashlib.sha256(), 0   # row: rows in the blocks before this one
-    for block in blocks:
-        line_ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
-        view, start = memoryview(block), 0
-        for end in line_ends[per_g - 1 - row % per_g::per_g].tolist():   # each G's last row
-            digest.update(view[start:end])
-            run_checksums.append(digest.hexdigest())
-            digest, start = hashlib.sha256(), end
-        digest.update(view[start:])
-        row += line_ends.size
-        yield block
+    Every point shares one time grid, so the t column is formatted once."""
+    yield (HEATMAP_HEADER + "\n").encode()
+    times = traces[0].times
+    t_text = np.array(b"".join(render_csv(None, [times])).splitlines())
+    for G, tr in zip(G_values, traces):
+        digest = hashlib.sha256()
+        yield from _hashed(render_csv(None, (np.full(times.size, G), t_text, tr.sx, tr.px,
+                                             tr.n_alpha, tr.n_beta)), digest)
+        run_checksums.append(digest.hexdigest())
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
@@ -232,10 +222,10 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError("key 'mu_list' must name at least one mass value")
     with _refused_as("mu_list"):
         bps = [bogoliubov_params(mu) for mu in mus]
-    # spectrum_spacing's rule, checked before a sector of N_mode levels is
-    # built; it also keeps N_mode >= 6, above quadratic_site_hamiltonian's 4
-    if cfg.levels < 2 or cfg.levels > cfg.N_mode // 3:
-        raise ConfigError("keys 'levels'/'N_mode' must satisfy 2 <= levels <= N_mode//3")
+    # before a sector of N_mode levels is built; it also keeps N_mode >= 6,
+    # above quadratic_site_hamiltonian's 4
+    with _refused_as("levels", "N_mode"):
+        check_levels(cfg.levels, cfg.N_mode)
     rows = []
     for mu, bp in zip(mus, bps):
         residual = abs(bp.cosh2r ** 2 - bp.sinh2r ** 2 - 1.0)

@@ -106,22 +106,27 @@ def quadratic_site_hamiltonian(mu: float, N: int) -> QuadraticModeHamiltonian:
     return QuadraticModeHamiltonian(mu, c1, c2, diagonal, pair)
 
 
-def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, float]:
-    """Mean nearest-neighbor gap over the lowest ``levels`` eigenvalues.
-
-    Returns ``(mean_gap, max_deviation_from_mean)``.  ``levels`` must stay
-    in the lowest third of the truncated spectrum, where cutoff artifacts
-    are negligible; each parity sector then holds at least ``levels``
-    states, so the lowest ``levels`` of each sector, merged, are the
-    lowest ``levels`` of the whole matrix.
-    """
+def check_levels(levels: int, N: int) -> int:
+    """``levels`` as an int; ``ValueError`` unless ``2 <= levels <= N // 3``."""
     levels = int(levels)
-    N = h.cutoff
     if levels < 2:
         raise ValueError(f"need at least 2 levels to measure a gap, got {levels}")
     if levels > N // 3:
         raise ValueError(f"levels={levels} too close to the truncation edge "
                          f"for N={N}; keep levels <= N//3")
+    return levels
+
+
+def spectrum_spacing(h: QuadraticModeHamiltonian, levels: int) -> tuple[float, float]:
+    """Mean nearest-neighbor gap over the lowest ``levels`` eigenvalues.
+
+    Returns ``(mean_gap, max_deviation_from_mean)``.  ``levels`` must stay
+    in the lowest third of the truncated spectrum (:func:`check_levels`),
+    where cutoff artifacts are negligible; each parity sector then holds
+    at least ``levels`` states, so the lowest ``levels`` of each sector,
+    merged, are the lowest ``levels`` of the whole matrix.
+    """
+    levels = check_levels(levels, h.cutoff)
     # the package's only scipy use; importing it at module level would
     # cost every command more start-up time than the rest of the package
     import scipy.linalg

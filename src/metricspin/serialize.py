@@ -6,17 +6,17 @@ with IEEE-754 doubles.  Every output is rendered to bytes (CSVs in
 ASCII, manifests in UTF-8) and written through :func:`write_text`.
 
 Every CSV goes through :func:`render_csv`, which takes the file's columns
-as 1-D arrays.  The distinct values of a column are found over the whole
-column by bit pattern, so ``0.0`` and ``-0.0`` keep their own text, and
-each is formatted once per file into one fixed-width bytes array that the
-rows index.  A float whose exact negation an earlier column of the file
+as 1-D arrays: numbers, or bytes texts written as they are.  The distinct
+values of a number column are found over the whole column by bit
+pattern, so ``0.0`` and ``-0.0`` keep their own text, and each is
+formatted once per call into one fixed-width bytes array that the rows
+index.  A float whose exact negation an earlier column of the call
 formatted takes that text with a leading ``-`` added or dropped: that is
 ``repr(-x)`` for every double ``x`` but NaN, signed zeros and infinities
 included.  A column that would still format more than ``_TABLE_SHARE``
-of its rows has no table and is formatted row by row.  Rows are
-rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the
-whole file is never held; the bytes are those of rendering every number
-on its own.
+of its rows has no table and is formatted row by row.  Rows are rendered
+and yielded in blocks of ``_BLOCK_ROWS``, so the text of the whole file
+is never held; the bytes are those of rendering every number on its own.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _keyed(column) -> tuple[np.ndarray, np.ndarray]:
-    """A column as (values, int64 keys): floats as float64 keyed by their bits."""
+def _keyed(column) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column as (values, int64 keys): floats keyed by their bits, bytes texts by None."""
     values = np.asarray(column)
     if values.ndim != 1:
         raise ValueError(f"CSV columns must be 1-D, got shape {values.shape}")
@@ -59,7 +59,9 @@ def _keyed(column) -> tuple[np.ndarray, np.ndarray]:
         return values, values.view(np.int64)
     if values.dtype.kind == "i":
         return values, values.astype(np.int64, copy=False)
-    raise TypeError(f"CSV columns must be real or integer, got dtype {values.dtype}")
+    if values.dtype.kind == "S":        # texts, written as they are
+        return values, None
+    raise TypeError(f"CSV columns must be real, integer or bytes, got dtype {values.dtype}")
 
 
 def _sign_flipped(texts: np.ndarray) -> np.ndarray:
@@ -124,18 +126,18 @@ def _table(keys: np.ndarray, is_float: bool, tables):
 def render_csv(header: str | None, columns):
     """ASCII CSV, one line per row of the equal-length 1-D ``columns``, as bytes blocks.
 
-    Floats render as ``fmt`` does, integers as ``repr(int)``.  The
-    columns are checked and their value tables built here; the returned
-    iterator yields the ``header`` line on its own (nothing for
-    ``header=None``), then one bytes object per ``_BLOCK_ROWS`` rows (the
-    last may be shorter), every row ending in a newline.
+    Floats render as ``fmt`` does, integers as ``repr(int)``, bytes (``S``)
+    texts as they are.  The columns are checked and their value tables
+    built here; the returned iterator yields the ``header`` line on its own
+    (nothing for ``header=None``), then one bytes object per ``_BLOCK_ROWS``
+    rows (the last may be shorter), every row ending in a newline.
     """
     keyed = [_keyed(c) for c in columns]
     n = keyed[0][0].size if keyed else 0
     if any(v.size != n for v, _ in keyed):
         raise ValueError("CSV columns must have equal lengths")
     tables = []         # float tables of earlier columns, for negation reuse
-    plans = [_table(k, v.dtype.kind == "f", tables) for v, k in keyed]
+    plans = [None if k is None else _table(k, v.dtype.kind == "f", tables) for v, k in keyed]
     return _blocks(header, n, keyed, plans)
 
 
@@ -145,7 +147,8 @@ def _blocks(header, n, keyed, plans):
         yield header.encode() + b"\n"
     for start in range(0, n, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        cells = [list(map(str.encode, map(_text, v[start:stop].tolist()))) if plan is None
+        cells = [v[start:stop].tolist() if k is None
+                 else list(map(str.encode, map(_text, v[start:stop].tolist()))) if plan is None
                  else plan[1][np.searchsorted(plan[0], k[start:stop])].tolist()
                  for (v, k), plan in zip(keyed, plans)]
         yield b"\n".join([*map(b",".join, zip(*cells)), b""])    # every row ends in "\n"

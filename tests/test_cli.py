@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -279,10 +280,17 @@ class TestSweepCommand:
 
     def test_workers_flag_does_not_change_output(self, tmp_path):
         args = ["--set", "G_list=0.05,0.5,5", *FAST, "--set", "t_min=1"]
-        cli.main(["sweep", "--out", str(tmp_path / "a"), *args])
-        cli.main(["sweep", "--out", str(tmp_path / "b"), "--workers", "4", *args])
-        assert ((tmp_path / "a" / "heatmap.csv").read_bytes()
-                == (tmp_path / "b" / "heatmap.csv").read_bytes())
+        assert cli.main(["sweep", "--out", str(tmp_path / "a"), *args]) == 0
+        assert cli.main(["sweep", "--out", str(tmp_path / "b"), "--workers", "4", *args]) == 0
+        for name in ("heatmap.csv", "diagnostics.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+        # every manifest line, each checksum.run.NNN included, but the time
+        manifests = [read_manifest(tmp_path / run / "manifest.txt") for run in "ab"]
+        for manifest in manifests:
+            assert "checksum.run.002" in manifest
+            del manifest["wall_time_s"]
+        assert list(manifests[0].items()) == list(manifests[1].items())
 
     def test_heatmap_bytes_match_per_element_rendering(self, tmp_path):
         G_values = (0.0, 0.05, 3.5)
@@ -338,8 +346,8 @@ class TestHeatmapExport:
             == run_checksums
 
     def test_run_checksums_match_each_g_rendered_alone(self):
-        # the table spans every G, so blocks straddle G boundaries; each
-        # run checksum still equals that G's rows rendered on their own
+        # each G's rows span two blocks; its run checksum is the sha256 of
+        # those rows rendered on their own
         grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
         traces = run_sweep(grid)
         heatmap, run_checksums = heatmap_of(grid, traces)
@@ -399,6 +407,25 @@ class TestHeatmapExport:
         assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
         assert run_checksums == [sha256_hex(b) for b in bodies]
 
+    def test_memory_does_not_grow_with_the_grid(self):
+        # each G is rendered and hashed on its own, so streaming the
+        # heatmap holds no column of every G's rows
+        def peak(G_count, per_g=5001):
+            rng = np.random.default_rng(G_count)
+            traces = [SimpleNamespace(times=np.arange(per_g) * 0.02,
+                                      sx=rng.standard_normal(per_g),
+                                      px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
+                                      n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
+            tracemalloc.start()
+            try:
+                for _ in cli._heatmap(tuple(range(G_count)), traces, []):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= 1.1 * peak(2)
+
 
 def snapshot(out):
     """Every file under ``out``, name -> bytes."""
@@ -413,7 +440,7 @@ class TestStreamedOutputs:
     LATTICE = ["lattice", "--set", "kx_count=81", "--set", "ky_count=81",
                "--set", "kx_min=0.1", "--set", "kx_max=1.3",
                "--set", "ky_min=0.2", "--set", "ky_max=0.9"]
-    # 3 x 2051 heatmap rows, four blocks; a G's rows span two of them
+    # 3 x 2051 heatmap rows; each G's rows are their own two blocks
     SWEEP = ["sweep", "--set", "G_list=0.05,0.5,5", "--set", "N=4",
              "--set", "t_max=41", "--set", "dt=0.02", "--set", "t_min=1"]
     OTHER = ["--set", "lattice_G=0.02", "--set", "G_list=0.06,0.6,6"]
@@ -622,6 +649,9 @@ class TestOutOfRangeValues:
         ("sweep", "mu=1e-300", ("G_count=2", "N=4", "t_max=3")),
         ("gravity-check", "mu_list=1e-300", ()),   # cosh^2 2r overflows
         ("gravity-check", "mu_list=1e200", ()),
+        # a gap needs 2 levels, all within the lowest third of the cutoff
+        ("gravity-check", "levels=1", ("N_mode=12",)),
+        ("gravity-check", "levels=5", ("N_mode=12",)),
         ("lattice", "fd_step=0", ()),
         ("lattice", "fd_step=1e-320", ()),
         ("lattice", "fd_step=1e-17", ()),          # k0 + step rounds to k0

@@ -161,11 +161,33 @@ def test_float32_renders_as_its_double():
     assert_matches_oracle(None, [col])
 
 
+def test_bytes_column_written_verbatim():
+    texts = np.array([b"a", b"-0.0", b"xyz"])
+    assert rendered("f,s,i", [np.array([0.5, -1.0, 0.5]), texts, np.array([3, -4, 3])]) \
+        == b"f,s,i\n0.5,a,3\n-1.0,-0.0,-4\n0.5,xyz,3\n"
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_rendered_texts_of_floats_render_as_the_floats(n):
+    # a column formatted once, as the heatmap's t column is, then passed on
+    # as its texts; a later column negating it is formatted without reuse
+    rng = np.random.default_rng(n)
+    floats = np.where(rng.random(n) < 0.5, rng.choice(np.array(EDGE_FLOATS), size=n),
+                      rng.standard_normal(n))
+    texts = np.array(rendered(None, [floats]).splitlines())
+    assert texts.dtype.kind == "S"
+    ints = np.arange(n) - 5
+    assert rendered("i,t,u", [ints, texts, -floats]) \
+        == rendered("i,t,u", [ints, floats, -floats])
+
+
 @pytest.mark.parametrize("columns, error", [
     ([np.zeros(3), np.zeros(4)], ValueError),
     ([np.zeros((2, 2))], ValueError),
-    ([np.array(["a"])], TypeError),
+    ([np.array(["a"])], TypeError),         # str (U) texts are not bytes
     ([np.zeros(2, dtype=complex)], TypeError),
+    ([np.zeros(3), np.array([b"a"])], ValueError),
+    ([np.array([b"a"], dtype=object)], TypeError),
 ])
 def test_bad_columns_refused(columns, error):
     with pytest.raises(error):
