@@ -70,14 +70,15 @@ def _failed_at(G: float, exc: Exception) -> Exception:
     """``exc`` re-made with the failing G in its message, keeping its type.
 
     The type carries the CLI exit code (a ``NumericalConsistencyError``
-    must still exit 3); a type that cannot be built from one message
-    falls back to ``RuntimeError``.
+    must still exit 3, a ``MemoryError`` 2); a type that cannot be built
+    from one message, such as numpy's ``_ArrayMemoryError``, falls back
+    to ``MemoryError`` or else ``RuntimeError``.
     """
     message = f"sweep run failed at G={G!r}: {exc}"
     try:
         return type(exc)(message)
     except TypeError:
-        return RuntimeError(message)
+        return (MemoryError if isinstance(exc, MemoryError) else RuntimeError)(message)
 
 
 def check_workers(workers: int) -> None:

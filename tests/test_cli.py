@@ -189,6 +189,31 @@ class TestOversizedRuns:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_memory_error_maps_to_2(self, tmp_path, monkeypatch, capsys, workers):
+        # numpy's own error, which cannot be re-made from a message alone;
+        # raised, not provoked, so no pages are ever committed
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:                 # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+        real = sweep_mod.observable_trace
+
+        def starved(h, psi0):
+            if h.params.G == 0.2:
+                raise _ArrayMemoryError((10,), np.dtype(float))
+            return real(h, psi0)
+
+        monkeypatch.setattr(sweep_mod, "observable_trace", starved)
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--out", str(out), "--workers", workers,
+                       "--set", "G_list=0.02,0.2", *FAST, "--set", "t_min=1", "--set", "N=4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run too large for memory") and "G=0.2" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestNumericalFailureExitCode:
     def test_consistency_error_maps_to_3(self, tmp_path, monkeypatch, capsys):

@@ -118,18 +118,6 @@ def test_negated_columns_take_flipped_texts(n):
     assert_matches_oracle(None, [edge, -edge, edge, np.abs(edge), -np.arange(n, dtype=float)])
 
 
-def _formatted_bound(columns) -> int:
-    """Distinct values per column, less those whose exact negation (NaN
-    aside) an earlier column holds."""
-    seen, total = np.empty(0, dtype=np.int64), 0
-    for column in columns:
-        uniq = np.unique(column.view(np.int64)).view(np.float64)
-        negated = np.isin((-uniq).view(np.int64), seen) & ~np.isnan(uniq)
-        total += uniq.size - np.count_nonzero(negated)
-        seen = np.union1d(seen, uniq.view(np.int64))
-    return total
-
-
 def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
     formatted = []
 
@@ -147,7 +135,41 @@ def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
     assert_matches_oracle(BANDS_HEADER, columns)
     per_block = sum(np.unique(c[i:i + B]).size
                     for c in columns for i in range(0, c.size, B))
-    assert len(formatted) <= _formatted_bound(columns) < per_block / 2
+    # kx and ky share their magnitudes, and so do E_minus and E_plus
+    magnitudes = np.unique(np.abs(np.concatenate(columns)).view(np.int64)).size
+    assert len(formatted) == magnitudes < per_block / 2
+
+
+#: magnitudes whose sign handling is special: zero, infinity, the largest
+#: double, subnormals, and NaN with its sign bit set or with a payload
+SIGNED_EDGES = np.array([0.0, float("inf"), 1.7976931348623157e308, 5e-324,
+                         2.225073858507201e-308, 1e-310, np.copysign(np.nan, -1.0),
+                         np.int64(0x7FF8_0000_0000_0001).view(np.float64),
+                         np.int64(0x7FF0_0000_0000_0002).view(np.float64)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 2 * B + 900),
+    ordinary=st.lists(st.floats(allow_nan=False), max_size=8),
+    spread=st.integers(0, 3 * B),
+    count=st.integers(1, 3),
+    with_int=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_signs_match_per_element_oracle(n, ordinary, spread, count, with_int, seed):
+    # every magnitude appears with both signs; a negated twin of the first
+    # column goes before or after it, and so may an int column
+    rng = np.random.default_rng(seed)
+    random = rng.standard_normal(spread) * 10.0 ** rng.integers(-300, 300, spread)
+    magnitudes = np.concatenate([SIGNED_EDGES, ordinary, random])
+    values = np.concatenate([magnitudes, -magnitudes])
+    columns = [rng.choice(values, size=n) for _ in range(count)]
+    columns.insert(rng.integers(count + 1), -columns[0])
+    if with_int:
+        columns.insert(rng.integers(count + 2),
+                       rng.integers(-2 ** 63, 2 ** 63 - 1, size=n, dtype=np.int64))
+    assert_matches_oracle(None, columns)
 
 
 def test_rows_only_and_empty_columns():
