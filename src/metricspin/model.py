@@ -39,11 +39,21 @@ imaginary parts.  The energy check applies each block to its amplitudes
 through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
 +-N), after verifying that the assembled block has no weight elsewhere.
 The dense matrix on the full space is built only on demand.
+
+Every eigensolve and chunk runs with numpy's OpenBLAS pinned to one
+thread, so the output does not depend on the BLAS thread setting.  A
+trace's chunks are independent: they run on one shared thread pool sized
+to the BLAS thread count the caller had (and to the CPU count), each
+worker with its own buffers and its own rows of the output columns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import pairwise
@@ -70,6 +80,73 @@ ENERGY_DRIFT_RTOL = 1e-8
 #: time points propagated together; at the default cutoff a chunk of block
 #: amplitudes is 196 x 128 complex numbers (0.4 MB), which stays in cache
 _CHUNK_STEPS = 128
+
+
+class _OneBlasThread:
+    """Numpy's OpenBLAS held at one thread while any model kernel runs.
+
+    ``with _ONE_BLAS_THREAD as pin:`` counts its users under a lock.  The
+    first saves the caller's thread count, the BLAS thread budget, and
+    sets 1; the last restores it, so one trace ending never unpins
+    another still running.  While pinned, ``pin.threads`` is
+    ``min(budget, CPU count)`` and ``pin.pool`` the one executor of that
+    many threads shared by every trace (None for one thread).  The
+    library's thread calls are looked up on first use; where it exports
+    none, nothing is pinned and kernels run serially.
+    """
+
+    def __init__(self):
+        self.calls = None           # (get, set), or False once found missing
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self):
+        # also in a forked child, which has none of the parent's pool threads
+        self.lock = threading.Lock()
+        self.users = 0
+        self.budget = 1
+        self.threads = 1
+        self.pool = None
+        self.pools = {}
+
+    def _library_calls(self):
+        try:
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            return False
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+
+    def __enter__(self):
+        with self.lock:
+            if self.calls is None:
+                self.calls = self._library_calls()
+            if self.calls and self.users == 0:
+                self.budget = self.calls[0]()
+                self.threads = max(1, min(self.budget, os.cpu_count() or 1))
+                if self.threads > 1 and self.threads not in self.pools:
+                    self.pools[self.threads] = ThreadPoolExecutor(
+                        self.threads, thread_name_prefix="metricspin-chunk")
+                self.pool = self.pools.get(self.threads)
+                self.calls[1](1)
+            if self.calls:
+                self.users += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self.lock:
+            if self.calls:
+                self.users -= 1
+                if self.users == 0:
+                    self.calls[1](self.budget)
+                    self.threads, self.pool = 1, None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @dataclass(frozen=True)
@@ -226,7 +303,8 @@ class ParityBlock:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and real eigenvectors of :attr:`entries`, once per block."""
         try:
-            evals, evecs = np.linalg.eigh(self.entries)
+            with _ONE_BLAS_THREAD:
+                evals, evecs = np.linalg.eigh(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalConsistencyError(f"eigensolver failed: {exc}") from exc
         evals.setflags(write=False)
@@ -343,37 +421,59 @@ def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return phase * ((up + down) / SQRT2).ravel(), phase * ((up - down) / SQRT2).ravel()
 
 
-def _propagate(h: MinimalHamiltonian, psi0: StateVector, chunks, dt: float):
+class _Propagator:
     """Block amplitudes of ``psi(t)``, one chunk of time points at a time.
 
-    ``chunks`` lists ``(t0, count)`` pairs; a chunk holds the times
-    ``t0 + j*dt`` for ``j < count``.  Each occupied block gets its step
-    table ``exp(-i E dt j)`` once; a chunk then costs one exponential per
-    state for its start factor ``exp(-i E t0) c0``, broadcast into the
+    A chunk holds the times ``t0 + j*dt`` for ``j < count``, ``count`` at
+    most ``steps``.  Each occupied block gets its step table
+    ``exp(-i E dt j)`` once, here; :meth:`chunk` then costs one exponential
+    per state for its start factor ``exp(-i E t0) c0``, broadcast into the
     table, and one real product of the eigenvectors with the interleaved
     real and imaginary parts.  A one-point chunk has the phases
-    ``exp(-i E t0)`` exactly, whatever ``dt``.
+    ``exp(-i E t0)`` exactly, whatever ``dt``.  Only the blocks ``psi0``
+    has weight in are diagonalized, in the calling thread.
 
-    Yields ``(plus, minus)`` per chunk: the amplitudes of blocks +1 and -1,
-    one column per time point, or ``None`` for a block that ``psi0`` has no
-    weight in (it is never diagonalized).
+    :meth:`chunk` calls no function of this module, so worker threads may
+    run it with their own :meth:`buffers`.
     """
-    steps = dt * np.arange(max((count for _, count in chunks), default=0))
-    spectra = []
-    for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
-        if phi0.any():
-            evals, evecs = block.eigensystem
-            spectra.append((evals, np.exp(-1j * np.outer(evals, steps)), evecs,
-                            evecs.T @ phi0))
-        else:
-            spectra.append(None)
-    for t0, count in chunks:
-        # phi[:, j] = V (exp(-i E dt j) * exp(-i E t0) * c0) in each occupied block,
-        # the real V applied to the interleaved real and imaginary parts at once
-        yield tuple(None if s is None
-                    else (s[2] @ (s[1][:, :count] * (np.exp(-1j * t0 * s[0]) * s[3])[:, None])
-                          .view(float)).view(complex)
-                    for s in spectra)
+
+    def __init__(self, h: MinimalHamiltonian, psi0: StateVector, dt: float, steps: int):
+        self.dim = h.params.N ** 2
+        times = dt * np.arange(steps)
+        self.spectra = []
+        for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
+            if phi0.any():
+                evals, evecs = block.eigensystem
+                self.spectra.append((evals, np.exp(-1j * np.outer(evals, times)), evecs,
+                                     evecs.T @ phi0))
+            else:
+                self.spectra.append(None)
+
+    def buffers(self, count: int) -> tuple[np.ndarray, list]:
+        """One worker's scratch: a complex phase block and each block's amplitudes."""
+        return (np.empty(self.dim * count, dtype=complex),
+                [None if s is None else np.empty(2 * self.dim * count) for s in self.spectra])
+
+    def chunk(self, t0: float, count: int, phase: np.ndarray, amps: list):
+        """``(plus, minus)`` at ``t0 + j*dt``, ``j < count``, written into ``amps``.
+
+        Each is the amplitudes of block +1 or -1, one column per time
+        point, or ``None`` for a block without weight.  ``phase`` is free
+        again on return.
+        """
+        out = []
+        for s, amp in zip(self.spectra, amps):
+            if s is None:
+                out.append(None)
+                continue
+            evals, table, evecs, c0 = s
+            # phi[:, j] = V (exp(-i E dt j) * exp(-i E t0) * c0), the real V
+            # applied to the interleaved real and imaginary parts at once
+            p = phase[:self.dim * count].reshape(self.dim, count)
+            np.multiply(table[:, :count], (np.exp(-1j * t0 * evals) * c0)[:, None], out=p)
+            a = amp[:2 * self.dim * count].reshape(self.dim, 2 * count)
+            out.append(np.matmul(evecs, p.view(float), out=a).view(complex))
+        return tuple(out)
 
 
 def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]:
@@ -396,12 +496,16 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     parity = np.repeat(_mode_factors(N)[2], N)
     gauge = _gauge(N)
     out = []
-    # each requested time is its own one-point chunk, so the grid may be arbitrary
-    for t, (plus, minus) in zip(times, _propagate(h, psi0, [(t, 1) for t in times], 0.0)):
-        # back to the full space, W_+ plus + W_- minus; None is an empty block
-        plus, minus = (0.0 if a is None else gauge * a[:, 0] for a in (plus, minus))
-        amp = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2])
-        out.append(psi0 if t == 0.0 else StateVector(amp))
+    with _ONE_BLAS_THREAD:
+        propagator = _Propagator(h, psi0, 0.0, 1)
+        buffers = propagator.buffers(1)
+        # each requested time is its own one-point chunk, so the grid may be arbitrary
+        for t in times:
+            # back to the full space, W_+ plus + W_- minus; None is an empty block
+            plus, minus = (0.0 if a is None else gauge * a[:, 0]
+                           for a in propagator.chunk(t, 1, *buffers))
+            amp = np.concatenate([(plus + minus) / SQRT2, parity * (plus - minus) / SQRT2])
+            out.append(psi0 if t == 0.0 else StateVector(amp))
     return out
 
 
@@ -470,45 +574,87 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     cols = {name: np.zeros(times.size) for name in names}
 
     # the grid is t_k = k dt, so chunk c starts at times[c * _CHUNK_STEPS]
-    starts = range(0, times.size, _CHUNK_STEPS)
-    chunks = [(times[lo], min(_CHUNK_STEPS, times.size - lo)) for lo in starts]
-    for lo, (plus, minus) in zip(starts, _propagate(h, psi0, chunks, params.dt)):
-        rows = slice(lo, lo + _CHUNK_STEPS)
-        weight = 0.0
-        for block, phi in zip(h.blocks, (plus, minus)):
-            if phi is None:
-                continue
-            prob = phi.real ** 2 + phi.imag ** 2
-            weight = weight + prob
-            cols["sx"][rows] += block.sign * (w_parity @ prob)
-            # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
-            # Re(conj(x) y) sums the products of the interleaved re, im columns
-            d0, d1, dN = block.bands
-            f = phi.view(float)
-            cols["energy"][rows] += d0 @ prob + 2.0 * (
-                d1 @ (f[:-1] * f[1:]) + dN @ (f[:-N] * f[N:])).reshape(-1, 2).sum(axis=1)
-        cols["norm"][rows] = np.sqrt(weight.sum(axis=0))
-        cols["n_alpha"][rows] = w_alpha @ weight
-        cols["n_beta"][rows] = w_beta @ weight
-        if plus is not None and minus is not None:
-            # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>;
-            # both blocks carry the same phase i^n_a, which cancels here
-            cross = plus.conj() * minus
-            cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
-            cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
-        if include_metric:
-            # b keeps the block; a lowers n_a, which moves a state to the other
-            # block and, through the phase i^n_a of the basis, multiplies by i
-            for phi, other in ((plus, minus), (minus, plus)):
+    chunks = [(lo, times[lo], min(_CHUNK_STEPS, times.size - lo))
+              for lo in range(0, times.size, _CHUNK_STEPS)]
+    steps = chunks[0][2]
+    d = N * N
+
+    pending, taking = iter(chunks), threading.Lock()
+
+    def reduce_chunks(phase, amps, weight) -> None:
+        # takes the next chunk until none is left and reduces it into its rows of
+        # cols; runs on pool threads, so it calls numpy and the propagator only
+        while True:
+            with taking:
+                chunk = next(pending, None)
+            if chunk is None:
+                return
+            lo, t0, count = chunk
+            rows = slice(lo, lo + count)
+            plus, minus = propagator.chunk(t0, count, phase, amps)
+            # phase is free once the amplitudes exist: it is the scratch, then cross
+            scratch = phase.view(float)
+            w = weight[:d * count].reshape(d, count)
+            for i, (block, phi) in enumerate(zip(h.blocks, (plus, minus))):
                 if phi is None:
                     continue
-                phi = phi.reshape(N, N, -1)
-                cols["mean_b"][rows] += np.einsum(
-                    "abt,b,abt->t", phi[:, :-1].conj(), root, phi[:, 1:]).real
-                if other is not None:
-                    other = other.reshape(N, N, -1)
-                    cols["mean_a"][rows] -= np.einsum(
-                        "abt,a,abt->t", other[:-1].conj(), root, phi[1:]).imag
+                # prob = |phi|^2: the first occupied block's goes into weight,
+                # the second's into scratch and is then added to weight
+                p = w if i == occupied[0] else scratch[d * count:2 * d * count].reshape(d, count)
+                np.square(phi.real, out=p)
+                np.add(p, np.square(phi.imag, out=scratch[:d * count].reshape(d, count)),
+                       out=p)
+                if p is not w:
+                    np.add(w, p, out=w)
+                cols["sx"][rows] += block.sign * (w_parity @ p)
+                # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
+                # Re(conj(x) y) sums the products of the interleaved re, im columns
+                d0, d1, dN = bands[i]
+                on_site = d0 @ p                # before the hop products overwrite p
+                f = phi.view(float)
+                hop1 = d1 @ np.multiply(f[:-1], f[1:],
+                                        out=scratch[:(d - 1) * 2 * count].reshape(d - 1, -1))
+                hopN = dN @ np.multiply(f[:-N], f[N:],
+                                        out=scratch[:(d - N) * 2 * count].reshape(d - N, -1))
+                cols["energy"][rows] += on_site + 2.0 * (hop1 + hopN).reshape(-1, 2).sum(axis=1)
+            cols["norm"][rows] = np.sqrt(w.sum(axis=0))
+            cols["n_alpha"][rows] = w_alpha @ w
+            cols["n_beta"][rows] = w_beta @ w
+            if plus is not None and minus is not None:
+                # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>;
+                # both blocks carry the same phase i^n_a, which cancels here
+                cross = np.conjugate(plus, out=phase[:d * count].reshape(d, count))
+                np.multiply(cross, minus, out=cross)
+                cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
+                cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
+            if include_metric:
+                # b keeps the block; a lowers n_a, which moves a state to the other
+                # block and, through the phase i^n_a of the basis, multiplies by i
+                for phi, other in ((plus, minus), (minus, plus)):
+                    if phi is None:
+                        continue
+                    phi = phi.reshape(N, N, -1)
+                    cols["mean_b"][rows] += np.einsum(
+                        "abt,b,abt->t", phi[:, :-1].conj(), root, phi[:, 1:]).real
+                    if other is not None:
+                        other = other.reshape(N, N, -1)
+                        cols["mean_a"][rows] -= np.einsum(
+                            "abt,a,abt->t", other[:-1].conj(), root, phi[1:]).imag
+
+    with _ONE_BLAS_THREAD as pin:
+        propagator = _Propagator(h, psi0, params.dt, steps)
+        occupied = [i for i, s in enumerate(propagator.spectra) if s is not None]
+        bands = {i: h.blocks[i].bands for i in occupied}     # checked before any worker starts
+        workers = min(pin.threads, len(chunks))
+        # one buffer set per worker; a worker slowed down takes fewer chunks
+        tasks = [(*propagator.buffers(steps), np.empty(d * steps)) for _ in range(workers)]
+        if workers == 1:
+            reduce_chunks(*tasks[0])
+        else:
+            futures = [pin.pool.submit(reduce_chunks, *task) for task in tasks]
+            wait(futures)           # all of them, even after one fails, before unpinning
+            for future in futures:
+                future.result()
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:
@@ -539,7 +685,8 @@ def symmetry_check(h: MinimalHamiltonian) -> float:
     N = h.params.N
     s_op = np.kron(_PAULI_X, np.kron(np.diag(_mode_factors(N)[2]), np.eye(N)))
     H = h.matrix.entries
-    return float(np.abs(H @ s_op - s_op @ H).max())
+    with _ONE_BLAS_THREAD:
+        return float(np.abs(H @ s_op - s_op @ H).max())
 
 
 def convergence_params(params: ModelParams, N_list) -> list[ModelParams]:

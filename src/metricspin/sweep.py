@@ -1,9 +1,12 @@
 """Parameter sweeps over the coupling G with revival diagnostics.
 
-A sweep runs one trace per G value (grid points are independent and may
-run on a thread pool; results are merged by grid index so the output is
-identical however it was scheduled).  Nothing in the pipeline is random,
-so the grid fully determines its outputs.
+A sweep runs one trace per G value.  Grid points are independent: with
+``workers > 1`` each of that many threads assembles and diagonalizes its
+points, and their chunks all run on the model's one shared chunk pool,
+so the workers add no BLAS or chunk threads.  Results are merged by grid
+index and every kernel runs with OpenBLAS pinned to one thread, so the
+output is identical however it was scheduled.  Nothing in the pipeline
+is random, so the grid fully determines its outputs.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Every other determinism test compares two runs of the same code.  These
 sha256 values were recorded with the renderer that formatted each
 distinct value once per 2048-row block, before it formatted each once per
-file, so a change to how any CSV is rendered fails here.  The sizes are
-small enough that the bytes are the same under ``OPENBLAS_NUM_THREADS=1``
-and ``=2``; CI runs this file under both.
+file, so a change to how any CSV is rendered fails here.  The model pins
+OpenBLAS to one thread, so the bytes are the same under any
+``OPENBLAS_NUM_THREADS``; CI runs this file under ``=1`` and ``=2``.
 """
 
 import hashlib
