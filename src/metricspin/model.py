@@ -25,7 +25,7 @@ through the phase i^n_a.  Both blocks are assembled from Kronecker
 products of N x N factors, and each is held as one real symmetric
 array; a block with a nonzero imaginary entry is refused at
 construction.  Evolution is exact spectral propagation: a block is
-diagonalized (real symmetric eigensolve, cached) only when the initial
+diagonalized (real symmetric eigensolve) only when the initial
 state has weight in it, which is one block for spin-x starts and both
 for y and z, and phases ``exp(-i E t)`` are applied, so there is no
 time-step error.  The time
@@ -41,10 +41,12 @@ through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
 The dense matrix on the full space is built only on demand.
 
 Every eigensolve and chunk runs with numpy's OpenBLAS pinned to one
-thread, so the output does not depend on the BLAS thread setting.  A
-trace's chunks are independent: they run on one shared thread pool sized
-to the BLAS thread count the caller had (and to the CPU count), each
-worker with its own buffers and its own rows of the output columns.
+thread, so the output does not depend on the BLAS thread setting.  The
+first running kernel owns the BLAS thread budget, the thread count the
+caller had: a trace that gets it runs its independent chunks on that
+many threads (at most the CPU count), started for the call, each with
+its own buffers and its own rows of the output columns; a kernel that
+starts while another runs gets one thread.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import pairwise
@@ -85,14 +87,13 @@ _CHUNK_STEPS = 128
 class _OneBlasThread:
     """Numpy's OpenBLAS held at one thread while any model kernel runs.
 
-    ``with _ONE_BLAS_THREAD as pin:`` counts its users under a lock.  The
-    first saves the caller's thread count, the BLAS thread budget, and
-    sets 1; the last restores it, so one trace ending never unpins
-    another still running.  While pinned, ``pin.threads`` is
-    ``min(budget, CPU count)`` and ``pin.pool`` the one executor of that
-    many threads shared by every trace (None for one thread).  The
-    library's thread calls are looked up on first use; where it exports
-    none, nothing is pinned and kernels run serially.
+    ``with _ONE_BLAS_THREAD as budget:`` counts its users under a lock.
+    The first running kernel owns the BLAS thread budget: it saves the
+    caller's thread count, sets 1 and gets that count as ``budget``;
+    every kernel that enters while the pin is held gets 1.  The last to
+    leave restores the count, so one trace ending never unpins another
+    still running.  The library's thread calls are looked up on first
+    use; where it exports none, nothing is pinned and every kernel gets 1.
     """
 
     def __init__(self):
@@ -102,13 +103,10 @@ class _OneBlasThread:
             os.register_at_fork(after_in_child=self._reset)
 
     def _reset(self):
-        # also in a forked child, which has none of the parent's pool threads
+        # also in a forked child, which has none of the parent's kernel threads
         self.lock = threading.Lock()
         self.users = 0
         self.budget = 1
-        self.threads = 1
-        self.pool = None
-        self.pools = {}
 
     def _library_calls(self):
         try:
@@ -121,21 +119,18 @@ class _OneBlasThread:
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
 
-    def __enter__(self):
+    def __enter__(self) -> int:
         with self.lock:
             if self.calls is None:
                 self.calls = self._library_calls()
-            if self.calls and self.users == 0:
-                self.budget = self.calls[0]()
-                self.threads = max(1, min(self.budget, os.cpu_count() or 1))
-                if self.threads > 1 and self.threads not in self.pools:
-                    self.pools[self.threads] = ThreadPoolExecutor(
-                        self.threads, thread_name_prefix="metricspin-chunk")
-                self.pool = self.pools.get(self.threads)
-                self.calls[1](1)
-            if self.calls:
-                self.users += 1
-        return self
+            if not self.calls:
+                return 1
+            self.users += 1
+            if self.users > 1:
+                return 1
+            self.budget = self.calls[0]()
+            self.calls[1](1)
+            return self.budget
 
     def __exit__(self, *exc):
         with self.lock:
@@ -143,7 +138,6 @@ class _OneBlasThread:
                 self.users -= 1
                 if self.users == 0:
                     self.calls[1](self.budget)
-                    self.threads, self.pool = 1, None
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
@@ -267,7 +261,7 @@ def _check_state(psi0: StateVector, N: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
-    """H restricted to the sector ``S = sign``, with a cached eigendecomposition.
+    """H restricted to the sector ``S = sign``.
 
     Basis ``i^n_a |e_sigma, n_a, n_b>`` with ``sigma = sign * (-1)^n_a`` at
     flat index ``n_a*N + n_b``, in which the block is real symmetric.
@@ -299,9 +293,8 @@ class ParityBlock:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and real eigenvectors of :attr:`entries`, once per block."""
+        """Eigenvalues and real eigenvectors of :attr:`entries`, solved on each call."""
         try:
             with _ONE_BLAS_THREAD:
                 evals, evecs = np.linalg.eigh(self.entries)
@@ -311,7 +304,6 @@ class ParityBlock:
         evecs.setflags(write=False)
         return evals, evecs
 
-    @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Main diagonal and the upper bands at offsets 1 and N of :attr:`entries`.
 
@@ -356,7 +348,7 @@ class MinimalHamiltonian:
         Propagation asks each block for its own, so it solves only the
         blocks an initial state occupies.
         """
-        return tuple(block.eigensystem for block in self.blocks)
+        return tuple(block.eigensystem() for block in self.blocks)
 
 
 def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> MinimalHamiltonian:
@@ -443,7 +435,7 @@ class _Propagator:
         self.spectra = []
         for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
             if phi0.any():
-                evals, evecs = block.eigensystem
+                evals, evecs = block.eigensystem()
                 self.spectra.append((evals, np.exp(-1j * np.outer(evals, times)), evecs,
                                      evecs.T @ phi0))
             else:
@@ -583,7 +575,7 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
 
     def reduce_chunks(phase, amps, weight) -> None:
         # takes the next chunk until none is left and reduces it into its rows of
-        # cols; runs on pool threads, so it calls numpy and the propagator only
+        # cols; runs on chunk threads, so it calls numpy and the propagator only
         while True:
             with taking:
                 chunk = next(pending, None)
@@ -641,20 +633,19 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
                         cols["mean_a"][rows] -= np.einsum(
                             "abt,a,abt->t", other[:-1].conj(), root, phi[1:]).imag
 
-    with _ONE_BLAS_THREAD as pin:
+    with _ONE_BLAS_THREAD as budget:
         propagator = _Propagator(h, psi0, params.dt, steps)
         occupied = [i for i, s in enumerate(propagator.spectra) if s is not None]
-        bands = {i: h.blocks[i].bands for i in occupied}     # checked before any worker starts
-        workers = min(pin.threads, len(chunks))
+        bands = {i: h.blocks[i].bands() for i in occupied}   # checked before any worker starts
+        workers = min(budget, os.cpu_count() or 1, len(chunks))
         # one buffer set per worker; a worker slowed down takes fewer chunks
         tasks = [(*propagator.buffers(steps), np.empty(d * steps)) for _ in range(workers)]
         if workers == 1:
             reduce_chunks(*tasks[0])
         else:
-            futures = [pin.pool.submit(reduce_chunks, *task) for task in tasks]
-            wait(futures)           # all of them, even after one fails, before unpinning
-            for future in futures:
-                future.result()
+            # leaving the block waits for every worker, even after one fails
+            with ThreadPoolExecutor(workers, thread_name_prefix="metricspin-chunk") as pool:
+                list(pool.map(reduce_chunks, *zip(*tasks)))
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:

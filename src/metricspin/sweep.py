@@ -1,12 +1,14 @@
 """Parameter sweeps over the coupling G with revival diagnostics.
 
-A sweep runs one trace per G value.  Grid points are independent: with
-``workers > 1`` each of that many threads assembles and diagonalizes its
-points, and their chunks all run on the model's one shared chunk pool,
-so the workers add no BLAS or chunk threads.  Results are merged by grid
-index and every kernel runs with OpenBLAS pinned to one thread, so the
-output is identical however it was scheduled.  Nothing in the pipeline
-is random, so the grid fully determines its outputs.
+A sweep runs one trace per G value.  The first running kernel owns the
+BLAS thread budget: one worker leaves it to each trace in turn, which
+spreads its chunks over that many threads.  With ``workers > 1`` the
+sweep holds the budget itself, so each of its threads runs whole grid
+points serially and a multi-worker sweep runs ``workers`` threads in
+total.  Results are merged by grid index and every kernel runs with
+OpenBLAS pinned to one thread, so the output is identical however it was
+scheduled.  Nothing in the pipeline is random, so the grid fully
+determines its outputs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .model import (
+    _ONE_BLAS_THREAD,
     ModelParams,
     ObservableTrace,
     build_minimal_hamiltonian,
@@ -106,7 +109,8 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
     check_workers(workers)
     if workers == 1:
         return list(map(one, grid.G_values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # held across the grid, so every trace of a worker runs serially
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, grid.G_values))
 
 

@@ -1,10 +1,12 @@
 """The model's OpenBLAS pin and its chunk threads.
 
 Every eigensolve and chunk product runs with numpy's OpenBLAS at one
-thread, and a trace's chunks run on a shared pool sized to the thread
-count the caller had.  So the output bytes must not depend on
-``OPENBLAS_NUM_THREADS``, the caller's thread count must be what it was
-after any kernel, and worker threads must call no function of
+thread.  The first running kernel owns the caller's thread count, the
+BLAS thread budget: a trace that gets it runs its chunks on that many
+threads, started for the call, and a multi-worker sweep holds it, so it
+runs ``workers`` threads in total.  So the output bytes must not depend
+on ``OPENBLAS_NUM_THREADS``, the caller's thread count must be what it
+was after any kernel, and chunk threads must call no function of
 ``metricspin.model`` (a profiler that wraps those functions keeps one span
 stack per process).
 """
@@ -18,6 +20,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from metricspin import (
     observable_trace,
     run_sweep,
 )
-from metricspin import model
+from metricspin import model, sweep
 from metricspin.model import _ONE_BLAS_THREAD, ParityBlock
 from metricspin.sweep import SweepGrid
 
@@ -128,23 +131,50 @@ class TestPinHygiene:
     def test_concurrent_traces_match_serial_ones(self, two_blas_threads):
         # at d = 400 one unpinned product or eigensolve changes the bits, so a
         # trace ending must not restore the count under one still running;
-        # more sweep workers than cores, switching threads as often as it can
+        # more workers than cores, switching threads as often as it can: a
+        # sweep's, then plain threads', of which the first to start a trace
+        # owns the budget and runs chunk threads beside the others
         grid = SweepGrid(G_values=(0.5, 3.0, 10.0, 30.0), direction="z", N=20, t_max=10.0)
         serial = run_sweep(grid, workers=1)
+
+        def trace_at(G: float):
+            p = grid.params_at(G)
+            return observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
+
+        def both():
+            concurrent.append(run_sweep(grid, workers=4))
+            with ThreadPoolExecutor(4) as pool:
+                concurrent.append(list(pool.map(trace_at, grid.G_values)))
+
         concurrent = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sweep = threading.Thread(target=lambda: concurrent.extend(run_sweep(grid, workers=4)))
-            sweep.start()
-            sweep.join(timeout=120)
+            runner = threading.Thread(target=both)
+            runner.start()
+            runner.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not sweep.is_alive() and len(concurrent) == len(serial)
+        assert not runner.is_alive() and len(concurrent) == 2
         assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
-        for a, b in zip(serial, concurrent):
-            for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for traces in concurrent:
+            assert len(traces) == len(serial)
+            for a, b in zip(serial, traces):
+                for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_failing_sweep_restores_the_callers_thread_count(self, monkeypatch,
+                                                            two_blas_threads):
+        grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=6, t_max=5.0)
+
+        def planted(p: ModelParams):
+            return broken_hamiltonian(p) if p.G == 3.0 else build_minimal_hamiltonian(p)
+
+        monkeypatch.setattr(sweep, "build_minimal_hamiltonian", planted)
+        with pytest.raises(NumericalConsistencyError, match="G=3.0.*off the diagonals"):
+            run_sweep(grid, workers=2)
+        assert two_blas_threads() == 2
+        assert _ONE_BLAS_THREAD.users == 0
 
     def test_kernel_without_thread_calls_matches_dense_oracle(self, monkeypatch):
         monkeypatch.setattr(_ONE_BLAS_THREAD, "calls", False)
@@ -177,19 +207,54 @@ def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads):
                      include_metric=True)
     assert {"_check_state", "_mode_factors", "_block_amplitudes"} <= {n for n, _ in callers}
     assert {ident for _, ident in callers} == {threading.get_ident()}
+
+
+@pytest.fixture
+def chunk_threads(monkeypatch):
+    """The threads that run ``_Propagator.chunk``, recorded as they call it."""
+    threads = set()
+    chunk = model._Propagator.chunk
+
+    def recording(self, *args):
+        threads.add(threading.current_thread())
+        return chunk(self, *args)
+
+    monkeypatch.setattr(model._Propagator, "chunk", recording)
+    return threads
+
+
+def is_chunk_thread(thread: threading.Thread) -> bool:
+    return thread.name.startswith("metricspin-chunk")
+
+
+def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads):
+    # 40 chunks under a budget of 2 threads
+    p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
+    observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
     if (os.cpu_count() or 1) > 1:
-        assert any(t.name.startswith("metricspin-chunk") for t in threading.enumerate())
+        assert any(map(is_chunk_thread, chunk_threads))
+    assert not any(map(is_chunk_thread, threading.enumerate()))
 
 
-def sx_at_end(p: ModelParams) -> float:
-    return float(observable_trace(build_minimal_hamiltonian(p), initial_state("x", 1, p.N)).sx[-1])
+def test_sweep_workers_are_its_only_threads(two_blas_threads, chunk_threads):
+    # the sweep holds the budget, so each worker runs its traces' chunks itself
+    grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
+    run_sweep(grid, workers=2)
+    assert not any(map(is_chunk_thread, chunk_threads))
+    assert 1 <= len(chunk_threads) <= 2
+
+
+def sx_at_end(p: ModelParams) -> tuple[float, int]:
+    tr = observable_trace(build_minimal_hamiltonian(p), initial_state("x", 1, p.N))
+    return float(tr.sx[-1]), _ONE_BLAS_THREAD.users
 
 
 def test_forked_child_runs_traces(two_blas_threads):
-    # the child of a process whose pool has threads must start its own pool
+    # a child forked while the pin is held has none of the kernels that hold
+    # it, so it must start with the pin free
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
     p = ModelParams(G=1.0, N=6, t_max=20.0)
     want = sx_at_end(p)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
+    with _ONE_BLAS_THREAD, multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(sx_at_end, (p,)).get(timeout=60) == want

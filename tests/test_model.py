@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -479,12 +481,35 @@ class TestParityBlocks:
         with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
             observable_trace(broken, initial_state("x", +1, p.N))
 
-    def test_x_start_diagonalizes_one_block(self):
+    def test_x_start_diagonalizes_one_block(self, monkeypatch):
         p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            solved.append([m is block.entries for block in h.blocks])
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         observable_trace(h, initial_state("x", -1, p.N))
-        solved = ["eigensystem" in vars(block) for block in h.blocks]
-        assert solved == [False, True]
+        assert solved == [[False, True]]
+
+    def test_two_blocks_diagonalize_at_once(self, monkeypatch):
+        # each eigensolve waits until the other has started too
+        h = build_minimal_hamiltonian(ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5))
+        both = threading.Barrier(2, timeout=10)
+        eigh = np.linalg.eigh
+
+        def meeting(m):
+            both.wait()
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", meeting)
+        with ThreadPoolExecutor(2) as pool:
+            solved = [pool.submit(block.eigensystem) for block in h.blocks]
+            for block, future in zip(h.blocks, solved):
+                npt.assert_array_equal(future.result()[0], eigh(block.entries)[0])
 
 
 class TestEvolveAgainstTrace:
