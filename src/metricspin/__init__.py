@@ -17,6 +17,7 @@ from .errors import (
 from .gravity import (
     BogoliubovParams,
     bogoliubov_params,
+    metric_components,
     quadratic_site_hamiltonian,
     resonant_momentum,
     spectrum_spacing,
@@ -35,7 +36,6 @@ from .model import (
     MinimalHamiltonian,
     ModelParams,
     ObservableTrace,
-    OperatorMatrix,
     StateVector,
     build_minimal_hamiltonian,
     coupling_strength,

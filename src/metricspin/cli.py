@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="concurrent sweep workers")
+                           help="concurrent sweep workers, capped at the CPU count")
     return parser
 
 

@@ -62,6 +62,27 @@ def bogoliubov_params(mu: float) -> BogoliubovParams:
     return BogoliubovParams(mu, r, cosh2r, sinh2r)
 
 
+def metric_components(psi, mu: float) -> tuple:
+    """Metric components ``(h11, h12)``: ``sqrt(2) exp(-r) Re <a>`` of alpha, beta.
+
+    ``psi`` is a ``StateVector`` or an array whose last axis holds one
+    state's ``2 N^2`` amplitudes (spin (x) alpha (x) beta, row-major), as
+    ``evolve`` gives; a stack of states gives two arrays.  Any other
+    length raises ``ValueError``.
+    """
+    amp = np.atleast_1d(getattr(psi, "amplitudes", psi))
+    size = amp.shape[-1]
+    N = math.isqrt(size // 2)
+    if not 0 < size == 2 * N * N:
+        raise ValueError(f"a state of length {size} is not a spin (x) two-mode state")
+    amp = amp.reshape(*amp.shape[:-1], 2, N, N)
+    root = np.sqrt(np.arange(1.0, N))
+    mean_a = np.einsum("...sab,a,...sab->...", amp[..., :-1, :].conj(), root, amp[..., 1:, :])
+    mean_b = np.einsum("...sab,b,...sab->...", amp[..., :-1].conj(), root, amp[..., 1:])
+    scale = math.sqrt(2.0) * math.exp(-bogoliubov_params(mu).r)
+    return scale * mean_a.real, scale * mean_b.real
+
+
 @dataclass(frozen=True)
 class QuadraticModeHamiltonian:
     """Single-mode quadratic Hamiltonian ``c1 (a^2 + a^dag^2) + c2 (2 n + 1)``.

@@ -63,7 +63,6 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .gravity import bogoliubov_params
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,6 +155,9 @@ class ModelParams:
     def __post_init__(self):
         # written so that nan fails every check; G and mu must give a finite coupling
         coupling_strength(self.G, self.mu)
+        if not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"cutoff N must be an integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise ValueError(f"cutoff N must be >= 2, got {self.N}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -513,14 +515,12 @@ class ObservableTrace:
     n_beta: np.ndarray
     energy: np.ndarray
     norm: np.ndarray
-    h11: np.ndarray | None = None
-    h12: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.times.shape[0]
-        for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm", "h11", "h12"):
+        for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
             arr = getattr(self, name)
-            if arr is not None and arr.shape != (n,):
+            if arr.shape != (n,):
                 raise ValueError(f"column {name} has length {arr.shape}, expected {n}")
 
     # populations mapped to [0, 1]; plots of the spin curves use these
@@ -537,8 +537,7 @@ class ObservableTrace:
         return 0.5 * (1.0 + self.sz)
 
 
-def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
-                     include_metric: bool = False) -> ObservableTrace:
+def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrace:
     """Evaluate all observables on the time grid of ``h.params``.
 
     Every column is reduced from the parity-block amplitudes chunk by
@@ -559,11 +558,8 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     w_alpha = np.repeat(levels, N)
     w_beta = np.tile(levels, N)
     w_parity = np.repeat(parity, N)       # sigma_x = sign * (-1)^n_a in a block
-    root = np.sqrt(levels[1:])
-    names = ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
-    if include_metric:
-        names += ("mean_a", "mean_b")
-    cols = {name: np.zeros(times.size) for name in names}
+    cols = {name: np.zeros(times.size)
+            for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")}
 
     # the grid is t_k = k dt, so chunk c starts at times[c * _CHUNK_STEPS]
     chunks = [(lo, times[lo], min(_CHUNK_STEPS, times.size - lo))
@@ -619,19 +615,6 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
                 np.multiply(cross, minus, out=cross)
                 cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
                 cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
-            if include_metric:
-                # b keeps the block; a lowers n_a, which moves a state to the other
-                # block and, through the phase i^n_a of the basis, multiplies by i
-                for phi, other in ((plus, minus), (minus, plus)):
-                    if phi is None:
-                        continue
-                    phi = phi.reshape(N, N, -1)
-                    cols["mean_b"][rows] += np.einsum(
-                        "abt,b,abt->t", phi[:, :-1].conj(), root, phi[:, 1:]).real
-                    if other is not None:
-                        other = other.reshape(N, N, -1)
-                        cols["mean_a"][rows] -= np.einsum(
-                            "abt,a,abt->t", other[:-1].conj(), root, phi[1:]).imag
 
     with _ONE_BLAS_THREAD as budget:
         propagator = _Propagator(h, psi0, params.dt, steps)
@@ -656,13 +639,7 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector,
     if not drift <= ENERGY_DRIFT_RTOL * (1.0 + abs(energy[0])):
         raise NumericalConsistencyError(
             f"energy drifted by {drift:.3e} along the trace")
-
-    h11 = h12 = None
-    if include_metric:
-        scale = SQRT2 * math.exp(-bogoliubov_params(params.mu).r)
-        h11 = scale * cols.pop("mean_a")
-        h12 = scale * cols.pop("mean_b")
-    return ObservableTrace(times=times, h11=h11, h12=h12, **cols)
+    return ObservableTrace(times=times, **cols)
 
 
 def symmetry_check(h: MinimalHamiltonian) -> float:

@@ -2,17 +2,18 @@
 
 A sweep runs one trace per G value.  The first running kernel owns the
 BLAS thread budget: one worker leaves it to each trace in turn, which
-spreads its chunks over that many threads.  With ``workers > 1`` the
-sweep holds the budget itself, so each of its threads runs whole grid
-points serially and a multi-worker sweep runs ``workers`` threads in
-total.  Results are merged by grid index and every kernel runs with
-OpenBLAS pinned to one thread, so the output is identical however it was
-scheduled.  Nothing in the pipeline is random, so the grid fully
-determines its outputs.
+spreads its chunks over that many threads.  ``workers`` is capped at
+the CPU count; above one, the sweep holds the budget itself, so each of
+its threads runs whole grid points serially and a multi-worker sweep
+runs that many threads in total.  Results are merged by grid index and
+every kernel runs with OpenBLAS pinned to one thread, so the output is
+identical however it was scheduled.  Nothing in the pipeline is random,
+so the grid fully determines its outputs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -96,7 +97,8 @@ def check_workers(workers: int) -> None:
 def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
     """One trace per G value in grid order; one worker runs in the calling thread.
 
-    A failure aborts the sweep.
+    At most ``os.cpu_count()`` workers run; a cap of one takes the serial
+    path.  A failure aborts the sweep.
     """
 
     def one(G: float) -> ObservableTrace:
@@ -107,6 +109,7 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
             raise _failed_at(G, exc) from exc
 
     check_workers(workers)
+    workers = min(workers, os.cpu_count() or 1)     # more threads than cores buy no time
     if workers == 1:
         return list(map(one, grid.G_values))
     # held across the grid, so every trace of a worker runs serially

@@ -4,11 +4,11 @@ Every eigensolve and chunk product runs with numpy's OpenBLAS at one
 thread.  The first running kernel owns the caller's thread count, the
 BLAS thread budget: a trace that gets it runs its chunks on that many
 threads, started for the call, and a multi-worker sweep holds it, so it
-runs ``workers`` threads in total.  So the output bytes must not depend
-on ``OPENBLAS_NUM_THREADS``, the caller's thread count must be what it
-was after any kernel, and chunk threads must call no function of
-``metricspin.model`` (a profiler that wraps those functions keeps one span
-stack per process).
+runs ``workers`` threads in total, at most the CPU count.  So the output
+bytes must not depend on ``OPENBLAS_NUM_THREADS``, the caller's thread
+count must be what it was after any kernel, and chunk threads must call
+no function of ``metricspin.model`` (a profiler that wraps those
+functions keeps one span stack per process).
 """
 
 import dataclasses
@@ -43,6 +43,7 @@ from metricspin.sweep import SweepGrid
 from oracles import dense_trace_oracle
 
 SRC = Path(metricspin.__file__).resolve().parents[1]
+COLUMNS = ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
 
 #: the default evolve, a small sweep, and a z-start convergence whose N=20
 #: blocks (d = 400) give different chunk products under 1 and 2 BLAS threads
@@ -119,7 +120,7 @@ class TestPinHygiene:
     def test_kernels_restore_the_callers_thread_count(self, two_blas_threads):
         p = ModelParams(G=1.0, N=6, t_max=20.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        observable_trace(h, initial_state("z", 1, p.N), include_metric=True)
+        observable_trace(h, initial_state("z", 1, p.N))
         assert two_blas_threads() == 2
         evolve(h, initial_state("y", 1, p.N), [0.0, 1.5, 7.0])
         assert two_blas_threads() == 2
@@ -131,9 +132,9 @@ class TestPinHygiene:
     def test_concurrent_traces_match_serial_ones(self, two_blas_threads):
         # at d = 400 one unpinned product or eigensolve changes the bits, so a
         # trace ending must not restore the count under one still running;
-        # more workers than cores, switching threads as often as it can: a
-        # sweep's, then plain threads', of which the first to start a trace
-        # owns the budget and runs chunk threads beside the others
+        # switching threads as often as it can: a sweep's (capped at the
+        # cores), then more plain threads than cores, of which the first to
+        # start a trace owns the budget and runs chunk threads beside the others
         grid = SweepGrid(G_values=(0.5, 3.0, 10.0, 30.0), direction="z", N=20, t_max=10.0)
         serial = run_sweep(grid, workers=1)
 
@@ -160,7 +161,7 @@ class TestPinHygiene:
         for traces in concurrent:
             assert len(traces) == len(serial)
             for a, b in zip(serial, traces):
-                for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm"):
+                for name in COLUMNS:
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_failing_sweep_restores_the_callers_thread_count(self, monkeypatch,
@@ -179,11 +180,10 @@ class TestPinHygiene:
     def test_kernel_without_thread_calls_matches_dense_oracle(self, monkeypatch):
         monkeypatch.setattr(_ONE_BLAS_THREAD, "calls", False)
         p = ModelParams(G=3.0, mu=1.3, N=5, t_max=30.0, dt=0.05)
-        tr = observable_trace(build_minimal_hamiltonian(p), initial_state("z", -1, p.N),
-                              include_metric=True)
+        tr = observable_trace(build_minimal_hamiltonian(p), initial_state("z", -1, p.N))
         ref = dense_trace_oracle(p.G, p.mu, p.N, p.times, "z", -1)
-        for name, want in ref.items():
-            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+        for name in COLUMNS:
+            assert np.abs(getattr(tr, name) - ref[name]).max() <= 1e-10, name
 
 
 def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads):
@@ -201,10 +201,9 @@ def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads):
     for name, obj in list(vars(model).items()):
         if inspect.isfunction(obj) and obj.__module__.startswith("metricspin"):
             monkeypatch.setattr(model, name, recording(obj))
-    # 40 chunks, both blocks occupied, the metric columns too
+    # 40 chunks, both blocks occupied, so every column is reduced
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
-    observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N),
-                     include_metric=True)
+    observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
     assert {"_check_state", "_mode_factors", "_block_amplitudes"} <= {n for n, _ in callers}
     assert {ident for _, ident in callers} == {threading.get_ident()}
 
@@ -241,6 +240,25 @@ def test_sweep_workers_are_its_only_threads(two_blas_threads, chunk_threads):
     grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
     run_sweep(grid, workers=2)
     assert not any(map(is_chunk_thread, chunk_threads))
+    assert 1 <= len(chunk_threads) <= 2
+
+
+def test_sweep_on_one_core_runs_in_the_calling_thread(monkeypatch, chunk_threads):
+    grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
+    serial = run_sweep(grid, workers=1)
+    chunk_threads.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    capped = run_sweep(grid, workers=4)
+    assert chunk_threads == {threading.current_thread()}
+    for a, b in zip(serial, capped, strict=True):
+        for name in COLUMNS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_sweep_workers_capped_at_the_cpu_count(monkeypatch, chunk_threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_sweep(SweepGrid(G_values=tuple(np.geomspace(0.5, 30.0, 8)), N=8, t_max=20.0),
+              workers=4)
     assert 1 <= len(chunk_threads) <= 2
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricspin import (
     ModelParams,
@@ -16,11 +18,17 @@ from metricspin import (
     coupling_strength,
     evolve,
     initial_state,
+    metric_components,
     observable_trace,
     symmetry_check,
     truncation_convergence,
 )
-from metricspin.model import _CHUNK_STEPS, ParityBlock
+from metricspin.model import (
+    _CHUNK_STEPS,
+    ENERGY_DRIFT_RTOL,
+    NORM_DRIFT_ATOL,
+    ParityBlock,
+)
 
 from oracles import (
     dense_state_oracle,
@@ -35,6 +43,24 @@ SQRT2 = math.sqrt(2.0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
+TRACE_COLUMNS = ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
+STARTS = [(direction, sign) for direction in "xyz" for sign in (1, -1)]
+
+
+def amplitudes(states) -> np.ndarray:
+    """The states of ``evolve`` stacked as rows."""
+    return np.array([s.amplitudes for s in states])
+
+
+def assert_matches_oracle(h, psi0, tr, ref, stride=1):
+    """The seven trace columns, and h11/h12 of ``evolve``'s states at every
+    ``stride``-th grid time through ``metric_components``, against the dense
+    oracle's columns ``ref`` to 1e-10."""
+    for name in TRACE_COLUMNS:
+        assert np.abs(getattr(tr, name) - ref[name]).max() <= 1e-10, name
+    states = amplitudes(evolve(h, psi0, tr.times[::stride]))
+    for name, got in zip(("h11", "h12"), metric_components(states, h.params.mu)):
+        assert np.abs(got - ref[name][::stride]).max() <= 1e-10, name
 
 
 class TestCouplingStrength:
@@ -89,6 +115,17 @@ class TestModelParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("N", [14.0, 3.5, "14"])
+    def test_non_integral_cutoff_refused(self, N):
+        with pytest.raises(ValueError, match="cutoff N must be an integer"):
+            ModelParams(G=1.0, N=N)
+
+    def test_numpy_integer_cutoff_runs(self):
+        p = ModelParams(G=1.0, N=np.int64(6), t_max=1.0, dt=0.5)
+        assert type(p.N) is int and p.N == 6
+        tr = observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
+        assert np.abs(tr.norm - 1.0).max() <= 1e-10
 
     def test_largest_indexable_grid_constructs(self):
         # 10^18 steps fit np.intp; only allocating the grid would fail
@@ -387,11 +424,9 @@ class TestParityBlocks:
     def test_kernel_matches_dense_oracle(self, direction, sign, G, N):
         p = ModelParams(G=G, mu=1.3, N=N, t_max=10.0, dt=0.05)
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.N),
-                              include_metric=True)
+        psi0 = initial_state(direction, sign, p.N)
         ref = dense_trace_oracle(G, 1.3, N, p.times, direction, sign)
-        for name, want in ref.items():
-            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+        assert_matches_oracle(h, psi0, observable_trace(h, psi0), ref)
         if direction == "x":
             # the block kernel has sy = sz = 0 by construction; the dense
             # path measures how far the physics is from that
@@ -406,11 +441,24 @@ class TestParityBlocks:
         p = ModelParams(G=G, N=N, t_max=400.0, dt=0.05)
         assert p.times.size > 50 * _CHUNK_STEPS and p.times.size % _CHUNK_STEPS
         h = build_minimal_hamiltonian(p)
-        tr = observable_trace(h, initial_state(direction, sign, p.N),
-                              include_metric=True)
+        psi0 = initial_state(direction, sign, p.N)
         ref = dense_trace_oracle(G, 1.0, N, p.times, direction, sign)
-        for name, want in ref.items():
-            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+        # evolve solves each time on its own, so 201 of them out to t = 400 suffice
+        assert_matches_oracle(h, psi0, observable_trace(h, psi0), ref, stride=40)
+
+    @settings(deadline=None, max_examples=50)
+    @given(G=st.floats(0.0, 100.0), mu=st.floats(0.5, 3.0), N=st.integers(2, 6),
+           start=st.sampled_from(STARTS))
+    def test_kernel_property_matches_dense_oracle(self, G, mu, N, start):
+        # 161 points, two chunks, the last one partial
+        p = ModelParams(G=G, mu=mu, N=N, t_max=8.0, dt=0.05)
+        tr = observable_trace(build_minimal_hamiltonian(p), initial_state(*start, N))
+        ref = dense_trace_oracle(G, mu, N, p.times, *start)
+        for name in TRACE_COLUMNS:
+            assert np.abs(getattr(tr, name) - ref[name]).max() <= 1e-10, name
+        assert np.abs(tr.norm - 1.0).max() <= NORM_DRIFT_ATOL
+        assert (np.abs(tr.energy - tr.energy[0]).max()
+                <= ENERGY_DRIFT_RTOL * (1.0 + abs(tr.energy[0])))
 
     @pytest.mark.parametrize("G", [0.46, 100.0])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -530,10 +578,14 @@ class TestEvolveAgainstTrace:
         p = ModelParams(G=2.0, mu=1.3, N=5, t_max=30.0, dt=0.1)   # 301 points, 3 chunks
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state(direction, sign, p.N)
-        tr = observable_trace(h, psi0, include_metric=True)
-        states = np.array([s.amplitudes for s in evolve(h, psi0, p.times)])
-        for name, want in state_columns_oracle(states, 2.0, 1.3, 5).items():
-            assert np.abs(getattr(tr, name) - want).max() <= 1e-10, name
+        tr = observable_trace(h, psi0)
+        states = amplitudes(evolve(h, psi0, p.times))
+        ref = state_columns_oracle(states, 2.0, 1.3, 5)
+        for name in TRACE_COLUMNS:
+            assert np.abs(getattr(tr, name) - ref[name]).max() <= 1e-10, name
+        h11, h12 = metric_components(states, p.mu)
+        assert np.abs(h11 - ref["h11"]).max() <= 1e-10
+        assert np.abs(h12 - ref["h12"]).max() <= 1e-10
 
 
 class TestTruncationConvergence:
@@ -589,31 +641,36 @@ class TestTraceAgainstScalarPath:
                 expectation(h.matrix.entries, state), abs=1e-12)
             assert trace.norm[i] == pytest.approx(np.linalg.norm(state.amplitudes), abs=1e-12)
 
-    def test_metric_columns_match_scalar_readout(self):
-        p = ModelParams(G=0.8, mu=1.3, N=5, t_max=4.0, dt=0.5)
-        h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("z", +1, p.N)
-        trace = observable_trace(h, psi0, include_metric=True)
-        bp = bogoliubov_params(p.mu)
-        for i, state in enumerate(evolve(h, psi0, p.times)):
-            h11, h12 = metric_expectations(state, bp)
-            assert trace.h11[i] == pytest.approx(h11, abs=1e-12)
-            assert trace.h12[i] == pytest.approx(h12, abs=1e-12)
+
+class TestMetricComponents:
+    """``metric_components`` on ``evolve``'s states against the scalar readout."""
+
+    @pytest.mark.parametrize("direction", ["x", "y", "z"])
+    @pytest.mark.parametrize("mu", [0.7, 1.3, 2.0])
+    @pytest.mark.parametrize("G", [0.0, 0.8, math.pi, 10.0])
+    def test_match_scalar_readout(self, G, mu, direction):
+        p = ModelParams(G=G, mu=mu, N=5, t_max=4.0, dt=0.5)
+        states = evolve(build_minimal_hamiltonian(p), initial_state(direction, 1, p.N),
+                        p.times)
+        bp = bogoliubov_params(mu)
+        want = np.array([metric_expectations(state, bp) for state in states])
+        one_by_one = np.array([metric_components(state, mu) for state in states])
+        stacked = np.transpose(metric_components(amplitudes(states), mu))
+        assert np.abs(one_by_one - want).max() <= 1e-12
+        assert np.abs(stacked - want).max() <= 1e-12
+        if direction == "x":
+            # the alpha mode never displaces in the symmetric sector
+            assert np.abs(one_by_one[:, 0]).max() <= 1e-10
+            if G > 0:
+                assert np.abs(one_by_one[:, 1]).max() > 0.01
+
+    @pytest.mark.parametrize("amps", [np.ones(4), np.ones(0), np.ones((3, 9)), 1.0])
+    def test_state_of_no_cutoff_refused(self, amps):
+        with pytest.raises(ValueError, match="not a spin"):
+            metric_components(amps, 1.0)
 
 
 class TestTraceValidation:
-    def test_metric_columns_optional(self):
-        p = ModelParams(G=0.05, N=6, t_max=5.0, dt=0.1)
-        h = build_minimal_hamiltonian(p)
-        psi0 = initial_state("x", +1, p.N)
-        tr = observable_trace(h, psi0)
-        assert tr.h11 is None and tr.h12 is None
-        tr_m = observable_trace(h, psi0, include_metric=True)
-        assert tr_m.h11.shape == tr_m.times.shape
-        # the alpha mode never displaces in the symmetric sector
-        assert np.abs(tr_m.h11).max() <= 1e-10
-        assert np.abs(tr_m.h12).max() > 0.01
-
     def test_population_properties(self):
         p = ModelParams(G=0.0, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)

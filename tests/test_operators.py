@@ -7,13 +7,19 @@ import pytest
 from metricspin import (
     ModelParams,
     NumericalConsistencyError,
-    OperatorMatrix,
     StateVector,
     build_minimal_hamiltonian,
     observable_trace,
     quadratic_site_hamiltonian,
 )
-from metricspin.model import _PAULI_X, _PAULI_Y, ParityBlock, _mode_factors, initial_state
+from metricspin.model import (
+    _PAULI_X,
+    _PAULI_Y,
+    OperatorMatrix,
+    ParityBlock,
+    _mode_factors,
+    initial_state,
+)
 
 from oracles import embed_oracle
 

@@ -45,6 +45,8 @@ class TestSweepGrid:
             SweepGrid(G_values=(-0.1, 0.2))
         with pytest.raises(ValueError, match="mu"):     # ModelParams checks each point
             SweepGrid(G_values=(0.1, 1.0), mu=1e-300)
+        with pytest.raises(ValueError, match="cutoff N must be an integer"):
+            SweepGrid(G_values=(0.1, 1.0), N=14.0)
         with pytest.raises(ValueError, match="direction"):
             SweepGrid(G_values=(0.1,), direction="w", sign=5)
         with pytest.raises(ValueError, match="direction"):
