@@ -42,7 +42,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import fmt, render_csv, render_manifest, write_text
+from .serialize import _rendered, fmt, render_csv, render_manifest, write_text
 from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
 from .sweep import revival_diagnostic
 
@@ -86,13 +86,6 @@ def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
     return [(k, fmt(v) if isinstance(v, float) else str(v)) for k, v in zip(keys, values)]
 
 
-def _hashed(blocks, digest):
-    """``blocks`` as they are, each fed to ``digest`` on its way past."""
-    for block in blocks:
-        digest.update(block)
-        yield block
-
-
 def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
                    run_checksums=()):
     """Write ``files`` (name -> iterable of bytes blocks, the primary first), then the manifest.
@@ -106,7 +99,7 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
     digests = {}
     for name, blocks in files.items():
         digest = hashlib.sha256()
-        write_text(outdir / name, _hashed(blocks, digest))
+        write_text(outdir / name, blocks, digest)
         digests[name] = digest.hexdigest()
     pairs = [("command", command), ("code_version", __version__)]
     pairs.extend(config_pairs)
@@ -142,17 +135,22 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 def _heatmap(G_values, traces, run_checksums: list):
     """``heatmap.csv`` in blocks: the header, then each G's rows rendered on
-    their own; each G's sha256 goes onto ``run_checksums`` as its rows end.
+    their own, one render job per G; each G's sha256 goes onto
+    ``run_checksums`` as its rows are yielded.
 
     Every point shares one time grid, so the t column is formatted once."""
     yield (HEATMAP_HEADER + "\n").encode()
     times = traces[0].times
     t_text = np.array(b"".join(render_csv(None, [times])).splitlines())
-    for G, tr in zip(G_values, traces):
-        digest = hashlib.sha256()
-        yield from _hashed(render_csv(None, (np.full(times.size, G), t_text, tr.sx, tr.px,
-                                             tr.n_alpha, tr.n_beta)), digest)
-        run_checksums.append(digest.hexdigest())
+
+    def rows(i: int) -> bytes:
+        tr = traces[i]
+        return b"".join(render_csv(None, (np.full(times.size, G_values[i]), t_text, tr.sx,
+                                          tr.px, tr.n_alpha, tr.n_beta)))
+
+    for data in _rendered(rows, range(len(G_values))):
+        run_checksums.append(hashlib.sha256(data).hexdigest())
+        yield data
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:

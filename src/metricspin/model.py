@@ -44,7 +44,7 @@ Every eigensolve and chunk runs with numpy's OpenBLAS pinned to one
 thread, so the output does not depend on the BLAS thread setting.  The
 first running kernel owns the BLAS thread budget, the thread count the
 caller had: a trace that gets it runs its independent chunks on that
-many threads (at most the CPU count), started for the call, each with
+many threads (at most :func:`usable_cpus`), started for the call, each with
 its own buffers and its own rows of the output columns; a kernel that
 starts while another runs gets one thread.
 """
@@ -81,6 +81,17 @@ ENERGY_DRIFT_RTOL = 1e-8
 #: time points propagated together; at the default cutoff a chunk of block
 #: amplitudes is 196 x 128 complex numbers (0.4 MB), which stays in cache
 _CHUNK_STEPS = 128
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one.
+
+    ``os.cpu_count()`` counts the machine's CPUs, also under ``taskset``
+    or a cgroup's cpuset, so it would oversubscribe a pinned run.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _OneBlasThread:
@@ -620,7 +631,7 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
         propagator = _Propagator(h, psi0, params.dt, steps)
         occupied = [i for i, s in enumerate(propagator.spectra) if s is not None]
         bands = {i: h.blocks[i].bands() for i in occupied}   # checked before any worker starts
-        workers = min(budget, os.cpu_count() or 1, len(chunks))
+        workers = min(budget, usable_cpus(), len(chunks))
         # one buffer set per worker; a worker slowed down takes fewer chunks
         tasks = [(*propagator.buffers(steps), np.empty(d * steps)) for _ in range(workers)]
         if workers == 1:
@@ -658,13 +669,13 @@ def symmetry_check(h: MinimalHamiltonian) -> float:
 
 
 def convergence_params(params: ModelParams, N_list) -> list[ModelParams]:
-    """``params`` at each cutoff of ``N_list``: at least two, strictly increasing."""
-    N_list = [int(n) for n in N_list]
-    if len(N_list) < 2:
+    """``params`` at each cutoff of ``N_list``: at least two integers, strictly increasing."""
+    cutoffs = [replace(params, N=N) for N in N_list]    # refuses a non-integral cutoff
+    if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs to compare")
-    if any(b <= a for a, b in pairwise(N_list)):
-        raise ValueError(f"cutoff list must be strictly increasing, got {N_list}")
-    return [replace(params, N=N) for N in N_list]
+    if any(b.N <= a.N for a, b in pairwise(cutoffs)):
+        raise ValueError(f"cutoff list must be strictly increasing, got {[c.N for c in cutoffs]}")
+    return cutoffs
 
 
 def truncation_convergence(params: ModelParams, direction: str, sign: int,

@@ -18,14 +18,31 @@ neither has an integer column: they are formatted row by row.  Rows are
 rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the whole
 file is never held; the bytes are those of rendering every number on its
 own.
+
+``repr`` holds the interpreter lock, so threads cannot share the
+formatting; forked processes can.  :func:`_rendered` spreads a list of
+jobs (a file's row blocks, slices of its table magnitudes, a sweep's G
+values) over W = min(:func:`~metricspin.model.usable_cpus`, jobs)
+processes: the caller renders jobs 0, W, 2W, ... itself, and each of W - 1
+forked children renders its own residue class and sends every result
+down a pipe.  The caller yields the results in job order, so the bytes
+are those of rendering every job in one process.  The render stays in
+one process when W is 1, when another Python thread is alive (a fork
+copies only the calling thread), inside a job of a forked render (no
+nested forks), or where there is no ``os.fork``.  A child shares the
+caller's pages copy-on-write and holds one job's text at a time; every
+child is killed and reaped before the render returns or fails.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
+
+from .model import usable_cpus
 
 #: rows rendered together; bounds the per-block cell objects and text
 _BLOCK_ROWS = 2048
@@ -85,8 +102,14 @@ def _tables(columns) -> list:
     magnitudes = _distinct(np.concatenate(tabled) & _MAGNITUDE)
     texts = np.empty(magnitudes.size, dtype=f"S{_WIDTH}")
     floats = magnitudes.view(np.float64)
-    for i in range(0, texts.size, _BLOCK_ROWS):     # bounds the transient str objects
-        texts[i:i + _BLOCK_ROWS] = list(map(_text, floats[i:i + _BLOCK_ROWS].tolist()))
+
+    def formatted(start: int) -> bytes:     # a slice bounds the transient str objects
+        values = floats[start:start + _BLOCK_ROWS].tolist()
+        return np.array(list(map(_text, values)), dtype=texts.dtype).tobytes()
+
+    starts = range(0, texts.size, _BLOCK_ROWS)
+    for start, part in zip(starts, _rendered(formatted, starts)):
+        texts[start:start + _BLOCK_ROWS] = np.frombuffer(part, dtype=texts.dtype)
     return [None if k is None else (k, _signed(k, magnitudes, texts)) for k in keys]
 
 
@@ -123,13 +146,113 @@ def _blocks(header, n, columns, tables):
     """The blocks of :func:`render_csv`: rows ``_BLOCK_ROWS`` at a time."""
     if header is not None:
         yield header.encode() + b"\n"
-    for start in range(0, n, _BLOCK_ROWS):
+
+    def rows(start: int) -> bytes:
         stop = start + _BLOCK_ROWS
         cells = [v[start:stop].tolist() if v.dtype.kind == "S"
                  else list(map(str.encode, map(_text, v[start:stop].tolist()))) if table is None
                  else table[1][np.searchsorted(table[0], v[start:stop].view(np.int64))].tolist()
                  for v, table in zip(columns, tables)]
-        yield b"\n".join([*map(b",".join, zip(*cells)), b""])    # every row ends in "\n"
+        return b"\n".join([*map(b",".join, zip(*cells)), b""])    # every row ends in "\n"
+
+    yield from _rendered(rows, range(0, n, _BLOCK_ROWS))
+
+
+#: set in a render child, and in the caller while it renders its own jobs
+#: of a forked render, so that a render inside a job stays in its process
+_inside_render = False
+
+
+def _rendered(render, jobs):
+    """``render(job)``, bytes, for each of the sequence ``jobs``, yielded in job order.
+
+    Spread over forked processes as the module docstring says.  A child's
+    ``MemoryError`` is raised here as a ``MemoryError``, any other failure
+    as ``RuntimeError``; closing the generator early kills the children.
+    """
+    global _inside_render
+    forkable = not _inside_render and threading.active_count() == 1 and hasattr(os, "fork")
+    width = min(usable_cpus(), len(jobs)) if forkable else 1
+    if width < 2:
+        yield from map(render, jobs)
+        return
+    import signal       # loaded only by a render that forks
+
+    pids, pipes = [], []
+    try:
+        for k in range(1, width):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(render, jobs[k::width], write, pipes)
+            finally:
+                os.close(write)         # the child never gets here
+            pids.append(pid)
+        for i, job in enumerate(jobs):
+            if i % width:
+                yield _received(pipes[i % width - 1])
+                continue
+            _inside_render = True
+            try:
+                data = render(job)
+            finally:
+                _inside_render = False
+            yield data
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(render, jobs, fd: int, pipes) -> None:
+    """In a forked child: send ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
+
+    Each message is a tag (``R`` a result, ``M`` a ``MemoryError``, ``E``
+    any other failure), an 8-byte length and that many bytes: the result,
+    or the error's text.  Never returns: the child leaves through
+    ``os._exit``, so it runs no exit handler and flushes no buffer of the
+    caller's.
+    """
+    global _inside_render
+    status = 1
+    try:
+        _inside_render = True
+        for pipe in pipes:              # the read ends, the caller's alone
+            pipe.close()
+        with os.fdopen(fd, "wb") as out:
+            try:
+                for job in jobs:
+                    _send(out, b"R", render(job))
+            except MemoryError as exc:
+                _send(out, b"M", str(exc).encode(errors="replace"))
+            except Exception as exc:    # reported to the caller, which raises
+                _send(out, b"E", f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(out, tag: bytes, data: bytes) -> None:
+    out.write(tag + len(data).to_bytes(8, "little"))
+    out.write(data)
+
+
+def _received(pipe) -> bytes:
+    """The next result a render child sent down ``pipe``; a failure it sent is raised."""
+    head = pipe.read(9)
+    size = int.from_bytes(head[1:], "little")
+    data = pipe.read(size)
+    if len(head) < 9 or len(data) < size:
+        raise RuntimeError("a render process ended without sending its result")
+    if head[:1] == b"M":
+        raise MemoryError(data.decode() or "in a render process")
+    if head[:1] == b"E":
+        raise RuntimeError(f"a render process failed: {data.decode()}")
+    return data
 
 
 def render_manifest(pairs) -> bytes:
@@ -137,14 +260,16 @@ def render_manifest(pairs) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in pairs).encode()
 
 
-def write_text(path, data) -> Path:
+def write_text(path, data, digest=None) -> Path:
     """Write ``data``, bytes or an iterable of bytes blocks, to ``path``; return ``path``.
 
     The blocks go as they come to ``<name>.partial`` beside ``path``,
     which replaces ``path`` only once the last block is written, so
-    ``path`` is never left half written.  On any exception, a failing
-    block included, the partial file is removed and ``path`` keeps what
-    it held.
+    ``path`` is never left half written.  Each block is also fed to
+    ``digest``, a ``hashlib`` object, if one is given.  On any exception,
+    a failing block included, the partial file is removed, a generator
+    ``data`` is closed (which stops its render, forked processes
+    included) and ``path`` keeps what it held.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
@@ -153,8 +278,12 @@ def write_text(path, data) -> Path:
         with open(partial, "wb") as fh:
             for block in blocks:
                 fh.write(block)
+                if digest is not None:
+                    digest.update(block)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
+        if hasattr(blocks, "close"):
+            blocks.close()
         raise
     return path

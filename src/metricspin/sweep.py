@@ -13,7 +13,6 @@ so the grid fully determines its outputs.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from .model import (
     initial_state,
     observable_trace,
     spin_state,
+    usable_cpus,
 )
 
 #: diagnostics ignore times at or before this, i.e. the initial decay
@@ -97,8 +97,8 @@ def check_workers(workers: int) -> None:
 def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
     """One trace per G value in grid order; one worker runs in the calling thread.
 
-    At most ``os.cpu_count()`` workers run; a cap of one takes the serial
-    path.  A failure aborts the sweep.
+    At most :func:`~metricspin.model.usable_cpus` workers run; a cap of one
+    takes the serial path.  A failure aborts the sweep.
     """
 
     def one(G: float) -> ObservableTrace:
@@ -109,7 +109,7 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
             raise _failed_at(G, exc) from exc
 
     check_workers(workers)
-    workers = min(workers, os.cpu_count() or 1)     # more threads than cores buy no time
+    workers = min(workers, usable_cpus())     # more threads than cores buy no time
     if workers == 1:
         return list(map(one, grid.G_values))
     # held across the grid, so every trace of a worker runs serially

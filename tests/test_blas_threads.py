@@ -230,7 +230,7 @@ def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads
     # 40 chunks under a budget of 2 threads
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
-    if (os.cpu_count() or 1) > 1:
+    if model.usable_cpus() > 1:
         assert any(map(is_chunk_thread, chunk_threads))
     assert not any(map(is_chunk_thread, threading.enumerate()))
 
@@ -247,7 +247,8 @@ def test_sweep_on_one_core_runs_in_the_calling_thread(monkeypatch, chunk_threads
     grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
     serial = run_sweep(grid, workers=1)
     chunk_threads.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    for module in (model, sweep):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 1)
     capped = run_sweep(grid, workers=4)
     assert chunk_threads == {threading.current_thread()}
     for a, b in zip(serial, capped, strict=True):
@@ -256,7 +257,7 @@ def test_sweep_on_one_core_runs_in_the_calling_thread(monkeypatch, chunk_threads
 
 
 def test_sweep_workers_capped_at_the_cpu_count(monkeypatch, chunk_threads):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
     run_sweep(SweepGrid(G_values=tuple(np.geomspace(0.5, 30.0, 8)), N=8, t_max=20.0),
               workers=4)
     assert 1 <= len(chunk_threads) <= 2

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import os
@@ -432,15 +433,21 @@ class TestHeatmapExport:
         assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
         assert run_checksums == [sha256_hex(b) for b in bodies]
 
-    def test_memory_does_not_grow_with_the_grid(self):
+    @staticmethod
+    def random_traces(G_count, per_g):
+        rng = np.random.default_rng(G_count)
+        return [SimpleNamespace(times=np.arange(per_g) * 0.02, sx=rng.standard_normal(per_g),
+                                px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
+                                n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
+
+    def test_memory_does_not_grow_with_the_grid(self, render_cpus):
         # each G is rendered and hashed on its own, so streaming the
-        # heatmap holds no column of every G's rows
+        # heatmap holds no column of every G's rows; tracemalloc sees this
+        # process only, so the render stays in it
+        render_cpus(1)
+
         def peak(G_count, per_g=5001):
-            rng = np.random.default_rng(G_count)
-            traces = [SimpleNamespace(times=np.arange(per_g) * 0.02,
-                                      sx=rng.standard_normal(per_g),
-                                      px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
-                                      n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
+            traces = self.random_traces(G_count, per_g)
             tracemalloc.start()
             try:
                 for _ in cli._heatmap(tuple(range(G_count)), traces, []):
@@ -451,10 +458,95 @@ class TestHeatmapExport:
 
         assert peak(16) <= 1.1 * peak(2)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_forked_heatmap_bytes_and_run_checksums(self, render_cpus, forks, cpus):
+        # 5 G of three blocks each; the caller's own G and every child's
+        # render their blocks in their own process
+        G_values, traces = tuple(range(5)), self.random_traces(5, 2 * _BLOCK_ROWS + 3)
+        render_cpus(1)
+        want_checksums = []
+        want = b"".join(cli._heatmap(G_values, traces, want_checksums))
+        render_cpus(cpus)
+        run_checksums = []
+        assert b"".join(cli._heatmap(G_values, traces, run_checksums)) == want
+        assert run_checksums == want_checksums
+        # the t column's three blocks, then the five G
+        assert len(forks) == (min(cpus, 3) - 1) + (min(cpus, 5) - 1)
+
 
 def snapshot(out):
     """Every file under ``out``, name -> bytes."""
     return {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+
+
+class FullDisk:
+    """An output file whose second write fails as it does on a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, block):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(block)
+
+
+class TestRenderProcesses:
+    """A run whose CSV render forks keeps the exit contract and leaves no child."""
+
+    # 5001 rows: three blocks, one rendered by a child at two CPUs
+    EVOLVE = ["evolve", "--set", "N=4", "--set", "t_max=100"]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_memory_error_in_a_child_exits_2(self, tmp_path, monkeypatch, capsys,
+                                             render_cpus, forks):
+        render_cpus(2)
+        parent = os.getpid()
+
+        def starved(x):
+            if os.getpid() != parent:
+                raise MemoryError("planted in a child")
+            return repr(x)
+
+        monkeypatch.setattr(serialize_mod, "_text", starved)
+        out = tmp_path / "o"
+        assert cli.main([*self.EVOLVE, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: run too large for memory: planted in a child\n"
+        assert len(forks) == 1
+        assert snapshot(out) == {}      # no trace.csv, no .partial, no manifest
+        self.assert_no_child_left()
+
+    # the sweep forks once for its t column's three blocks, once for its G
+    @pytest.mark.parametrize("argv, forked", [
+        (EVOLVE, 1),
+        (["sweep", "--set", "N=4", "--set", "t_max=100", "--set", "G_list=0.1,1,3,10"], 2),
+    ])
+    def test_write_fault_mid_file_leaves_no_child(self, tmp_path, monkeypatch,
+                                                  render_cpus, forks, argv, forked):
+        render_cpus(2)
+        monkeypatch.setattr(serialize_mod, "open", FullDisk, raising=False)
+        out = tmp_path / "o"
+        with pytest.raises(OSError) as err:
+            cli.main([*argv, "--out", str(out)])
+        assert err.value.errno == errno.ENOSPC
+        assert len(forks) == forked
+        # the traceback still holds the run's frames, so only the closed
+        # generator can have ended the child
+        self.assert_no_child_left()
+        assert snapshot(out) == {}
 
 
 class TestStreamedOutputs:

@@ -28,6 +28,7 @@ from metricspin.model import (
     ENERGY_DRIFT_RTOL,
     NORM_DRIFT_ATOL,
     ParityBlock,
+    convergence_params,
 )
 
 from oracles import (
@@ -612,6 +613,19 @@ class TestTruncationConvergence:
             truncation_convergence(p, "x", +1, [6])
         with pytest.raises(ValueError):
             truncation_convergence(p, "x", +1, [6, 6])
+
+    @pytest.mark.parametrize("N_list", [[6.7, 9.9], [6, 9.0], [np.float64(6), 9]])
+    def test_non_integral_cutoffs_refused(self, N_list):
+        # a cast would run 6.7 and 9.9 at N = 6 and 9; ModelParams refuses floats
+        p = ModelParams(G=0.0, N=6, t_max=1.0, dt=0.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            convergence_params(p, N_list)
+        with pytest.raises(ValueError, match="must be an integer"):
+            truncation_convergence(p, "x", +1, N_list)
+
+    def test_numpy_integer_cutoffs_run(self):
+        p = ModelParams(G=0.0, N=6, t_max=1.0, dt=0.5)
+        assert [c.N for c in convergence_params(p, np.array([6, 9]))] == [6, 9]
 
 
 class TestTraceAgainstScalarPath:

@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -118,7 +120,17 @@ def test_negated_columns_take_flipped_texts(n):
     assert_matches_oracle(None, [edge, -edge, edge, np.abs(edge), -np.arange(n, dtype=float)])
 
 
-def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
+def symmetric_bands() -> list:
+    """The four columns of a 61 x 61 band grid symmetric about k = 0: 3721 rows."""
+    k = np.linspace(-np.pi, np.pi, 61)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    e_lo, e_hi = dispersion(np.stack([kx, ky], axis=-1),
+                            LatticeCouplings.from_background(0.01, 0.0, 1.0))
+    return [kx.ravel(), ky.ravel(), e_lo.ravel(), e_hi.ravel()]
+
+
+def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch, render_cpus):
+    render_cpus(1)      # counts the formatting of one process
     formatted = []
 
     def counting(x):
@@ -126,11 +138,7 @@ def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch):
         return repr(x)
 
     monkeypatch.setattr(serialize, "_text", counting)
-    k = np.linspace(-np.pi, np.pi, 61)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    e_lo, e_hi = dispersion(np.stack([kx, ky], axis=-1),
-                            LatticeCouplings.from_background(0.01, 0.0, 1.0))
-    columns = [kx.ravel(), ky.ravel(), e_lo.ravel(), e_hi.ravel()]
+    columns = symmetric_bands()
     assert columns[0].size > _BLOCK_ROWS
     assert_matches_oracle(BANDS_HEADER, columns)
     per_block = sum(np.unique(c[i:i + B]).size
@@ -248,12 +256,18 @@ def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
     assert path.read_bytes() == b"old\n"
 
 
-def test_streaming_holds_no_whole_file_text(tmp_path):
-    # two columns of distinct floats, 22-23 characters each: no value tables, so
-    # every number is formatted as its block streams
-    n, k = 100_000, 2
+def distinct_tiny_floats(n: int, k: int) -> list:
+    """``k`` columns of ``n`` distinct floats, 22-23 characters each."""
     rng = np.random.default_rng(7)
-    columns = [rng.uniform(1.0, 2.0, n) * 1e-300 for _ in range(k)]
+    return [rng.uniform(1.0, 2.0, n) * 1e-300 for _ in range(k)]
+
+
+def test_streaming_holds_no_whole_file_text(tmp_path, render_cpus):
+    # no value tables, so every number is formatted as its block streams;
+    # tracemalloc sees this process only, so the render stays in it
+    render_cpus(1)
+    n, k = 100_000, 2
+    columns = distinct_tiny_floats(n, k)
     tracemalloc.start()
     try:
         path = write_text(tmp_path / "big.csv", render_csv("a,b", columns))
@@ -275,3 +289,95 @@ def test_streaming_holds_no_whole_file_text(tmp_path):
     # whole-file buffering would hold at least ``size`` bytes at its peak
     assert bound < size
     assert peak < bound, f"peak {peak} B is {peak / size:.2f} of the {size} B file"
+
+
+# ---------------------------------------------------------------- render processes
+
+#: row counts of 0, 1, 1, 2 and 3 blocks, and of 3 blocks with a short last one
+FORK_ROWS = (0, B - 5, B, 2 * B, 3 * B, 2 * B + 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", FORK_ROWS)
+def test_forked_render_bytes_equal_one_process(n, cpus, render_cpus, forks):
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n), np.resize(np.array(EDGE_FLOATS), n),
+               np.arange(n) - 7, np.full(n, -0.0)]
+    render_cpus(1)
+    want = rendered("a,b,c,d", columns)
+    assert forks == []
+    render_cpus(cpus)
+    assert rendered("a,b,c,d", columns) == want
+    # one child per CPU beyond the caller's, at most one per block beyond the first
+    assert len(forks) == max(0, min(cpus, -(-n // B)) - 1)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_symmetric_bands_forked_bytes(render_cpus, forks, cpus):
+    # 2146 table magnitudes are two formatting jobs, 3721 rows two row jobs
+    render_cpus(cpus)
+    assert_matches_oracle(BANDS_HEADER, symmetric_bands())
+    assert len(forks) == 2
+
+
+def test_streaming_forked_bytes(tmp_path, render_cpus):
+    columns = distinct_tiny_floats(100_000, 2)
+    render_cpus(1)
+    want = rendered("a,b", columns)
+    render_cpus(2)
+    path = write_text(tmp_path / "big.csv", render_csv("a,b", columns))
+    assert path.read_bytes() == want
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("planted, raised, message", [
+    (ValueError("planted"), RuntimeError, "ValueError: planted"),
+    (MemoryError("planted"), MemoryError, "planted"),
+    (None, RuntimeError, "without sending its result"),     # the child exits
+])
+def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, raised,
+                                            message):
+    render_cpus(2)
+    parent = os.getpid()
+
+    def failing(x):
+        if os.getpid() != parent:
+            if planted is None:
+                os._exit(7)
+            raise planted
+        return repr(x)
+
+    monkeypatch.setattr(serialize, "_text", failing)
+    with pytest.raises(raised, match=message):
+        rendered(None, [np.arange(3 * B) / 7.0])
+    assert_no_child_left()
+
+
+def test_closing_early_kills_every_child(render_cpus, forks):
+    render_cpus(3)
+    blocks = render_csv(None, [np.arange(6 * B) / 7.0])
+    assert next(blocks).count(b"\n") == B
+    assert len(forks) == 2
+    blocks.close()
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(render_cpus, forks):
+    render_cpus(2)
+    columns = [np.arange(3 * B) / 7.0]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        alongside = rendered(None, columns)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert rendered(None, columns) == alongside
+    assert len(forks) == 1
