@@ -13,6 +13,8 @@ import hashlib
 import sys
 import time
 from contextlib import contextmanager
+from functools import lru_cache
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _rendered, fmt, render_csv, render_manifest, write_text
+from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_text
 from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
 from .sweep import revival_diagnostic
 
@@ -134,22 +136,37 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 
 def _heatmap(G_values, traces, run_checksums: list):
-    """``heatmap.csv`` in blocks: the header, then each G's rows rendered on
-    their own, one render job per G; each G's sha256 goes onto
-    ``run_checksums`` as its rows are yielded.
+    """``heatmap.csv`` in blocks: the header, then each G's rows, rendered in
+    jobs of at most ``_BLOCK_ROWS`` rows; each G's sha256, taken over its
+    blocks in order, goes onto ``run_checksums`` as its last block is yielded.
 
-    Every point shares one time grid, so the t column is formatted once."""
+    A G's rows split into near-equal parts, so that the render processes,
+    which take the jobs in turn, get equal work.  Every point shares one time
+    grid, so the t column is formatted once."""
     yield (HEATMAP_HEADER + "\n").encode()
     times = traces[0].times
     t_text = np.array(b"".join(render_csv(None, [times])).splitlines())
+    parts = -(-times.size // _BLOCK_ROWS)
+    bounds = [times.size * k // parts for k in range(parts + 1)]
 
-    def rows(i: int) -> bytes:
+    @lru_cache(maxsize=1)       # a process takes its jobs in G order
+    def px(i: int) -> np.ndarray:
+        return traces[i].px
+
+    def rows(job: tuple[int, slice]) -> bytes:
+        i, part = job
         tr = traces[i]
-        return b"".join(render_csv(None, (np.full(times.size, G_values[i]), t_text, tr.sx,
-                                          tr.px, tr.n_alpha, tr.n_beta)))
+        return b"".join(render_csv(None, (np.full(t_text[part].size, G_values[i]),
+                                          t_text[part], tr.sx[part], px(i)[part],
+                                          tr.n_alpha[part], tr.n_beta[part])))
 
-    for data in _rendered(rows, range(len(G_values))):
-        run_checksums.append(hashlib.sha256(data).hexdigest())
+    jobs = [(i, slice(lo, hi)) for i in range(len(G_values)) for lo, hi in pairwise(bounds)]
+    for k, data in enumerate(_rendered(rows, jobs)):
+        if k % parts == 0:
+            digest = hashlib.sha256()
+        digest.update(data)
+        if k % parts == parts - 1:
+            run_checksums.append(digest.hexdigest())
         yield data
 
 

@@ -21,17 +21,21 @@ N*N states.  Block s = +1 or -1 has the gauged basis
 i^n_a |e_sigma, n_a, n_b>, where e_sigma is the sigma_x eigenstate with
 sigma = s (-1)^n_a: sigma_x is diagonal there, and sigma_y (a + a^dag),
 a hop in n_a weighted by -i sigma, becomes the real hop +-sqrt(n) sigma
-through the phase i^n_a.  Both blocks are assembled from Kronecker
-products of N x N factors, and each is held as one real symmetric
-array; a block with a nonzero imaginary entry is refused at
+through the phase i^n_a.  Each block is written diagonal by diagonal
+(the main diagonal and the hops at offsets +-1 and +-N) into one zeroed
+real symmetric array, so assembling it holds no other array of its
+size; a block with a nonzero imaginary entry is refused at
 construction.  Evolution is exact spectral propagation: a block is
 diagonalized (real symmetric eigensolve) only when the initial
 state has weight in it, which is one block for spin-x starts and both
 for y and z, and phases ``exp(-i E t)`` are applied, so there is no
 time-step error.  The time
-grid is propagated in fixed chunks and every observable is reduced from
-the block amplitudes of each chunk, held state-major as (states, times),
-so memory does not grow with the grid.  On the uniform grid the phases
+grid is propagated in chunks and every observable is reduced from the
+block amplitudes of each chunk, held state-major as (states, times), so
+memory does not grow with the grid.  A chunk's length comes from a byte
+budget: one worker's complex phase block holds at most 196 x 128 states
+x steps (0.4 MB, 128 steps at the default N=14), and no chunk is shorter
+than 64 steps.  On the uniform grid the phases
 factor as ``exp(-i E t0) exp(-i E dt j)``: the step table is built once
 per block and each chunk adds only its start factor, then takes one
 real matrix product of the eigenvectors with the interleaved real and
@@ -78,9 +82,15 @@ NORM_DRIFT_ATOL = 1e-10
 #: relative tolerance on energy constancy along a trace
 ENERGY_DRIFT_RTOL = 1e-8
 
-#: time points propagated together; at the default cutoff a chunk of block
-#: amplitudes is 196 x 128 complex numbers (0.4 MB), which stays in cache
+#: most time points propagated together, and the byte budget of one worker's
+#: chunk: its complex phase block holds at most _CHUNK_STATES states x steps
+#: (196 x 128 complex numbers, 0.4 MB, which stays in cache), so a block of
+#: more than 196 states takes fewer steps, but never fewer than
+#: _MIN_CHUNK_STEPS, so that each eigenvector product still spans at least
+#: 128 real columns
 _CHUNK_STEPS = 128
+_CHUNK_STATES = 196 * _CHUNK_STEPS
+_MIN_CHUNK_STEPS = 64
 
 
 def usable_cpus() -> int:
@@ -298,7 +308,8 @@ class ParityBlock:
                     f"parity block {self.sign:+d} is not real in its gauged basis")
             m = m.real
         m = np.array(m, dtype=np.float64, order="C")
-        dev = float(np.abs(m - m.T).max(initial=0.0))
+        asymmetry = m - m.T                 # the check's one temporary of m's size
+        dev = float(np.abs(asymmetry, out=asymmetry).max(initial=0.0))
         if not dev <= HERMITICITY_ATOL:
             raise NumericalConsistencyError(
                 f"parity block {self.sign:+d} deviates from symmetric by {dev:.3e} "
@@ -364,10 +375,19 @@ class MinimalHamiltonian:
         return tuple(block.eigensystem() for block in self.blocks)
 
 
-def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> MinimalHamiltonian:
-    """Assemble both parity blocks of the model Hamiltonian from N x N factors.
+def _band(m: np.ndarray, k: int) -> np.ndarray:
+    """Writable view of the diagonal at offset ``k`` of the C-contiguous square ``m``."""
+    d = m.shape[0]
+    flat = m.reshape(-1)
+    return flat[k:d * (d - k):d + 1] if k >= 0 else flat[-k * d::d + 1]
 
-    Each block is checked to be real symmetric on construction.
+
+def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> MinimalHamiltonian:
+    """Assemble both parity blocks of the model Hamiltonian from their five diagonals.
+
+    Each block is written into one zeroed array, its main diagonal and its
+    hops at offsets +-1 (n_b) and +-N (n_a), and is checked to be real
+    symmetric on construction.
 
     ``g`` defaults to ``coupling_strength(params.G, params.mu)``; passing
     an explicit value (e.g. 0 to freeze the spin-boson exchange at any G)
@@ -377,17 +397,27 @@ def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> Mi
         g = coupling_strength(params.G, params.mu)
     g = float(g)
     N = params.N
-    levels, quad, parity = _mode_factors(N)
-    skew = np.triu(quad) - np.tril(quad)      # a - a^dag
+    d = N * N
+    levels, _, parity = _mode_factors(N)
+    root = np.sqrt(levels[1:])                # <n-1| (a + a^dag) |n> = sqrt(n)
     blocks = []
     for sign in (1, -1):
         spin = sign * parity                  # sigma_x eigenvalue at each n_a
-        diagonal = SQRT2 * (spin[:, None] + levels[:, None] + levels[None, :])
-        # sigma_x (b + b^dag) keeps sigma; sigma_y |e_sigma> = -i sigma |e_-sigma>
-        # pairs with the n_a hop of (a + a^dag), which flips sigma, and the
-        # phase i^n_a of the basis turns its -i into a real hop, +-sqrt(n) sigma
-        hops = np.kron(np.diag(spin), quad) + np.kron(skew * spin, np.eye(N))
-        entries = np.diag(diagonal.ravel()) + g * hops
+        entries = np.zeros((d, d))
+        _band(entries, 0)[:] = (SQRT2 * (spin[:, None] + levels[:, None]
+                                         + levels[None, :])).ravel()
+        # sigma_x (b + b^dag) keeps sigma: an n_b hop sqrt(n) sigma inside each
+        # n_a row, none from n_b = N-1 to the next row's n_b = 0
+        hop_b = np.zeros((N, N))
+        hop_b[:, :-1] = spin[:, None] * root
+        # sigma_y |e_sigma> = -i sigma |e_-sigma> pairs with the n_a hop of
+        # (a + a^dag), which flips sigma, and the phase i^n_a of the basis turns
+        # its -i into a real hop, sqrt(n) times sigma at the upper level n
+        hop_a = np.repeat(root * spin[1:], N)
+        for k, hop in ((1, hop_b.ravel()[:-1]), (N, hop_a)):
+            band = 0.0 + g * hop              # 0.0 +: a zero g leaves +0.0, not -0.0
+            _band(entries, k)[:] = band
+            _band(entries, -k)[:] = band
         blocks.append(ParityBlock(sign, entries))
     return MinimalHamiltonian(params=params, g=g, blocks=tuple(blocks))
 
@@ -572,11 +602,12 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
     cols = {name: np.zeros(times.size)
             for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")}
 
-    # the grid is t_k = k dt, so chunk c starts at times[c * _CHUNK_STEPS]
-    chunks = [(lo, times[lo], min(_CHUNK_STEPS, times.size - lo))
-              for lo in range(0, times.size, _CHUNK_STEPS)]
-    steps = chunks[0][2]
     d = N * N
+    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // d))
+    # the grid is t_k = k dt, so chunk c starts at times[c * span]
+    chunks = [(lo, times[lo], min(span, times.size - lo))
+              for lo in range(0, times.size, span)]
+    steps = chunks[0][2]
 
     pending, taking = iter(chunks), threading.Lock()
 
@@ -687,10 +718,16 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     (sx, sy, sz, n_alpha, n_beta) of the absolute trace difference.
     """
     cutoffs = convergence_params(params, N_list)
-    traces = [observable_trace(build_minimal_hamiltonian(p),
-                               initial_state(direction, sign, p.N))
-              for p in cutoffs]
-    return [(p_lo.N, p_hi.N,
-             max(float(np.abs(getattr(tr_lo, name) - getattr(tr_hi, name)).max())
-                 for name in ("sx", "sy", "sz", "n_alpha", "n_beta")))
-            for (p_lo, tr_lo), (p_hi, tr_hi) in pairwise(zip(cutoffs, traces))]
+
+    def trace(p: ModelParams) -> ObservableTrace:
+        return observable_trace(build_minimal_hamiltonian(p), initial_state(direction, sign, p.N))
+
+    # only the two traces compared are held
+    pairs, lo = [], trace(cutoffs[0])
+    for p_lo, p_hi in pairwise(cutoffs):
+        hi = trace(p_hi)
+        pairs.append((p_lo.N, p_hi.N,
+                      max(float(np.abs(getattr(lo, name) - getattr(hi, name)).max())
+                          for name in ("sx", "sy", "sz", "n_alpha", "n_beta"))))
+        lo = hi
+    return pairs

@@ -21,8 +21,8 @@ own.
 
 ``repr`` holds the interpreter lock, so threads cannot share the
 formatting; forked processes can.  :func:`_rendered` spreads a list of
-jobs (a file's row blocks, slices of its table magnitudes, a sweep's G
-values) over W = min(:func:`~metricspin.model.usable_cpus`, jobs)
+jobs (a file's row blocks, slices of its table magnitudes, parts of a
+sweep's G rows) over W = min(:func:`~metricspin.model.usable_cpus`, jobs)
 processes: the caller renders jobs 0, W, 2W, ... itself, and each of W - 1
 forked children renders its own residue class and sends every result
 down a pipe.  The caller yields the results in job order, so the bytes

@@ -3,7 +3,9 @@
 Everything here is written against the basis convention directly
 (explicit index loops, no Kronecker products, no reuse of the package's
 assembly code) so that a bug in the implementation cannot hide in the
-expectation values.
+expectation values.  The one exception is :func:`kronecker_parity_blocks`,
+the Kronecker-product block formula the package used to assemble with,
+kept as the bit-level reference of the diagonal assembly that replaced it.
 """
 
 import math
@@ -70,6 +72,26 @@ def minimal_hamiltonian_oracle(G: float, mu: float, N: int,
                 if na - 1 >= 0:
                     H[idx(1 - s, na - 1, nb), col] += g * phase * math.sqrt(na)
     return H
+
+
+def kronecker_parity_blocks(N: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Parity blocks +1 and -1 as sums of ``np.kron``/``np.diag`` products of N x N factors.
+
+    Its arithmetic, operation for operation, is the reference for the
+    package's blocks down to the bit, signed zeros included, so it must not
+    be rewritten.
+    """
+    levels = np.arange(N, dtype=float)
+    hop = np.diag(np.sqrt(levels[1:]), 1)
+    quad = hop + hop.T                        # a + a^dag
+    skew = np.triu(quad) - np.tril(quad)      # a - a^dag
+    blocks = []
+    for sign in (1, -1):
+        spin = sign * (-1.0) ** levels        # sigma_x eigenvalue at each n_a
+        diagonal = math.sqrt(2.0) * (spin[:, None] + levels[:, None] + levels[None, :])
+        hops = np.kron(np.diag(spin), quad) + np.kron(skew * spin, np.eye(N))
+        blocks.append(np.diag(diagonal.ravel()) + g * hops)
+    return tuple(blocks)
 
 
 def parity_isometry_oracle(N: int, sign: int) -> np.ndarray:

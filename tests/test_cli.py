@@ -440,6 +440,21 @@ class TestHeatmapExport:
                                 px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
                                 n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
 
+    def test_a_g_renders_in_near_equal_jobs_of_at_most_a_block(self, monkeypatch):
+        # a render process holds one job's text, not a whole G's, and the
+        # processes, which take the jobs in turn, get equal work
+        sizes = []
+        rendered = cli._rendered
+
+        def counted(render, jobs):
+            for data in rendered(render, jobs):
+                sizes.append(data.count(b"\n"))
+                yield data
+
+        monkeypatch.setattr(cli, "_rendered", counted)
+        b"".join(cli._heatmap((0, 1), self.random_traces(2, 2 * _BLOCK_ROWS + 3), []))
+        assert sizes == [1366, 1366, 1367] * 2
+
     def test_memory_does_not_grow_with_the_grid(self, render_cpus):
         # each G is rendered and hashed on its own, so streaming the
         # heatmap holds no column of every G's rows; tracemalloc sees this

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +25,7 @@ from metricspin import (
     symmetry_check,
     truncation_convergence,
 )
+from metricspin import model
 from metricspin.model import (
     _CHUNK_STEPS,
     ENERGY_DRIFT_RTOL,
@@ -34,6 +37,7 @@ from metricspin.model import (
 from oracles import (
     dense_state_oracle,
     dense_trace_oracle,
+    kronecker_parity_blocks,
     metric_expectations,
     minimal_hamiltonian_oracle,
     parity_isometry_oracle,
@@ -419,6 +423,33 @@ class TestParityBlocks:
                                 rtol=0, atol=1e-14)
         assert np.abs(W[1].conj().T @ H @ W[-1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 14, 20])
+    @pytest.mark.parametrize("g", [0.0, coupling_strength(0.0, 1.0), -1.3,
+                                   coupling_strength(100.0, 1.0)],
+                             ids=["zero", "minus-zero", "-1.3", "G=100"])
+    def test_blocks_bit_identical_to_kronecker_assembly(self, N, g):
+        # the diagonals are written with the arithmetic of the Kronecker sums,
+        # so every entry has the same bits, the sign of each zero included
+        h = build_minimal_hamiltonian(ModelParams(G=1.0, N=N), g=g)
+        for block, ref in zip(h.blocks, kronecker_parity_blocks(N, g)):
+            npt.assert_array_equal(block.entries.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("N,steps", [(2, 128), (14, 128), (15, 111), (20, 64), (32, 64)])
+    def test_chunk_length_follows_the_byte_budget(self, monkeypatch, N, steps):
+        # a chunk's phase block holds at most 196 x 128 states x steps, and
+        # no chunk is shorter than 64 steps
+        counts = []
+        chunk = model._Propagator.chunk
+
+        def counted(self, t0, count, phase, amps):
+            counts.append(count)
+            return chunk(self, t0, count, phase, amps)
+
+        monkeypatch.setattr(model._Propagator, "chunk", counted)
+        p = ModelParams(G=1.0, N=N, t_max=2.0, dt=0.01)         # 201 points
+        observable_trace(build_minimal_hamiltonian(p), initial_state("x", 1, N))
+        assert sorted(counts, reverse=True) == [steps] * (201 // steps) + [201 % steps]
+
     @pytest.mark.parametrize("N", [5, 6])
     @pytest.mark.parametrize("G", [0.0, 0.46, math.pi, 10.0, 100.0])
     @pytest.mark.parametrize("direction,sign", [("x", 1), ("x", -1), ("y", 1), ("z", -1)])
@@ -607,6 +638,22 @@ class TestTruncationConvergence:
         pairs = truncation_convergence(p, "x", +1, [10, 14, 20])
         assert all(dev > 0.1 for _, _, dev in pairs)
 
+    def test_holds_only_the_two_traces_it_compares(self, monkeypatch):
+        # before each trace starts, at most the previous one is still alive
+        made, alive = [], []
+        trace = model.observable_trace
+
+        def tracked(h, psi0):
+            alive.append(sum(ref() is not None for ref in made))
+            tr = trace(h, psi0)
+            made.append(weakref.ref(tr))
+            return tr
+
+        monkeypatch.setattr(model, "observable_trace", tracked)
+        p = ModelParams(G=1.0, N=3, t_max=1.0, dt=0.5)
+        assert len(truncation_convergence(p, "x", +1, [3, 4, 5, 6])) == 3
+        assert alive == [0, 1, 1, 1]
+
     def test_list_validation(self):
         p = ModelParams(G=0.0, N=6, t_max=1.0, dt=0.5)
         with pytest.raises(ValueError):
@@ -626,6 +673,42 @@ class TestTruncationConvergence:
     def test_numpy_integer_cutoffs_run(self):
         p = ModelParams(G=0.0, N=6, t_max=1.0, dt=0.5)
         assert [c.N for c in convergence_params(p, np.array([6, 9]))] == [6, 9]
+
+
+class TestWorkingSet:
+    """Peak memory the kernel allocates at N=20 (blocks of d = 400 states), one worker.
+
+    tracemalloc sees numpy's array data, not LAPACK's workspace.
+    """
+
+    N = 20
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_assembly_holds_few_block_sized_arrays(self):
+        # both blocks, the copy ParityBlock keeps and its symmetry check's one
+        # temporary: four d x d arrays, where summed Kronecker products held six
+        d = self.N ** 2
+        peak = self.traced_peak(lambda: build_minimal_hamiltonian(ModelParams(G=10.0, N=self.N)))
+        assert peak <= 4.5 * d * d * 8
+
+    def test_z_start_trace_within_its_budget(self):
+        # both eigensystems and step tables, one worker's 64-step buffers and
+        # the trace's columns, above the blocks and the state it is given
+        h = build_minimal_hamiltonian(ModelParams(G=10.0, N=self.N))
+        psi0 = initial_state("z", 1, self.N)
+        assert self.traced_peak(lambda: observable_trace(h, psi0)) <= 6.3 * 2 ** 20
 
 
 class TestTraceAgainstScalarPath:
