@@ -44,7 +44,8 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_text
+from .serialize import (_BLOCK_ROWS, _formatted, _rendered, fmt, render_csv, render_manifest,
+                        write_text)
 from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
 from .sweep import revival_diagnostic
 
@@ -142,10 +143,10 @@ def _heatmap(G_values, traces, run_checksums: list):
 
     A G's rows split into near-equal parts, so that the render processes,
     which take the jobs in turn, get equal work.  Every point shares one time
-    grid, so the t column is formatted once."""
+    grid, so the t column is formatted once, into one fixed-width array."""
     yield (HEATMAP_HEADER + "\n").encode()
     times = traces[0].times
-    t_text = np.array(b"".join(render_csv(None, [times])).splitlines())
+    t_text = _formatted(times)
     parts = -(-times.size // _BLOCK_ROWS)
     bounds = [times.size * k // parts for k in range(parts + 1)]
 
@@ -168,6 +169,7 @@ def _heatmap(G_values, traces, run_checksums: list):
         if k % parts == parts - 1:
             run_checksums.append(digest.hexdigest())
         yield data
+        del data                # not held while the next job renders
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:

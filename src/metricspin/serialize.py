@@ -14,13 +14,25 @@ values of a float column are found over the whole column by bit pattern
 all such columns of a call are formatted together, each exactly once, into
 one fixed-width bytes table per column that the rows index.  A column
 with more than ``_TABLE_SHARE`` of its rows distinct has no table, and
-neither has an integer column: they are formatted row by row.  Rows are
-rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the whole
-file is never held; the bytes are those of rendering every number on its
-own.
+neither has an integer column: they are formatted as their rows are
+rendered.  Rows are rendered and yielded in blocks of ``_BLOCK_ROWS``, so
+the text of the whole file is never held; the bytes are those of
+rendering every number on its own.
 
-``repr`` holds the interpreter lock, so threads cannot share the
-formatting; forked processes can.  :func:`_rendered` spreads a list of
+Floats are formatted as arrays, never one Python call per value:
+``_texts`` (:func:`metricspin.floattext.texts`) gives a whole array's
+texts as a fixed-width ``S24`` array whose bytes are ``repr``'s.  Its fast
+path scales each magnitude by a power of ten as a double-double and picks
+the shortest digits that round back to it, or hands the value to
+``repr``: NaN, infinities, zeros, subnormals, powers of two, magnitudes
+outside [1e-280, 1e280], and any value whose rounding interval ends or
+last-digit rounding lie within 1e-9 of a tie (none of 100,000 uniform
+draws in [0, 1)).  A block's rows are laid out in one buffer of
+fixed-width slots, each cell's text NUL-padded and followed by its ``,``
+or the row's newline; dropping the NUL bytes leaves the block's text.
+
+Formatting holds the interpreter lock, so threads cannot share it;
+forked processes can.  :func:`_rendered` spreads a list of
 jobs (a file's row blocks, slices of its table magnitudes, parts of a
 sweep's G rows) over W = min(:func:`~metricspin.model.usable_cpus`, jobs)
 processes: the caller renders jobs 0, W, 2W, ... itself, and each of W - 1
@@ -42,9 +54,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .floattext import WIDTH as _WIDTH
+from .floattext import texts as _texts
 from .model import usable_cpus
 
-#: rows rendered together; bounds the per-block cell objects and text
+#: rows rendered together; bounds a block's cell buffer and text
 _BLOCK_ROWS = 2048
 
 #: clears the sign bit of a float64 bit pattern read as int64, leaving its magnitude's
@@ -53,21 +67,30 @@ _MAGNITUDE = np.int64(2 ** 63 - 1)
 #: bit pattern of +inf; a larger magnitude is a NaN
 _INF_BITS = np.float64(np.inf).view(np.int64)
 
-#: text of one Python float or int; every CSV cell is formatted by it
-_text = repr
-
-#: the longest such text, e.g. ``-2.2250738585072014e-308``
-_WIDTH = 24
+#: the longest text of an integer column's value, ``-9223372036854775808``
+_INT_WIDTH = 20
 
 #: largest share of a column's rows that may be distinct in a table; a
 #: table costs each row a lookup, so it must spare a quarter of the
 #: formatting (a symmetric band grid spares half, a trace column none)
 _TABLE_SHARE = 0.75
 
-
 def fmt(x) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(x))
+
+
+def _formatted(floats: np.ndarray) -> np.ndarray:
+    """:func:`_texts` of ``floats``, ``_BLOCK_ROWS`` at a time as :func:`_rendered` jobs."""
+    texts = np.empty(floats.size, dtype=f"S{_WIDTH}")
+
+    def part(start: int) -> bytes:
+        return _texts(floats[start:start + _BLOCK_ROWS]).tobytes()
+
+    starts = range(0, floats.size, _BLOCK_ROWS)
+    for start, data in zip(starts, _rendered(part, starts)):
+        texts[start:start + _BLOCK_ROWS] = np.frombuffer(data, dtype=texts.dtype)
+    return texts
 
 
 def _checked(column) -> np.ndarray:
@@ -100,16 +123,7 @@ def _tables(columns) -> list:
     if not tabled:
         return keys
     magnitudes = _distinct(np.concatenate(tabled) & _MAGNITUDE)
-    texts = np.empty(magnitudes.size, dtype=f"S{_WIDTH}")
-    floats = magnitudes.view(np.float64)
-
-    def formatted(start: int) -> bytes:     # a slice bounds the transient str objects
-        values = floats[start:start + _BLOCK_ROWS].tolist()
-        return np.array(list(map(_text, values)), dtype=texts.dtype).tobytes()
-
-    starts = range(0, texts.size, _BLOCK_ROWS)
-    for start, part in zip(starts, _rendered(formatted, starts)):
-        texts[start:start + _BLOCK_ROWS] = np.frombuffer(part, dtype=texts.dtype)
+    texts = _formatted(magnitudes.view(np.float64))
     return [None if k is None else (k, _signed(k, magnitudes, texts)) for k in keys]
 
 
@@ -121,19 +135,18 @@ def _signed(keys: np.ndarray, magnitudes: np.ndarray, texts: np.ndarray) -> np.n
     minus = (keys < 0) & (magnitude <= _INF_BITS)      # NaN prints nan
     chars[minus, 1:] = chars[minus, :-1]        # a magnitude's text is at most 23 long
     chars[minus, 0] = ord("-")
-    # rows of a table no larger than a block share its bytes objects
-    # instead of each making its own
-    return signed.astype(object) if signed.size <= _BLOCK_ROWS else signed
+    return signed
 
 
 def render_csv(header: str | None, columns):
     """ASCII CSV, one line per row of the equal-length 1-D ``columns``, as bytes blocks.
 
     Floats render as ``fmt`` does, integers as ``repr(int)``, bytes (``S``)
-    texts as they are.  The columns are checked and their value tables
-    built here; the returned iterator yields the ``header`` line on its own
-    (nothing for ``header=None``), then one bytes object per ``_BLOCK_ROWS``
-    rows (the last may be shorter), every row ending in a newline.
+    texts as they are (a text holds no NUL byte).  The columns are checked
+    and their value tables built here; the returned iterator yields the
+    ``header`` line on its own (nothing for ``header=None``), then one
+    bytes object per ``_BLOCK_ROWS`` rows (the last may be shorter), every
+    row ending in a newline.
     """
     columns = [_checked(c) for c in columns]
     n = columns[0].size if columns else 0
@@ -143,17 +156,48 @@ def render_csv(header: str | None, columns):
 
 
 def _blocks(header, n, columns, tables):
-    """The blocks of :func:`render_csv`: rows ``_BLOCK_ROWS`` at a time."""
+    """The blocks of :func:`render_csv`: rows ``_BLOCK_ROWS`` at a time.
+
+    A block's cells go into one buffer, a row of fixed-width slots (each
+    column's widest text, NUL-padded, then its ``,`` or the row's newline);
+    dropping the NUL bytes leaves the rows' text.
+    """
     if header is not None:
         yield header.encode() + b"\n"
 
+    def width(v: np.ndarray, table) -> int:
+        if v.dtype.kind == "S":
+            return v.dtype.itemsize
+        if v.dtype.kind == "i":
+            return _INT_WIDTH
+        if table is None:
+            return _WIDTH
+        # a table's longest text (texts are left-aligned); a constant column's is short
+        return max(1, np.count_nonzero(table[1].view(np.uint8).reshape(-1, _WIDTH).any(axis=0)))
+
+    widths = [width(v, table) for v, table in zip(columns, tables)]
+    slots = np.cumsum([0] + [w + 1 for w in widths])
+
+    def cells(v: np.ndarray, table, start: int) -> np.ndarray:
+        part = v[start:start + _BLOCK_ROWS]
+        if v.dtype.kind == "S":
+            return np.ascontiguousarray(part)
+        if v.dtype.kind == "i":
+            return part.astype(f"S{_INT_WIDTH}")
+        if table is None:
+            return _texts(part)
+        return table[1][np.searchsorted(table[0], part.view(np.int64))]
+
     def rows(start: int) -> bytes:
-        stop = start + _BLOCK_ROWS
-        cells = [v[start:stop].tolist() if v.dtype.kind == "S"
-                 else list(map(str.encode, map(_text, v[start:stop].tolist()))) if table is None
-                 else table[1][np.searchsorted(table[0], v[start:stop].view(np.int64))].tolist()
-                 for v, table in zip(columns, tables)]
-        return b"\n".join([*map(b",".join, zip(*cells)), b""])    # every row ends in "\n"
+        buffer = np.empty((min(_BLOCK_ROWS, n - start), slots[-1]), dtype=np.uint8)
+        for v, table, w, at in zip(columns, tables, widths, slots):
+            texts = cells(v, table, start)
+            buffer[:, at:at + w] = texts.view(np.uint8).reshape(texts.size, -1)[:, :w]
+            buffer[:, at + w] = ord(",")
+        buffer[:, -1] = ord("\n")
+        data = buffer.tobytes()
+        del buffer              # so that no more than two copies of the block are held
+        return data.translate(None, b"\0")
 
     yield from _rendered(rows, range(0, n, _BLOCK_ROWS))
 
@@ -200,6 +244,7 @@ def _rendered(render, jobs):
             finally:
                 _inside_render = False
             yield data
+            del data            # not held while the next job renders
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -280,6 +325,7 @@ def write_text(path, data, digest=None) -> Path:
                 fh.write(block)
                 if digest is not None:
                     digest.update(block)
+                del block       # not held while the next block renders
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -473,6 +473,27 @@ class TestHeatmapExport:
 
         assert peak(16) <= 1.1 * peak(2)
 
+    def test_time_texts_cost_at_most_30_bytes_per_point(self, render_cpus):
+        # the t column is formatted into one 24 B-per-point array, 2048
+        # points at a time, with no joined text or bytes objects on the way;
+        # the value columns are 0-stride views, so only times are held
+        render_cpus(1)
+        per_g = 1_000_001
+        flat = np.broadcast_to(0.5, (per_g,))
+        trace = SimpleNamespace(times=np.arange(per_g) * 0.02, sx=flat, px=flat,
+                                n_alpha=flat, n_beta=flat)
+        blocks = cli._heatmap((1.0,), [trace], [])
+        assert next(blocks) == (cli.HEATMAP_HEADER + "\n").encode()
+        tracemalloc.start()
+        try:
+            first = next(blocks)        # formats the t column, then renders a first job
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            blocks.close()
+        assert first.startswith(b"1.0,0.0,0.5,0.5,0.5,0.5\n1.0,0.02,0.5,")
+        assert peak <= 30 * per_g, f"{peak / per_g:.1f} B per point"
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_forked_heatmap_bytes_and_run_checksums(self, render_cpus, forks, cpus):
         # 5 G of three blocks each; the caller's own G and every child's
@@ -528,14 +549,14 @@ class TestRenderProcesses:
     def test_memory_error_in_a_child_exits_2(self, tmp_path, monkeypatch, capsys,
                                              render_cpus, forks):
         render_cpus(2)
-        parent = os.getpid()
+        parent, texts = os.getpid(), serialize_mod._texts
 
-        def starved(x):
+        def starved(values):
             if os.getpid() != parent:
                 raise MemoryError("planted in a child")
-            return repr(x)
+            return texts(values)
 
-        monkeypatch.setattr(serialize_mod, "_text", starved)
+        monkeypatch.setattr(serialize_mod, "_texts", starved)
         out = tmp_path / "o"
         assert cli.main([*self.EVOLVE, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -579,28 +600,28 @@ class TestStreamedOutputs:
 
     @staticmethod
     def fail_at(monkeypatch, tmp_path, argv, out, share):
-        """Make the CSV number format of ``argv`` run into ``out`` that comes
-        ``share`` of the way through the run (0: the first, 1: the last)
-        raise MemoryError.  Returns the names of the files in ``out`` at
-        that moment."""
-        count, seen = [0], []
+        """Make the CSV number format of ``argv`` run into ``out`` raise
+        MemoryError in the call that formats the number ``share`` of the way
+        through the run (0: the first, 1: the last).  Returns the names of
+        the files in ``out`` at that moment."""
+        count, seen, texts = [0], [], serialize_mod._texts
 
-        def counting(x):
-            count[0] += 1
-            return repr(x)
+        def counting(values):
+            count[0] += values.size
+            return texts(values)
 
-        monkeypatch.setattr(serialize_mod, "_text", counting)
+        monkeypatch.setattr(serialize_mod, "_texts", counting)
         assert cli.main([*argv, "--out", str(tmp_path / "count")]) == 0
-        calls, count[0] = max(1, round(share * count[0])), 0
+        number, count[0] = max(1, round(share * count[0])), 0
 
-        def failing(x):
-            count[0] += 1
-            if count[0] == calls:
+        def failing(values):
+            count[0] += values.size
+            if count[0] >= number:
                 seen.extend(sorted(f.name for f in out.iterdir()) if out.exists() else [])
                 raise MemoryError("injected")
-            return repr(x)
+            return texts(values)
 
-        monkeypatch.setattr(serialize_mod, "_text", failing)
+        monkeypatch.setattr(serialize_mod, "_texts", failing)
         return seen
 
     @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])

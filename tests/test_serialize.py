@@ -131,13 +131,13 @@ def symmetric_bands() -> list:
 
 def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch, render_cpus):
     render_cpus(1)      # counts the formatting of one process
-    formatted = []
+    formatted, texts = [], serialize._texts
 
-    def counting(x):
-        formatted.append(x)
-        return repr(x)
+    def counting(values):
+        formatted.extend(values.tolist())
+        return texts(values)
 
-    monkeypatch.setattr(serialize, "_text", counting)
+    monkeypatch.setattr(serialize, "_texts", counting)
     columns = symmetric_bands()
     assert columns[0].size > _BLOCK_ROWS
     assert_matches_oracle(BANDS_HEADER, columns)
@@ -342,16 +342,16 @@ def assert_no_child_left():
 def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, raised,
                                             message):
     render_cpus(2)
-    parent = os.getpid()
+    parent, texts = os.getpid(), serialize._texts
 
-    def failing(x):
+    def failing(values):
         if os.getpid() != parent:
             if planted is None:
                 os._exit(7)
             raise planted
-        return repr(x)
+        return texts(values)
 
-    monkeypatch.setattr(serialize, "_text", failing)
+    monkeypatch.setattr(serialize, "_texts", failing)
     with pytest.raises(raised, match=message):
         rendered(None, [np.arange(3 * B) / 7.0])
     assert_no_child_left()
