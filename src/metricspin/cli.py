@@ -13,13 +13,12 @@ import hashlib
 import sys
 import time
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, serialize
 from .config import RunConfig, parse_config, parse_float_list, parse_int_list
 from .errors import ConfigError, ExtractionInvalidError, NumericalConsistencyError
 from .gravity import (
@@ -44,8 +43,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import (_BLOCK_ROWS, _formatted, _rendered, fmt, render_csv, render_manifest,
-                        write_text)
+from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_text
 from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
 from .sweep import revival_diagnostic
 
@@ -146,19 +144,15 @@ def _heatmap(G_values, traces, run_checksums: list):
     grid, so the t column is formatted once, into one fixed-width array."""
     yield (HEATMAP_HEADER + "\n").encode()
     times = traces[0].times
-    t_text = _formatted(times)
+    t_text = serialize._texts(times)     # the one hook that formats every CSV float
     parts = -(-times.size // _BLOCK_ROWS)
     bounds = [times.size * k // parts for k in range(parts + 1)]
-
-    @lru_cache(maxsize=1)       # a process takes its jobs in G order
-    def px(i: int) -> np.ndarray:
-        return traces[i].px
 
     def rows(job: tuple[int, slice]) -> bytes:
         i, part = job
         tr = traces[i]
         return b"".join(render_csv(None, (np.full(t_text[part].size, G_values[i]),
-                                          t_text[part], tr.sx[part], px(i)[part],
+                                          t_text[part], tr.sx[part], tr.px[part],
                                           tr.n_alpha[part], tr.n_beta[part])))
 
     jobs = [(i, slice(lo, hi)) for i in range(len(G_values)) for lo, hi in pairwise(bounds)]

@@ -4,7 +4,9 @@
 value, into a fixed-width ``S24`` array.  Its fast path scales each
 magnitude by a power of ten as a double-double and picks the shortest
 digits that round back to it; a value it cannot prove goes to ``repr``,
-the exact fallback (Loitsch's Grisu3 pattern).  The CSV writer,
+the exact fallback (Loitsch's Grisu3 pattern).  It formats ``_SLICE``
+(2048) values at a time in the calling process, so its working set beyond
+the result is bounded whatever the array's size.  The CSV writer,
 :mod:`metricspin.serialize`, renders every float through it.
 """
 
@@ -20,6 +22,9 @@ WIDTH = 24
 #: magnitudes :func:`texts` formats itself, as bit patterns; in between,
 #: no product of its scaling overflows or underflows
 _LOWEST, _HIGHEST = np.array([1e-280, 1e280]).view(np.int64)
+
+#: values :func:`texts` formats together; bounds the temporaries of a call
+_SLICE = 2048
 
 #: a formatting decision closer than this to a tie is left to ``repr``
 _TIE = 1e-9
@@ -103,6 +108,19 @@ def _constants() -> dict:
 def texts(values) -> np.ndarray:
     """The ``repr`` texts of the float64 ``values``, as an ``S24`` array.
 
+    Formatted ``_SLICE`` values at a time, so that beyond its 24 B-per-value
+    result a call holds the temporaries of one slice, whatever its size.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    out = np.empty(values.size, dtype=f"S{WIDTH}")
+    for start in range(0, values.size, _SLICE):
+        out[start:start + _SLICE] = _slice_texts(values[start:start + _SLICE])
+    return out
+
+
+def _slice_texts(values: np.ndarray) -> np.ndarray:
+    """:func:`texts` of the 1-D float64 ``values``, all at once.
+
     A magnitude a in [1e-280, 1e280] that is no power of two rounds to
     itself from anywhere in (a - u/2, a + u/2), u its ulp.  Scaled by 10^k
     into P = a·10^k in [1e16, 2e17), held as a double-double, that interval
@@ -118,7 +136,6 @@ def texts(values) -> np.ndarray:
     goes to ``repr``.
     """
     c = _constants()
-    values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values).view(np.int64)
     ok = (magnitude >= _LOWEST) & (magnitude <= _HIGHEST) & (magnitude & (2 ** 52 - 1) != 0)
     magnitude = np.where(ok, magnitude, np.float64(1.5).view(np.int64))

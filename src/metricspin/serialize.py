@@ -21,29 +21,32 @@ rendering every number on its own.
 
 Floats are formatted as arrays, never one Python call per value:
 ``_texts`` (:func:`metricspin.floattext.texts`) gives a whole array's
-texts as a fixed-width ``S24`` array whose bytes are ``repr``'s.  Its fast
-path scales each magnitude by a power of ten as a double-double and picks
-the shortest digits that round back to it, or hands the value to
-``repr``: NaN, infinities, zeros, subnormals, powers of two, magnitudes
-outside [1e-280, 1e280], and any value whose rounding interval ends or
+texts as a fixed-width ``S24`` array whose bytes are ``repr``'s,
+formatted 2048 values at a time in the calling process.  Its fast path
+scales each magnitude by a power of ten as a double-double and picks the
+shortest digits that round back to it, or hands the value to ``repr``:
+NaN, infinities, zeros, subnormals, powers of two, magnitudes outside
+[1e-280, 1e280], and any value whose rounding interval ends or
 last-digit rounding lie within 1e-9 of a tie (none of 100,000 uniform
 draws in [0, 1)).  A block's rows are laid out in one buffer of
 fixed-width slots, each cell's text NUL-padded and followed by its ``,``
 or the row's newline; dropping the NUL bytes leaves the block's text.
 
 Formatting holds the interpreter lock, so threads cannot share it;
-forked processes can.  :func:`_rendered` spreads a list of
-jobs (a file's row blocks, slices of its table magnitudes, parts of a
-sweep's G rows) over W = min(:func:`~metricspin.model.usable_cpus`, jobs)
-processes: the caller renders jobs 0, W, 2W, ... itself, and each of W - 1
-forked children renders its own residue class and sends every result
-down a pipe.  The caller yields the results in job order, so the bytes
-are those of rendering every job in one process.  The render stays in
-one process when W is 1, when another Python thread is alive (a fork
-copies only the calling thread), inside a job of a forked render (no
-nested forks), or where there is no ``os.fork``.  A child shares the
-caller's pages copy-on-write and holds one job's text at a time; every
-child is killed and reaped before the render returns or fails.
+forked processes can.  :func:`_rendered` spreads a list of jobs (a
+file's row blocks, or parts of a sweep's G rows) over
+W = min(:func:`~metricspin.model.usable_cpus`, jobs) processes: the
+caller renders jobs 0, W, 2W, ... itself, and each of W - 1 forked
+children renders its own residue class and sends every result down a
+pipe.  The caller yields the results in job order, so the bytes are
+those of rendering every job in one process.  The render stays in one
+process when W is 1, when another Python thread is alive (a fork copies
+only the calling thread), or where there is no ``os.fork``.  A job never
+forks again: a sweep's part is at most one block, so the render of its
+rows is one job, and table magnitudes are formatted in the process that
+builds the tables.  A child shares the caller's pages copy-on-write and
+holds one job's text at a time; every child is killed and reaped before
+the render returns or fails.
 """
 
 from __future__ import annotations
@@ -80,19 +83,6 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _formatted(floats: np.ndarray) -> np.ndarray:
-    """:func:`_texts` of ``floats``, ``_BLOCK_ROWS`` at a time as :func:`_rendered` jobs."""
-    texts = np.empty(floats.size, dtype=f"S{_WIDTH}")
-
-    def part(start: int) -> bytes:
-        return _texts(floats[start:start + _BLOCK_ROWS]).tobytes()
-
-    starts = range(0, floats.size, _BLOCK_ROWS)
-    for start, data in zip(starts, _rendered(part, starts)):
-        texts[start:start + _BLOCK_ROWS] = np.frombuffer(data, dtype=texts.dtype)
-    return texts
-
-
 def _checked(column) -> np.ndarray:
     """A CSV column as a 1-D array: float64, integer or bytes texts."""
     values = np.asarray(column)
@@ -123,7 +113,7 @@ def _tables(columns) -> list:
     if not tabled:
         return keys
     magnitudes = _distinct(np.concatenate(tabled) & _MAGNITUDE)
-    texts = _formatted(magnitudes.view(np.float64))
+    texts = _texts(magnitudes.view(np.float64))
     return [None if k is None else (k, _signed(k, magnitudes, texts)) for k in keys]
 
 
@@ -202,11 +192,6 @@ def _blocks(header, n, columns, tables):
     yield from _rendered(rows, range(0, n, _BLOCK_ROWS))
 
 
-#: set in a render child, and in the caller while it renders its own jobs
-#: of a forked render, so that a render inside a job stays in its process
-_inside_render = False
-
-
 def _rendered(render, jobs):
     """``render(job)``, bytes, for each of the sequence ``jobs``, yielded in job order.
 
@@ -214,8 +199,7 @@ def _rendered(render, jobs):
     ``MemoryError`` is raised here as a ``MemoryError``, any other failure
     as ``RuntimeError``; closing the generator early kills the children.
     """
-    global _inside_render
-    forkable = not _inside_render and threading.active_count() == 1 and hasattr(os, "fork")
+    forkable = threading.active_count() == 1 and hasattr(os, "fork")
     width = min(usable_cpus(), len(jobs)) if forkable else 1
     if width < 2:
         yield from map(render, jobs)
@@ -235,16 +219,7 @@ def _rendered(render, jobs):
                 os.close(write)         # the child never gets here
             pids.append(pid)
         for i, job in enumerate(jobs):
-            if i % width:
-                yield _received(pipes[i % width - 1])
-                continue
-            _inside_render = True
-            try:
-                data = render(job)
-            finally:
-                _inside_render = False
-            yield data
-            del data            # not held while the next job renders
+            yield _received(pipes[i % width - 1]) if i % width else render(job)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -262,10 +237,8 @@ def _serve(render, jobs, fd: int, pipes) -> None:
     ``os._exit``, so it runs no exit handler and flushes no buffer of the
     caller's.
     """
-    global _inside_render
     status = 1
     try:
-        _inside_render = True
         for pipe in pipes:              # the read ends, the caller's alone
             pipe.close()
         with os.fdopen(fd, "wb") as out:

@@ -498,7 +498,34 @@ class TestHeatmapExport:
     def test_forked_heatmap_bytes_and_run_checksums(self, render_cpus, forks, cpus):
         # 5 G of three blocks each; the caller's own G and every child's
         # render their blocks in their own process
-        G_values, traces = tuple(range(5)), self.random_traces(5, 2 * _BLOCK_ROWS + 3)
+        self.assert_forked_heatmap_as_one_process(
+            tuple(range(5)), self.random_traces(5, 2 * _BLOCK_ROWS + 3), render_cpus, cpus)
+        # the five G's jobs; the t column is formatted in this process
+        assert len(forks) == min(cpus, 5) - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_a_job_of_many_tabled_magnitudes_forks_no_further(self, render_cpus, forks,
+                                                              cpus):
+        # one job per G, whose value columns repeat enough to have tables of
+        # more than a block's worth of magnitudes; the job formats them in
+        # its own process, and a child that forked would fail here
+        rng = np.random.default_rng(11)
+        per_g = _BLOCK_ROWS
+
+        def column():
+            return rng.choice(rng.standard_normal(1500), per_g)
+
+        traces = [SimpleNamespace(times=np.arange(per_g) * 0.02, sx=column(), px=column(),
+                                  n_alpha=column(), n_beta=column()) for _ in range(3)]
+        values = np.concatenate([traces[0].sx, traces[0].px, traces[0].n_alpha,
+                                 traces[0].n_beta])
+        assert np.unique(np.abs(values)).size > _BLOCK_ROWS
+        self.assert_forked_heatmap_as_one_process((0.5, 1.5, 2.5), traces, render_cpus, cpus)
+        assert len(forks) == min(cpus, 3) - 1
+
+    @staticmethod
+    def assert_forked_heatmap_as_one_process(G_values, traces, render_cpus, cpus):
+        """At ``cpus`` render CPUs, the heatmap and run checksums are those of one process."""
         render_cpus(1)
         want_checksums = []
         want = b"".join(cli._heatmap(G_values, traces, want_checksums))
@@ -506,8 +533,6 @@ class TestHeatmapExport:
         run_checksums = []
         assert b"".join(cli._heatmap(G_values, traces, run_checksums)) == want
         assert run_checksums == want_checksums
-        # the t column's three blocks, then the five G
-        assert len(forks) == (min(cpus, 3) - 1) + (min(cpus, 5) - 1)
 
 
 def snapshot(out):
@@ -565,10 +590,10 @@ class TestRenderProcesses:
         assert snapshot(out) == {}      # no trace.csv, no .partial, no manifest
         self.assert_no_child_left()
 
-    # the sweep forks once for its t column's three blocks, once for its G
+    # the sweep forks once, for its G; its t column is formatted in this process
     @pytest.mark.parametrize("argv, forked", [
         (EVOLVE, 1),
-        (["sweep", "--set", "N=4", "--set", "t_max=100", "--set", "G_list=0.1,1,3,10"], 2),
+        (["sweep", "--set", "N=4", "--set", "t_max=100", "--set", "G_list=0.1,1,3,10"], 1),
     ])
     def test_write_fault_mid_file_leaves_no_child(self, tmp_path, monkeypatch,
                                                   render_cpus, forks, argv, forked):

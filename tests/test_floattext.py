@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from check_float_texts import EDGES, draws, mismatches
 from hypothesis import given, settings
@@ -52,3 +54,23 @@ def test_edges_go_to_repr_and_uniform_draws_rarely_do(monkeypatch):
 
 def test_texts_of_no_values():
     assert texts(np.array([])).shape == (0,)
+
+
+def test_working_set_does_not_grow_with_the_array():
+    # beyond its 24 B-per-value result a call holds one slice's temporaries,
+    # so formatting 8 times the values takes no more room besides the result
+    rng = np.random.default_rng(3)
+    texts(np.ones(1))                   # builds the shared tables
+
+    def overhead(n: int) -> int:
+        values = rng.random(n)
+        tracemalloc.start()
+        try:
+            texts(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - WIDTH * n
+
+    small, large = overhead(50_000), overhead(400_000)
+    assert large <= 1.1 * small + 4096, f"{small} B at 50,000 values, {large} B at 400,000"
