@@ -43,9 +43,8 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_text
-from .sweep import SweepGrid, check_t_min, check_workers, default_grid, run_sweep
-from .sweep import revival_diagnostic
+from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_partial
+from .sweep import SweepGrid, check_t_min, default_grid, revival_diagnostic, trace_at
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
 HEATMAP_HEADER = "G,t,sx,px,n_alpha,n_beta"
@@ -89,26 +88,38 @@ def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
 
 def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
                    run_checksums=()):
-    """Write ``files`` (name -> iterable of bytes blocks, the primary first), then the manifest.
+    """Write ``files`` (name -> iterable of bytes blocks, the primary first) and the manifest.
 
-    Each file's sha256 is taken from its blocks as they are written.  A
-    sweep's ``run_checksums`` fill while its heatmap streams, so they are
-    read once every file is written.  ``wall_time_s`` runs from ``t0``
-    to the last file written.
+    Every file goes to ``<name>.partial`` first, its sha256 taken as it is
+    written; a sweep's ``run_checksums`` fill as its heatmap streams.
+    ``wall_time_s`` runs from ``t0`` to the last file written.  Then the
+    old manifest is removed, the files are renamed into place and the new
+    manifest last, so a manifest always matches its directory.  A failure
+    removes every partial file, and ``outdir`` if this run made it and it is empty.
     """
+    made = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for name, blocks in files.items():
-        digest = hashlib.sha256()
-        write_text(outdir / name, blocks, digest)
-        digests[name] = digest.hexdigest()
-    pairs = [("command", command), ("code_version", __version__)]
-    pairs.extend(config_pairs)
-    pairs.append(("wall_time_s", f"{time.perf_counter() - t0:.3f}"))
-    pairs.append(("checksum_sha256", next(iter(digests.values()))))
-    pairs.extend((f"checksum_sha256.{name}", d) for name, d in digests.items())
-    pairs.extend((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))
-    write_text(outdir / "manifest.txt", render_manifest(pairs))
+    digests, partials = {}, []
+    try:
+        for name, blocks in files.items():
+            digest = hashlib.sha256()
+            partials.append(write_partial(outdir / name, blocks, digest))
+            digests[name] = digest.hexdigest()
+        pairs = [("command", command), ("code_version", __version__), *config_pairs,
+                 ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
+                 ("checksum_sha256", next(iter(digests.values()))),
+                 *((f"checksum_sha256.{name}", d) for name, d in digests.items()),
+                 *((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))]
+        partials.append(write_partial(outdir / "manifest.txt", render_manifest(pairs)))
+        (outdir / "manifest.txt").unlink(missing_ok=True)
+        for partial in partials:
+            partial.replace(partial.with_suffix(""))
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        if made and not any(outdir.iterdir()):
+            outdir.rmdir()
+        raise
 
 
 def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
@@ -134,58 +145,53 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
         return default_grid(cfg.G_count, cfg.G_min, cfg.G_max, **shared)
 
 
-def _heatmap(G_values, traces, run_checksums: list):
-    """``heatmap.csv`` in blocks: the header, then each G's rows, rendered in
-    jobs of at most ``_BLOCK_ROWS`` rows; each G's sha256, taken over its
-    blocks in order, goes onto ``run_checksums`` as its last block is yielded.
+def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: list):
+    """``heatmap.csv`` in blocks: the header, then each G's rows, one :func:`_rendered` job per G.
 
-    A G's rows split into near-equal parts, so that the render processes,
-    which take the jobs in turn, get equal work.  Every point shares one time
-    grid, so the t column is formatted once, into one fixed-width array."""
-    yield (HEATMAP_HEADER + "\n").encode()
-    times = traces[0].times
+    A job builds its G's trace and returns the trace's revival peak and
+    first peak time as two float64s, then its rows, rendered in near-equal
+    parts of at most ``_BLOCK_ROWS`` rows so that it forks no further.  In
+    grid order, the two go onto ``diagnostics`` and the rows' sha256 onto
+    ``run_checksums``.  Every point shares one time grid, so the t column
+    is formatted once, into one fixed-width array, before the header."""
+    times = grid.params_at(grid.G_values[0]).times
     t_text = serialize._texts(times)     # the one hook that formats every CSV float
+    yield (HEATMAP_HEADER + "\n").encode()
     parts = -(-times.size // _BLOCK_ROWS)
     bounds = [times.size * k // parts for k in range(parts + 1)]
 
-    def rows(job: tuple[int, slice]) -> bytes:
-        i, part = job
-        tr = traces[i]
-        return b"".join(render_csv(None, (np.full(t_text[part].size, G_values[i]),
-                                          t_text[part], tr.sx[part], tr.px[part],
-                                          tr.n_alpha[part], tr.n_beta[part])))
+    def job(G: float) -> bytes:
+        tr = trace_at(grid, G)
+        d = revival_diagnostic(tr, t_min=t_min)
+        out = [np.array([d.revival_peak, d.first_peak_time]).tobytes()]
+        for lo, hi in pairwise(bounds):
+            out.extend(render_csv(None, (np.full(hi - lo, G), t_text[lo:hi], tr.sx[lo:hi],
+                                         tr.px[lo:hi], tr.n_alpha[lo:hi], tr.n_beta[lo:hi])))
+        return b"".join(out)
 
-    jobs = [(i, slice(lo, hi)) for i in range(len(G_values)) for lo, hi in pairwise(bounds)]
-    for k, data in enumerate(_rendered(rows, jobs)):
-        if k % parts == 0:
-            digest = hashlib.sha256()
-        digest.update(data)
-        if k % parts == parts - 1:
-            run_checksums.append(digest.hexdigest())
-        yield data
-        del data                # not held while the next job renders
+    for data in _rendered(job, grid.G_values):
+        diagnostics.append(np.frombuffer(data, count=2).tolist())
+        run_checksums.append(hashlib.sha256(memoryview(data)[16:]).hexdigest())
+        yield memoryview(data)[16:]
+        del data                # not held while the next job runs
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
     t0 = time.perf_counter()
-    with _refused_as("--workers"):
-        check_workers(workers)
+    if workers < 1:     # accepted for compatibility: a sweep runs on every usable CPU
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     # against the time grid that every point shares, before any G value
     with _refused_as():
         check_t_min(cfg.t_min, _model_params(cfg, G=0.0, N=cfg.N).times)
     grid = _sweep_grid(cfg)
-    traces = run_sweep(grid, workers=workers)
-    diags = [revival_diagnostic(trace, t_min=cfg.t_min) for trace in traces]
-    diag_columns = (np.array(grid.G_values),
-                    np.array([d.revival_peak for d in diags]),
-                    np.array([d.first_peak_time for d in diags]))
-    run_checksums = []
-    files = {
-        "heatmap.csv": _heatmap(grid.G_values, traces, run_checksums),
-        # G_count rows, rendered before the heatmap streams, so that a
-        # failing render leaves an earlier run in ``outdir`` as it was
-        "diagnostics.csv": [b"".join(render_csv(DIAGNOSTICS_HEADER, diag_columns))],
-    }
+    diagnostics, run_checksums = [], []
+
+    def diagnostics_csv():      # once the heatmap has streamed, so its G are all done
+        yield from render_csv(DIAGNOSTICS_HEADER, (np.array(grid.G_values),
+                                                   *map(np.array, zip(*diagnostics))))
+
+    files = {"heatmap.csv": _heatmap(grid, cfg.t_min, diagnostics, run_checksums),
+             "diagnostics.csv": diagnostics_csv()}
     config_pairs = [
         *_config_pairs(cfg, "direction", "sign", "mu", "N", "t_max", "dt"),
         ("G_count", str(len(grid.G_values))),
@@ -283,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="concurrent sweep workers, capped at the CPU count")
+                           help="kept for compatibility (>= 1): a sweep runs on every usable CPU")
     return parser
 
 

@@ -670,7 +670,11 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
         else:
             # leaving the block waits for every worker, even after one fails
             with ThreadPoolExecutor(workers, thread_name_prefix="metricspin-chunk") as pool:
-                list(pool.map(reduce_chunks, *zip(*tasks)))
+                try:
+                    done = pool.map(reduce_chunks, *zip(*tasks))   # starts the threads
+                except RuntimeError as exc:     # "can't start new thread": out of memory
+                    raise MemoryError(f"cannot start a chunk thread: {exc}") from exc
+                list(done)
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:

@@ -3,7 +3,7 @@
 Floats are rendered as shortest round-trip decimals (Python ``repr``)
 so re-running a manifest reproduces files byte for byte on any platform
 with IEEE-754 doubles.  Every output is rendered to bytes (CSVs in
-ASCII, manifests in UTF-8) and written through :func:`write_text`.
+ASCII, manifests in UTF-8) and written through :func:`write_partial`.
 
 Every CSV goes through :func:`render_csv`, which takes the file's columns
 as 1-D arrays: floats, integers, or bytes texts written as they are.  A
@@ -33,20 +33,19 @@ fixed-width slots, each cell's text NUL-padded and followed by its ``,``
 or the row's newline; dropping the NUL bytes leaves the block's text.
 
 Formatting holds the interpreter lock, so threads cannot share it;
-forked processes can.  :func:`_rendered` spreads a list of jobs (a
-file's row blocks, or parts of a sweep's G rows) over
-W = min(:func:`~metricspin.model.usable_cpus`, jobs) processes: the
-caller renders jobs 0, W, 2W, ... itself, and each of W - 1 forked
-children renders its own residue class and sends every result down a
-pipe.  The caller yields the results in job order, so the bytes are
-those of rendering every job in one process.  The render stays in one
-process when W is 1, when another Python thread is alive (a fork copies
-only the calling thread), or where there is no ``os.fork``.  A job never
-forks again: a sweep's part is at most one block, so the render of its
-rows is one job, and table magnitudes are formatted in the process that
-builds the tables.  A child shares the caller's pages copy-on-write and
-holds one job's text at a time; every child is killed and reaped before
-the render returns or fails.
+forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
+or a sweep's G values) over W = min(:func:`~metricspin.model.usable_cpus`,
+jobs) processes: the caller runs jobs 0, W, 2W, ... and each of W - 1
+forked children its own residue class, sending the results down a pipe;
+the caller yields them in job order, so the bytes are those of one
+process.  The map stays in one process when W is 1, when another Python
+thread is alive (a fork copies only the calling thread), or without
+``os.fork``.  While it forks it holds the model's BLAS pin, so every job
+runs its kernels on one thread; a one-process map leaves a trace its
+chunk threads.  A job never forks again: it renders at most one block at
+a time, and table magnitudes are formatted in the process that builds
+the tables.  The children share the caller's pages copy-on-write and are
+killed and reaped before the map returns or fails.
 """
 
 from __future__ import annotations
@@ -57,9 +56,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalConsistencyError
 from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
-from .model import usable_cpus
+from .model import _ONE_BLAS_THREAD, usable_cpus
 
 #: rows rendered together; bounds a block's cell buffer and text
 _BLOCK_ROWS = 2048
@@ -196,46 +196,48 @@ def _rendered(render, jobs):
     """``render(job)``, bytes, for each of the sequence ``jobs``, yielded in job order.
 
     Spread over forked processes as the module docstring says.  A child's
-    ``MemoryError`` is raised here as a ``MemoryError``, any other failure
-    as ``RuntimeError``; closing the generator early kills the children.
+    ``MemoryError`` and ``NumericalConsistencyError`` are raised here as
+    such, any other failure as ``RuntimeError``; closing the generator
+    early kills the children.
     """
     forkable = threading.active_count() == 1 and hasattr(os, "fork")
     width = min(usable_cpus(), len(jobs)) if forkable else 1
     if width < 2:
         yield from map(render, jobs)
         return
-    import signal       # loaded only by a render that forks
+    import signal       # loaded only by a map that forks
 
     pids, pipes = [], []
-    try:
-        for k in range(1, width):
-            read, write = os.pipe()
-            pipes.append(os.fdopen(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(render, jobs[k::width], write, pipes)
-            finally:
-                os.close(write)         # the child never gets here
-            pids.append(pid)
-        for i, job in enumerate(jobs):
-            yield _received(pipes[i % width - 1]) if i % width else render(job)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
+    with _ONE_BLAS_THREAD:
+        try:
+            for k in range(1, width):
+                read, write = os.pipe()
+                pipes.append(os.fdopen(read, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(render, jobs[k::width], write, pipes)
+                finally:
+                    os.close(write)         # the child never gets here
+                pids.append(pid)
+            for i, job in enumerate(jobs):
+                yield _received(pipes[i % width - 1]) if i % width else render(job)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for pipe in pipes:
+                pipe.close()
 
 
 def _serve(render, jobs, fd: int, pipes) -> None:
     """In a forked child: send ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
 
-    Each message is a tag (``R`` a result, ``M`` a ``MemoryError``, ``E``
-    any other failure), an 8-byte length and that many bytes: the result,
-    or the error's text.  Never returns: the child leaves through
-    ``os._exit``, so it runs no exit handler and flushes no buffer of the
-    caller's.
+    Each message is a tag (``R`` a result, ``M`` a ``MemoryError``, ``N``
+    a ``NumericalConsistencyError``, ``E`` any other failure), an 8-byte
+    length and that many bytes: the result, or the error's text.  Never
+    returns: the child leaves through ``os._exit``, so it runs no exit
+    handler and flushes no buffer of the caller's.
     """
     status = 1
     try:
@@ -245,8 +247,9 @@ def _serve(render, jobs, fd: int, pipes) -> None:
             try:
                 for job in jobs:
                     _send(out, b"R", render(job))
-            except MemoryError as exc:
-                _send(out, b"M", str(exc).encode(errors="replace"))
+            except (MemoryError, NumericalConsistencyError) as exc:    # exits 2 and 3
+                tag = b"M" if isinstance(exc, MemoryError) else b"N"
+                _send(out, tag, str(exc).encode(errors="replace"))
             except Exception as exc:    # reported to the caller, which raises
                 _send(out, b"E", f"{type(exc).__name__}: {exc}".encode(errors="replace"))
         status = 0
@@ -268,6 +271,8 @@ def _received(pipe) -> bytes:
         raise RuntimeError("a render process ended without sending its result")
     if head[:1] == b"M":
         raise MemoryError(data.decode() or "in a render process")
+    if head[:1] == b"N":
+        raise NumericalConsistencyError(data.decode())
     if head[:1] == b"E":
         raise RuntimeError(f"a render process failed: {data.decode()}")
     return data
@@ -278,16 +283,14 @@ def render_manifest(pairs) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in pairs).encode()
 
 
-def write_text(path, data, digest=None) -> Path:
-    """Write ``data``, bytes or an iterable of bytes blocks, to ``path``; return ``path``.
+def write_partial(path, data, digest=None) -> Path:
+    """Write ``data``, bytes or an iterable of bytes blocks, to ``<name>.partial``; return it.
 
-    The blocks go as they come to ``<name>.partial`` beside ``path``,
-    which replaces ``path`` only once the last block is written, so
-    ``path`` is never left half written.  Each block is also fed to
-    ``digest``, a ``hashlib`` object, if one is given.  On any exception,
-    a failing block included, the partial file is removed, a generator
-    ``data`` is closed (which stops its render, forked processes
-    included) and ``path`` keeps what it held.
+    The blocks go to the file beside ``path`` as they come, each also fed
+    to ``digest``, a ``hashlib`` object, if one is given.  On any
+    exception, a failing block included, the partial file is removed and a
+    generator ``data`` is closed (which stops its render, forked processes
+    included).
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
@@ -299,10 +302,20 @@ def write_text(path, data, digest=None) -> Path:
                 if digest is not None:
                     digest.update(block)
                 del block       # not held while the next block renders
-        os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         if hasattr(blocks, "close"):
             blocks.close()
         raise
-    return path
+    return partial
+
+
+def write_text(path, data, digest=None) -> Path:
+    """:func:`write_partial`, which then replaces ``path``; ``path`` keeps its bytes on failure."""
+    path = Path(path)
+    partial = write_partial(path, data, digest)
+    try:
+        return partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

@@ -1,33 +1,28 @@
 """Parameter sweeps over the coupling G with revival diagnostics.
 
-A sweep runs one trace per G value.  The first running kernel owns the
-BLAS thread budget: one worker leaves it to each trace in turn, which
-spreads its chunks over that many threads.  ``workers`` is capped at
-the CPU count; above one, the sweep holds the budget itself, so each of
-its threads runs whole grid points serially and a multi-worker sweep
-runs that many threads in total.  Results are merged by grid index and
-every kernel runs with OpenBLAS pinned to one thread, so the output is
-identical however it was scheduled.  Nothing in the pipeline is random,
-so the grid fully determines its outputs.
+A sweep runs one trace per G value through :func:`trace_at`, which names
+the failing G in any error it raises.  :func:`run_sweep` runs them in
+grid order in the calling thread; the ``sweep`` command maps one job per
+G (trace, diagnostic and rows) over the processes of
+``serialize._rendered``.  Every kernel runs with OpenBLAS pinned to one
+thread and nothing in the pipeline is random, so the grid alone
+determines the output, however it was scheduled.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError
 from .model import (
-    _ONE_BLAS_THREAD,
     ModelParams,
     ObservableTrace,
     build_minimal_hamiltonian,
     initial_state,
     observable_trace,
     spin_state,
-    usable_cpus,
 )
 
 #: diagnostics ignore times at or before this, i.e. the initial decay
@@ -73,48 +68,29 @@ def default_grid(count: int = 60, G_min: float = 0.01, G_max: float = 100.0,
     return SweepGrid(G_values=G_values, **kwargs)
 
 
-def _failed_at(G: float, exc: Exception) -> Exception:
-    """``exc`` re-made with the failing G in its message, keeping its type.
+def trace_at(grid: SweepGrid, G: float) -> ObservableTrace:
+    """The trace of ``grid`` at ``G``; a failure is raised again naming G, keeping its type.
 
     The type carries the CLI exit code (a ``NumericalConsistencyError``
     must still exit 3, a ``MemoryError`` 2); a type that cannot be built
     from one message, such as numpy's ``_ArrayMemoryError``, falls back
     to ``MemoryError`` or else ``RuntimeError``.
     """
-    message = f"sweep run failed at G={G!r}: {exc}"
     try:
-        return type(exc)(message)
-    except TypeError:
-        return (MemoryError if isinstance(exc, MemoryError) else RuntimeError)(message)
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a sweep worker count below 1."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
-def run_sweep(grid: SweepGrid, workers: int = 1) -> list[ObservableTrace]:
-    """One trace per G value in grid order; one worker runs in the calling thread.
-
-    At most :func:`~metricspin.model.usable_cpus` workers run; a cap of one
-    takes the serial path.  A failure aborts the sweep.
-    """
-
-    def one(G: float) -> ObservableTrace:
+        h = build_minimal_hamiltonian(grid.params_at(G))
+        return observable_trace(h, initial_state(grid.direction, grid.sign, grid.N))
+    except Exception as exc:
+        message = f"sweep run failed at G={G!r}: {exc}"
         try:
-            h = build_minimal_hamiltonian(grid.params_at(G))
-            return observable_trace(h, initial_state(grid.direction, grid.sign, grid.N))
-        except Exception as exc:
-            raise _failed_at(G, exc) from exc
+            failed = type(exc)(message)
+        except TypeError:
+            failed = (MemoryError if isinstance(exc, MemoryError) else RuntimeError)(message)
+        raise failed from exc
 
-    check_workers(workers)
-    workers = min(workers, usable_cpus())     # more threads than cores buy no time
-    if workers == 1:
-        return list(map(one, grid.G_values))
-    # held across the grid, so every trace of a worker runs serially
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, grid.G_values))
+
+def run_sweep(grid: SweepGrid) -> list[ObservableTrace]:
+    """One trace per G value, in grid order, in the calling thread; a failure aborts."""
+    return [trace_at(grid, G) for G in grid.G_values]
 
 
 @dataclass(frozen=True)

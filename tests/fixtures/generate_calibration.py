@@ -24,7 +24,7 @@ FIXTURE = Path(__file__).with_name("revival_calibration.json")
 
 def main(out: Path = FIXTURE, count: int = 60):
     grid = ms.default_grid(count)
-    traces = ms.run_sweep(grid, workers=4)
+    traces = ms.run_sweep(grid)
     diags = [ms.revival_diagnostic(tr, t_min=T_MIN) for tr in traces]
 
     weak = [d.revival_peak for G, d in zip(grid.G_values, diags) if G <= 0.1]

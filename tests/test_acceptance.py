@@ -195,7 +195,7 @@ def test_c09_truncation_convergence():
 def default_sweep():
     grid = default_grid()
     t0 = time.perf_counter()
-    traces = run_sweep(grid, workers=4)
+    traces = run_sweep(grid)
     elapsed = time.perf_counter() - t0
     return grid, traces, elapsed
 

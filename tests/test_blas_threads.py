@@ -3,12 +3,13 @@
 Every eigensolve and chunk product runs with numpy's OpenBLAS at one
 thread.  The first running kernel owns the caller's thread count, the
 BLAS thread budget: a trace that gets it runs its chunks on that many
-threads, started for the call, and a multi-worker sweep holds it, so it
-runs ``workers`` threads in total, at most the CPU count.  So the output
-bytes must not depend on ``OPENBLAS_NUM_THREADS``, the caller's thread
-count must be what it was after any kernel, and chunk threads must call
-no function of ``metricspin.model`` (a profiler that wraps those
-functions keeps one span stack per process).
+threads, started for the call.  A sweep maps one job per G over forked
+processes and holds the budget while it forks, so each job runs its
+trace's chunks itself; a sweep in one process leaves each trace the
+budget.  So the output bytes must not depend on ``OPENBLAS_NUM_THREADS``,
+the caller's thread count must be what it was after any kernel, and
+chunk threads must call no function of ``metricspin.model`` (a profiler
+that wraps those functions keeps one span stack per process).
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from metricspin import (
     observable_trace,
     run_sweep,
 )
-from metricspin import model, sweep
+from metricspin import cli, model, serialize, sweep
 from metricspin.model import _ONE_BLAS_THREAD, ParityBlock
 from metricspin.sweep import SweepGrid
 
@@ -132,20 +133,16 @@ class TestPinHygiene:
     def test_concurrent_traces_match_serial_ones(self, two_blas_threads):
         # at d = 400 one unpinned product or eigensolve changes the bits, so a
         # trace ending must not restore the count under one still running;
-        # switching threads as often as it can: a sweep's (capped at the
-        # cores), then more plain threads than cores, of which the first to
-        # start a trace owns the budget and runs chunk threads beside the others
+        # switching threads as often as it can: more plain threads than cores,
+        # of which the first to start a trace owns the budget and runs chunk
+        # threads beside the others
         grid = SweepGrid(G_values=(0.5, 3.0, 10.0, 30.0), direction="z", N=20, t_max=10.0)
-        serial = run_sweep(grid, workers=1)
-
-        def trace_at(G: float):
-            p = grid.params_at(G)
-            return observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
+        serial = run_sweep(grid)
 
         def both():
-            concurrent.append(run_sweep(grid, workers=4))
             with ThreadPoolExecutor(4) as pool:
-                concurrent.append(list(pool.map(trace_at, grid.G_values)))
+                concurrent.append(list(pool.map(lambda G: sweep.trace_at(grid, G),
+                                                 grid.G_values)))
 
         concurrent = []
         interval = sys.getswitchinterval()
@@ -156,7 +153,7 @@ class TestPinHygiene:
             runner.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not runner.is_alive() and len(concurrent) == 2
+        assert not runner.is_alive() and len(concurrent) == 1
         assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
         for traces in concurrent:
             assert len(traces) == len(serial)
@@ -173,7 +170,7 @@ class TestPinHygiene:
 
         monkeypatch.setattr(sweep, "build_minimal_hamiltonian", planted)
         with pytest.raises(NumericalConsistencyError, match="G=3.0.*off the diagonals"):
-            run_sweep(grid, workers=2)
+            run_sweep(grid)
         assert two_blas_threads() == 2
         assert _ONE_BLAS_THREAD.users == 0
 
@@ -235,32 +232,70 @@ def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads
     assert not any(map(is_chunk_thread, threading.enumerate()))
 
 
-def test_sweep_workers_are_its_only_threads(two_blas_threads, chunk_threads):
-    # the sweep holds the budget, so each worker runs its traces' chunks itself
-    grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
-    run_sweep(grid, workers=2)
-    assert not any(map(is_chunk_thread, chunk_threads))
-    assert 1 <= len(chunk_threads) <= 2
+#: a sweep of four G values, each trace 8 chunks of 128 steps at N=8
+SWEEP = ["sweep", "--set", "N=8", "--set", "G_list=0.5,1,3,10", "--set", "t_max=20"]
 
 
-def test_sweep_on_one_core_runs_in_the_calling_thread(monkeypatch, chunk_threads):
-    grid = SweepGrid(G_values=(0.5, 1.0, 3.0, 10.0), N=8, t_max=20.0)
-    serial = run_sweep(grid, workers=1)
-    chunk_threads.clear()
-    for module in (model, sweep):
-        monkeypatch.setattr(module, "usable_cpus", lambda: 1)
-    capped = run_sweep(grid, workers=4)
+def test_sweep_workers_are_its_only_threads(tmp_path, monkeypatch, two_blas_threads,
+                                            chunk_threads, render_cpus):
+    # the sweep's map holds the budget while it forks, so each job, this
+    # process's included, runs its trace's chunks itself
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    render_cpus(2)
+    assert cli.main([*SWEEP, "--out", str(tmp_path)]) == 0
     assert chunk_threads == {threading.current_thread()}
-    for a, b in zip(serial, capped, strict=True):
-        for name in COLUMNS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 
 
-def test_sweep_workers_capped_at_the_cpu_count(monkeypatch, chunk_threads):
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: 2)
-    run_sweep(SweepGrid(G_values=tuple(np.geomspace(0.5, 30.0, 8)), N=8, t_max=20.0),
-              workers=4)
-    assert 1 <= len(chunk_threads) <= 2
+def test_sweep_in_one_process_leaves_traces_their_chunk_threads(tmp_path, monkeypatch,
+                                                                 two_blas_threads,
+                                                                 chunk_threads, render_cpus):
+    # a map of width one takes no pin: each trace owns the budget in turn
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    render_cpus(1)
+    assert cli.main([*SWEEP, "--out", str(tmp_path)]) == 0
+    assert any(map(is_chunk_thread, chunk_threads))
+    assert not any(map(is_chunk_thread, threading.enumerate()))
+    assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
+
+
+def test_sweep_on_one_core_runs_in_the_calling_thread(tmp_path, monkeypatch, chunk_threads,
+                                                      forks):
+    for module in (model, serialize):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 1)
+    assert cli.main([*SWEEP, "--out", str(tmp_path / "one")]) == 0
+    assert chunk_threads == {threading.current_thread()} and forks == []
+    monkeypatch.undo()
+    assert cli.main([*SWEEP, "--out", str(tmp_path / "all")]) == 0
+    for name in ("heatmap.csv", "diagnostics.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_sweep_workers_capped_at_the_cpu_count(tmp_path, render_cpus, forks):
+    # --workers selects nothing: eight G at two CPUs fork one child
+    render_cpus(2)
+    argv = ["sweep", "--set", "N=4", "--set", "G_count=8", "--set", "t_max=5"]
+    assert cli.main([*argv, "--workers", "4", "--out", str(tmp_path)]) == 0
+    assert len(forks) == 1
+
+
+def test_chunk_thread_that_cannot_start_exits_2(tmp_path, monkeypatch, capsys,
+                                                two_blas_threads):
+    # a trace with a budget of two threads and 40 chunks starts a chunk
+    # thread, which fails as it does when no memory is left for its stack
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+
+    def cannot_start(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--out", str(out), "--set", "N=8"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: run too large for memory: "
+                   "cannot start a chunk thread: can't start new thread\n")
+    assert not out.exists()
+    assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 
 
 def sx_at_end(p: ModelParams) -> tuple[float, int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import math
@@ -23,12 +24,13 @@ from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
 from metricspin.model import (
     ModelParams,
+    ParityBlock,
     build_minimal_hamiltonian,
     initial_state,
     observable_trace,
 )
 from metricspin.serialize import _BLOCK_ROWS, render_csv, write_text
-from metricspin.sweep import SweepGrid, run_sweep
+from metricspin.sweep import SweepGrid, revival_diagnostic, run_sweep
 from oracles import csv_oracle
 
 SQRT2 = math.sqrt(2.0)
@@ -44,11 +46,35 @@ def sha256_hex(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def heatmap_of(grid, traces=None):
+#: a diagnostic window that every time of a trace is in, one-point traces included
+ALL_TIMES = -1.0
+
+
+def heatmap_of(grid):
     """``heatmap.csv`` bytes and run checksums of ``grid``, as ``cmd_sweep`` renders them."""
     run_checksums = []
-    blocks = cli._heatmap(grid.G_values, traces or run_sweep(grid), run_checksums)
+    blocks = cli._heatmap(grid, ALL_TIMES, [], run_checksums)
     return b"".join(blocks), run_checksums
+
+
+def planted_sweep(monkeypatch, traces, G_values=None):
+    """A grid whose trace at ``G_values[i]`` (default ``i``) is ``traces[i]``.
+
+    ``cli.trace_at`` is replaced, so the heatmap's jobs, forked ones too,
+    render the given traces; the grid's time grid is the first trace's."""
+    G_values = tuple(range(len(traces))) if G_values is None else G_values
+    by_G = dict(zip(G_values, traces))
+    monkeypatch.setattr(cli, "trace_at", lambda grid, G: by_G[G])
+    times = traces[0].times
+    return SimpleNamespace(G_values=G_values, params_at=lambda G: SimpleNamespace(times=times))
+
+
+def broken_hamiltonian(p: ModelParams):
+    """``h`` with a planted entry off the five diagonals of block +1."""
+    h = build_minimal_hamiltonian(p)
+    m = h.blocks[0].entries.copy()
+    m[0, 2] = m[2, 0] = 1e-3
+    return dataclasses.replace(h, blocks=(ParityBlock(1, m), h.blocks[1]))
 
 
 def read_csv(path):
@@ -190,10 +216,13 @@ class TestOversizedRuns:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_sweep_memory_error_maps_to_2(self, tmp_path, monkeypatch, capsys, workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_memory_error_maps_to_2(self, tmp_path, monkeypatch, capsys, render_cpus,
+                                          cpus):
         # numpy's own error, which cannot be re-made from a message alone;
-        # raised, not provoked, so no pages are ever committed
+        # raised, not provoked, so no pages are ever committed; at two CPUs
+        # it is raised in the forked job of G=0.2
+        render_cpus(cpus)
         try:
             from numpy._core._exceptions import _ArrayMemoryError
         except ImportError:                 # numpy < 2
@@ -207,8 +236,8 @@ class TestOversizedRuns:
 
         monkeypatch.setattr(sweep_mod, "observable_trace", starved)
         out = tmp_path / "o"
-        rc = cli.main(["sweep", "--out", str(out), "--workers", workers,
-                       "--set", "G_list=0.02,0.2", *FAST, "--set", "t_min=1", "--set", "N=4"])
+        rc = cli.main(["sweep", "--out", str(out), "--set", "G_list=0.02,0.2",
+                       *FAST, "--set", "t_min=1", "--set", "N=4"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: run too large for memory") and "G=0.2" in err
@@ -251,6 +280,28 @@ class TestNumericalFailureExitCode:
         err = capsys.readouterr().err
         assert "G=0.2" in err and "drift" in err
         assert not out.exists() or not any(out.iterdir())
+
+    # at two CPUs, G=0.02 is this process's job and G=0.2 the forked child's
+    @pytest.mark.parametrize("G", [0.02, 0.2])
+    def test_broken_block_in_a_forked_sweep_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                   render_cpus, forks, G):
+        render_cpus(2)
+
+        def planted(p: ModelParams):
+            return broken_hamiltonian(p) if p.G == G else build_minimal_hamiltonian(p)
+
+        monkeypatch.setattr(sweep_mod, "build_minimal_hamiltonian", planted)
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--out", str(out), "--set", "G_list=0.02,0.2",
+                       *FAST, "--set", "t_min=1", "--set", "N=4"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical consistency failure:") and err.count("\n") == 1
+        assert f"G={G}" in err and "off the diagonals" in err
+        assert len(forks) == 1
+        assert snapshot(out) == {}
+        TestRenderProcesses.assert_no_child_left()
+        assert model_mod._ONE_BLAS_THREAD.users == 0       # the map released the pin
 
 
 class TestNonFiniteConfigValues:
@@ -345,6 +396,28 @@ class TestSweepCommand:
             assert manifest[f"checksum.run.{i:03d}"] == digest
         assert "checksum.run.003" not in manifest
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_peak_memory_is_flat_in_g_count(self, tmp_path):
+        # each G's trace lives in its job alone: the command's peak resident
+        # memory at 64 G of 5001 rows is that at 4 G, where holding every
+        # trace would add 0.3 MB per G
+        code = ("import sys; from metricspin import cli; "
+                "assert cli.main(sys.argv[1:]) == 0; "
+                "print(next(int(line.split()[1]) for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
+
+        def peak_kb(G_count: int) -> int:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "sweep", "--out", str(tmp_path / str(G_count)),
+                 "--set", "N=4", "--set", f"G_count={G_count}"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        small, large = peak_kb(4), peak_kb(64)
+        assert large - small <= 1024, f"{small} kB at 4 G, {large} kB at 64 G"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_refused(self, tmp_path, capsys, workers):
         out = tmp_path / "o"
@@ -376,7 +449,7 @@ class TestHeatmapExport:
         # those rows rendered on their own
         grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
         traces = run_sweep(grid)
-        heatmap, run_checksums = heatmap_of(grid, traces)
+        heatmap, run_checksums = heatmap_of(grid)
         per_g = traces[0].times.size
         assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
         bodies = [b"".join(render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
@@ -384,6 +457,16 @@ class TestHeatmapExport:
                   for G, tr in zip(grid.G_values, traces)]
         assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
         assert run_checksums == [sha256_hex(b) for b in bodies]
+
+    def test_diagnostics_are_those_of_each_g(self, render_cpus):
+        # at two CPUs, every other G's diagnostic comes from a forked job
+        render_cpus(2)
+        grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=20.0, dt=0.02)
+        diagnostics = []
+        for _ in cli._heatmap(grid, 1.0, diagnostics, []):
+            pass
+        want = [revival_diagnostic(tr, t_min=1.0) for tr in run_sweep(grid)]
+        assert diagnostics == [[d.revival_peak, d.first_peak_time] for d in want]
 
     def test_row_count_and_header(self, tmp_path):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
@@ -417,19 +500,18 @@ class TestHeatmapExport:
     @pytest.mark.parametrize("per_g", [1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                        2 * _BLOCK_ROWS + 3])
     @pytest.mark.parametrize("G_count", [1, 3])
-    def test_run_checksums_for_every_block_alignment(self, per_g, G_count):
+    def test_run_checksums_for_every_block_alignment(self, monkeypatch, per_g, G_count):
         # G boundaries before, on and after block boundaries, several G
         # in one block and one G over several blocks
         rng = np.random.default_rng(per_g + G_count)
-        G_values = tuple(range(G_count))
         traces = [SimpleNamespace(times=np.arange(per_g) * 0.02, sx=rng.standard_normal(per_g),
                                   px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
-                                  n_beta=np.full(per_g, 0.5)) for _ in G_values]
-        run_checksums = []
-        heatmap = b"".join(cli._heatmap(G_values, traces, run_checksums))
+                                  n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
+        grid = planted_sweep(monkeypatch, traces)
+        heatmap, run_checksums = heatmap_of(grid)
         bodies = [b"".join(render_csv(None, (np.full(per_g, G), tr.times, tr.sx, tr.px,
                                              tr.n_alpha, tr.n_beta)))
-                  for G, tr in zip(G_values, traces)]
+                  for G, tr in zip(grid.G_values, traces)]
         assert heatmap == (cli.HEATMAP_HEADER + "\n").encode() + b"".join(bodies)
         assert run_checksums == [sha256_hex(b) for b in bodies]
 
@@ -440,32 +522,33 @@ class TestHeatmapExport:
                                 px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
                                 n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
 
-    def test_a_g_renders_in_near_equal_jobs_of_at_most_a_block(self, monkeypatch):
-        # a render process holds one job's text, not a whole G's, and the
-        # processes, which take the jobs in turn, get equal work
+    def test_a_g_renders_in_near_equal_jobs_of_at_most_a_block(self, monkeypatch,
+                                                               render_cpus):
+        # a G's job renders its rows in parts of at most a block, each one
+        # render_csv call of one block, so that the job never forks again
+        render_cpus(1)
         sizes = []
-        rendered = cli._rendered
 
-        def counted(render, jobs):
-            for data in rendered(render, jobs):
-                sizes.append(data.count(b"\n"))
-                yield data
+        def counted(header, columns):
+            sizes.append(len(columns[0]))
+            return render_csv(header, columns)
 
-        monkeypatch.setattr(cli, "_rendered", counted)
-        b"".join(cli._heatmap((0, 1), self.random_traces(2, 2 * _BLOCK_ROWS + 3), []))
+        monkeypatch.setattr(cli, "render_csv", counted)
+        grid = planted_sweep(monkeypatch, self.random_traces(2, 2 * _BLOCK_ROWS + 3))
+        heatmap_of(grid)
         assert sizes == [1366, 1366, 1367] * 2
 
-    def test_memory_does_not_grow_with_the_grid(self, render_cpus):
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch, render_cpus):
         # each G is rendered and hashed on its own, so streaming the
         # heatmap holds no column of every G's rows; tracemalloc sees this
         # process only, so the render stays in it
         render_cpus(1)
 
         def peak(G_count, per_g=5001):
-            traces = self.random_traces(G_count, per_g)
+            grid = planted_sweep(monkeypatch, self.random_traces(G_count, per_g))
             tracemalloc.start()
             try:
-                for _ in cli._heatmap(tuple(range(G_count)), traces, []):
+                for _ in cli._heatmap(grid, ALL_TIMES, [], []):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -473,39 +556,38 @@ class TestHeatmapExport:
 
         assert peak(16) <= 1.1 * peak(2)
 
-    def test_time_texts_cost_at_most_30_bytes_per_point(self, render_cpus):
-        # the t column is formatted into one 24 B-per-point array, 2048
-        # points at a time, with no joined text or bytes objects on the way;
-        # the value columns are 0-stride views, so only times are held
-        render_cpus(1)
+    def test_time_texts_cost_at_most_30_bytes_per_point(self, monkeypatch):
+        # the t column is formatted, before the header is yielded, into one
+        # 24 B-per-point array, 2048 points at a time, with no joined text or
+        # bytes objects on the way
         per_g = 1_000_001
         flat = np.broadcast_to(0.5, (per_g,))
         trace = SimpleNamespace(times=np.arange(per_g) * 0.02, sx=flat, px=flat,
                                 n_alpha=flat, n_beta=flat)
-        blocks = cli._heatmap((1.0,), [trace], [])
-        assert next(blocks) == (cli.HEATMAP_HEADER + "\n").encode()
+        blocks = cli._heatmap(planted_sweep(monkeypatch, [trace], (1.0,)), ALL_TIMES, [], [])
         tracemalloc.start()
         try:
-            first = next(blocks)        # formats the t column, then renders a first job
+            header = next(blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             blocks.close()
-        assert first.startswith(b"1.0,0.0,0.5,0.5,0.5,0.5\n1.0,0.02,0.5,")
-        assert peak <= 30 * per_g, f"{peak / per_g:.1f} B per point"
+        assert header == (cli.HEATMAP_HEADER + "\n").encode()
+        assert 24 * per_g <= peak <= 30 * per_g, f"{peak / per_g:.1f} B per point"
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_forked_heatmap_bytes_and_run_checksums(self, render_cpus, forks, cpus):
+    def test_forked_heatmap_bytes_and_run_checksums(self, monkeypatch, render_cpus, forks,
+                                                    cpus):
         # 5 G of three blocks each; the caller's own G and every child's
         # render their blocks in their own process
-        self.assert_forked_heatmap_as_one_process(
-            tuple(range(5)), self.random_traces(5, 2 * _BLOCK_ROWS + 3), render_cpus, cpus)
-        # the five G's jobs; the t column is formatted in this process
+        grid = planted_sweep(monkeypatch, self.random_traces(5, 2 * _BLOCK_ROWS + 3))
+        self.assert_forked_heatmap_as_one_process(grid, render_cpus, cpus)
+        # one job per G; the t column is formatted in this process
         assert len(forks) == min(cpus, 5) - 1
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_a_job_of_many_tabled_magnitudes_forks_no_further(self, render_cpus, forks,
-                                                              cpus):
+    def test_a_job_of_many_tabled_magnitudes_forks_no_further(self, monkeypatch, render_cpus,
+                                                              forks, cpus):
         # one job per G, whose value columns repeat enough to have tables of
         # more than a block's worth of magnitudes; the job formats them in
         # its own process, and a child that forked would fail here
@@ -520,19 +602,22 @@ class TestHeatmapExport:
         values = np.concatenate([traces[0].sx, traces[0].px, traces[0].n_alpha,
                                  traces[0].n_beta])
         assert np.unique(np.abs(values)).size > _BLOCK_ROWS
-        self.assert_forked_heatmap_as_one_process((0.5, 1.5, 2.5), traces, render_cpus, cpus)
+        grid = planted_sweep(monkeypatch, traces, (0.5, 1.5, 2.5))
+        self.assert_forked_heatmap_as_one_process(grid, render_cpus, cpus)
         assert len(forks) == min(cpus, 3) - 1
 
     @staticmethod
-    def assert_forked_heatmap_as_one_process(G_values, traces, render_cpus, cpus):
-        """At ``cpus`` render CPUs, the heatmap and run checksums are those of one process."""
+    def assert_forked_heatmap_as_one_process(grid, render_cpus, cpus):
+        """At ``cpus`` render CPUs, the heatmap, run checksums and diagnostics
+        are those of one process."""
         render_cpus(1)
-        want_checksums = []
-        want = b"".join(cli._heatmap(G_values, traces, want_checksums))
+        want_diagnostics, want_checksums = [], []
+        want = b"".join(cli._heatmap(grid, ALL_TIMES, want_diagnostics, want_checksums))
         render_cpus(cpus)
-        run_checksums = []
-        assert b"".join(cli._heatmap(G_values, traces, run_checksums)) == want
+        diagnostics, run_checksums = [], []
+        assert b"".join(cli._heatmap(grid, ALL_TIMES, diagnostics, run_checksums)) == want
         assert run_checksums == want_checksums
+        assert diagnostics == want_diagnostics
 
 
 def snapshot(out):
@@ -671,6 +756,49 @@ class TestStreamedOutputs:
         self.fail_at(monkeypatch, tmp_path, argv, out, share)
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
+    def test_commit_fault_keeps_an_earlier_run_or_leaves_no_manifest(self, tmp_path,
+                                                                    monkeypatch, command):
+        # an OSError at each os.unlink and os.replace of the commit in turn;
+        # a directory that holds a manifest must always match it
+        argv = [*getattr(self, command), *self.OTHER]
+        calls, fault = [], [None]
+        unlink, replace = os.unlink, os.replace
+
+        def faulty(name, real):
+            def call(path, *args, **kwargs):
+                calls.append((name, Path(path).name))
+                if len(calls) == fault[0]:
+                    raise OSError(errno.EIO, f"injected at {name}")
+                return real(path, *args, **kwargs)
+            return call
+
+        def earlier_run(out):
+            assert cli.main([*getattr(self, command), "--out", str(out)]) == 0
+            calls.clear()
+            return snapshot(out)
+
+        monkeypatch.setattr(os, "unlink", faulty("unlink", unlink))
+        monkeypatch.setattr(os, "replace", faulty("replace", replace))
+        earlier_run(tmp_path / "count")
+        assert cli.main([*argv, "--out", str(tmp_path / "count")]) == 0
+        names = sorted(snapshot(tmp_path / "count"))
+        # the old manifest goes first, the new one comes last
+        assert calls[0] == ("unlink", "manifest.txt")
+        assert calls[-1] == ("replace", "manifest.txt.partial")
+        assert sorted(calls[1:]) == [("replace", f"{name}.partial") for name in names]
+        for k in range(1, len(calls) + 1):
+            out = tmp_path / f"fault{k}"
+            before = earlier_run(out)
+            fault[0] = k
+            with pytest.raises(OSError, match="injected"):
+                cli.main([*argv, "--out", str(out)])
+            fault[0] = None
+            after = snapshot(out)
+            assert not any(name.endswith(".partial") for name in after), (k, sorted(after))
+            assert after == before or "manifest.txt" not in after, (k, sorted(after))
+        assert "manifest.txt" not in after      # the new files are in, the new manifest not
 
 
 class TestLatticeCommand:

@@ -11,8 +11,9 @@ from oracles import csv_oracle
 
 from metricspin import serialize
 from metricspin.cli import BANDS_HEADER
+from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, _WIDTH, render_csv, write_text
+from metricspin.serialize import _BLOCK_ROWS, _WIDTH, render_csv, write_partial, write_text
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
@@ -256,6 +257,14 @@ def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
     assert path.read_bytes() == b"old\n"
 
 
+def test_write_partial_leaves_the_file_itself_as_it_was(tmp_path):
+    path = tmp_path / "a.csv"
+    write_text(path, b"old\n")
+    partial = write_partial(path, iter([b"new", b"\n"]))
+    assert partial == tmp_path / "a.csv.partial"
+    assert partial.read_bytes() == b"new\n" and path.read_bytes() == b"old\n"
+
+
 def distinct_tiny_floats(n: int, k: int) -> list:
     """``k`` columns of ``n`` distinct floats, 22-23 characters each."""
     rng = np.random.default_rng(7)
@@ -338,6 +347,7 @@ def assert_no_child_left():
 @pytest.mark.parametrize("planted, raised, message", [
     (ValueError("planted"), RuntimeError, "ValueError: planted"),
     (MemoryError("planted"), MemoryError, "planted"),
+    (NumericalConsistencyError("planted"), NumericalConsistencyError, "^planted$"),
     (None, RuntimeError, "without sending its result"),     # the child exits
 ])
 def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, raised,

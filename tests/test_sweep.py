@@ -95,19 +95,7 @@ class TestRunSweep:
 
     def test_deterministic_rerun(self):
         grid = short_grid((0.02, 0.2, 2.0))
-        r1 = run_sweep(grid)
-        for r2 in (run_sweep(grid), run_sweep(grid, workers=4)):
-            assert_same_traces(r1, r2)
-
-    def test_concurrent_matches_sequential(self):
-        grid = short_grid((0.02, 0.2, 2.0, 20.0))
-        seq = run_sweep(grid, workers=1)
-        par = run_sweep(grid, workers=4)
-        assert_same_traces(seq, par)
-
-    def test_workers_below_one_refused(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_sweep(short_grid((0.1,)), workers=0)
+        assert_same_traces(run_sweep(grid), run_sweep(grid))
 
     def test_failure_reports_offending_g(self, monkeypatch):
         calls = {"n": 0}
