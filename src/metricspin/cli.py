@@ -13,7 +13,6 @@ import hashlib
 import sys
 import time
 from contextlib import contextmanager
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _BLOCK_ROWS, _rendered, fmt, render_csv, render_manifest, write_partial
+from .serialize import _rendered, fmt, render_csv, render_manifest, write_partial
 from .sweep import SweepGrid, check_t_min, default_grid, revival_diagnostic, trace_at
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
@@ -149,25 +148,22 @@ def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: li
     """``heatmap.csv`` in blocks: the header, then each G's rows, one :func:`_rendered` job per G.
 
     A job builds its G's trace and returns the trace's revival peak and
-    first peak time as two float64s, then its rows, rendered in near-equal
-    parts of at most ``_BLOCK_ROWS`` rows so that it forks no further.  In
-    grid order, the two go onto ``diagnostics`` and the rows' sha256 onto
-    ``run_checksums``.  Every point shares one time grid, so the t column
-    is formatted once, into one fixed-width array, before the header."""
+    first peak time as two float64s, then its rows, rendered in one
+    :func:`render_csv` call (inside the job that render stays in one
+    process).  In grid order, the two go onto ``diagnostics`` and the
+    rows' sha256 onto ``run_checksums``.  Every point shares one time
+    grid, so the t column is formatted once, into one fixed-width array,
+    before the header."""
     times = grid.params_at(grid.G_values[0]).times
     t_text = serialize._texts(times)     # the one hook that formats every CSV float
     yield (HEATMAP_HEADER + "\n").encode()
-    parts = -(-times.size // _BLOCK_ROWS)
-    bounds = [times.size * k // parts for k in range(parts + 1)]
 
     def job(G: float) -> bytes:
         tr = trace_at(grid, G)
         d = revival_diagnostic(tr, t_min=t_min)
-        out = [np.array([d.revival_peak, d.first_peak_time]).tobytes()]
-        for lo, hi in pairwise(bounds):
-            out.extend(render_csv(None, (np.full(hi - lo, G), t_text[lo:hi], tr.sx[lo:hi],
-                                         tr.px[lo:hi], tr.n_alpha[lo:hi], tr.n_beta[lo:hi])))
-        return b"".join(out)
+        rows = render_csv(None, (np.full(times.size, G), t_text, tr.sx, tr.px,
+                                 tr.n_alpha, tr.n_beta))
+        return b"".join([np.array([d.revival_peak, d.first_peak_time]).tobytes(), *rows])
 
     for data in _rendered(job, grid.G_values):
         diagnostics.append(np.frombuffer(data, count=2).tolist())

@@ -46,11 +46,10 @@ The dense matrix on the full space is built only on demand.
 
 Every eigensolve and chunk runs with numpy's OpenBLAS pinned to one
 thread, so the output does not depend on the BLAS thread setting.  The
-first running kernel owns the BLAS thread budget, the thread count the
-caller had: a trace that gets it runs its independent chunks on that
-many threads (at most :func:`usable_cpus`), started for the call, each with
-its own buffers and its own rows of the output columns; a kernel that
-starts while another runs gets one thread.
+pin gives its first holder the usable CPUs: a trace that gets more than
+one runs its independent chunks on that many threads, started for the
+call, each with its own buffers and its own rows of the output columns.
+A nested holder, also one in a child forked under the pin, gets one.
 """
 
 from __future__ import annotations
@@ -105,28 +104,28 @@ def usable_cpus() -> int:
 
 
 class _OneBlasThread:
-    """Numpy's OpenBLAS held at one thread while any model kernel runs.
+    """Numpy's OpenBLAS held at one thread, and the CPUs its holder may use.
 
-    ``with _ONE_BLAS_THREAD as budget:`` counts its users under a lock.
-    The first running kernel owns the BLAS thread budget: it saves the
-    caller's thread count, sets 1 and gets that count as ``budget``;
-    every kernel that enters while the pin is held gets 1.  The last to
-    leave restores the count, so one trace ending never unpins another
-    still running.  The library's thread calls are looked up on first
-    use; where it exports none, nothing is pinned and every kernel gets 1.
+    ``with _ONE_BLAS_THREAD as cpus:`` counts its holders under a lock.
+    The first gets :func:`usable_cpus`, saves the caller's thread count
+    and sets 1; a holder that enters while the pin is held gets 1 and
+    calls no thread function, also in a child forked while it was held.
+    The last to leave restores the count, so one trace ending never
+    unpins another still running.  The thread calls are looked up on
+    first use; where none exist, holders are counted but nothing pinned.
     """
 
     def __init__(self):
         self.calls = None           # (get, set), or False once found missing
-        self._reset()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._reset)
-
-    def _reset(self):
-        # also in a forked child, which has none of the parent's kernel threads
-        self.lock = threading.Lock()
         self.users = 0
-        self.budget = 1
+        self.saved = 1
+        self._renew_lock()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._renew_lock)
+
+    def _renew_lock(self):
+        # in a forked child too, where a thread that held it at the fork is gone
+        self.lock = threading.Lock()
 
     def _library_calls(self):
         try:
@@ -141,23 +140,21 @@ class _OneBlasThread:
 
     def __enter__(self) -> int:
         with self.lock:
-            if self.calls is None:
-                self.calls = self._library_calls()
-            if not self.calls:
-                return 1
             self.users += 1
             if self.users > 1:
                 return 1
-            self.budget = self.calls[0]()
-            self.calls[1](1)
-            return self.budget
+            if self.calls is None:
+                self.calls = self._library_calls()
+            if self.calls:
+                self.saved = self.calls[0]()
+                self.calls[1](1)
+            return usable_cpus()
 
     def __exit__(self, *exc):
         with self.lock:
-            if self.calls:
-                self.users -= 1
-                if self.users == 0:
-                    self.calls[1](self.budget)
+            self.users -= 1
+            if self.users == 0 and self.calls:
+                self.calls[1](self.saved)
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
@@ -658,11 +655,12 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
                 cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
                 cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
 
-    with _ONE_BLAS_THREAD as budget:
+    with _ONE_BLAS_THREAD as cpus:
         propagator = _Propagator(h, psi0, params.dt, steps)
         occupied = [i for i, s in enumerate(propagator.spectra) if s is not None]
         bands = {i: h.blocks[i].bands() for i in occupied}   # checked before any worker starts
-        workers = min(budget, usable_cpus(), len(chunks))
+        # unpinned, each BLAS call may start threads of its own
+        workers = min(cpus if _ONE_BLAS_THREAD.calls else 1, len(chunks))
         # one buffer set per worker; a worker slowed down takes fewer chunks
         tasks = [(*propagator.buffers(steps), np.empty(d * steps)) for _ in range(workers)]
         if workers == 1:

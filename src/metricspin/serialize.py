@@ -34,18 +34,18 @@ or the row's newline; dropping the NUL bytes leaves the block's text.
 
 Formatting holds the interpreter lock, so threads cannot share it;
 forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
-or a sweep's G values) over W = min(:func:`~metricspin.model.usable_cpus`,
-jobs) processes: the caller runs jobs 0, W, 2W, ... and each of W - 1
-forked children its own residue class, sending the results down a pipe;
-the caller yields them in job order, so the bytes are those of one
-process.  The map stays in one process when W is 1, when another Python
-thread is alive (a fork copies only the calling thread), or without
-``os.fork``.  While it forks it holds the model's BLAS pin, so every job
-runs its kernels on one thread; a one-process map leaves a trace its
-chunk threads.  A job never forks again: it renders at most one block at
-a time, and table magnitudes are formatted in the process that builds
-the tables.  The children share the caller's pages copy-on-write and are
-killed and reaped before the map returns or fails.
+or a sweep's G values) over W processes: the caller runs jobs 0, W, 2W,
+... and each of W - 1 forked children its own residue class, sending the
+results down a pipe; the caller yields them in job order, so the bytes
+are those of one process.  A map of two or more jobs holds the model's
+BLAS pin while it forks, with W = min(the CPUs the pin gives, jobs), so
+every job runs its kernels on one thread and a map inside a job, nested,
+stays in its process.  A map of one job, or while another Python thread
+is alive (a fork copies only the calling thread), or without ``os.fork``
+takes no pin and stays in one process.  The children share the caller's
+pages copy-on-write and are killed and reaped before the map returns or
+fails; a failed fork, or a child that ends without its result (say, one
+the OOM killer ended), raises ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
-from .model import _ONE_BLAS_THREAD, usable_cpus
+from .model import _ONE_BLAS_THREAD
 
 #: rows rendered together; bounds a block's cell buffer and text
 _BLOCK_ROWS = 2048
@@ -200,15 +200,29 @@ def _rendered(render, jobs):
     such, any other failure as ``RuntimeError``; closing the generator
     early kills the children.
     """
-    forkable = threading.active_count() == 1 and hasattr(os, "fork")
-    width = min(usable_cpus(), len(jobs)) if forkable else 1
-    if width < 2:
-        yield from map(render, jobs)
-        return
+    if len(jobs) > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
+        with _ONE_BLAS_THREAD as cpus:
+            if cpus > 1:
+                yield from _forked(render, jobs, min(cpus, len(jobs)))
+                return
+    yield from map(render, jobs)
+
+
+def _forked(render, jobs, width: int):
+    """:func:`_rendered` over this process and ``width - 1`` forked children."""
     import signal       # loaded only by a map that forks
 
     pids, pipes = [], []
-    with _ONE_BLAS_THREAD:
+
+    def received(child: int) -> bytes:
+        data = _received(pipes[child])
+        if data is None:
+            _, status = os.waitpid(pids[child], 0)
+            pids[child] = None          # reaped, so its pid may be reused
+            raise MemoryError(f"a render process ended without its result (wait status {status})")
+        return data
+
+    try:
         try:
             for k in range(1, width):
                 read, write = os.pipe()
@@ -220,14 +234,17 @@ def _rendered(render, jobs):
                 finally:
                     os.close(write)         # the child never gets here
                 pids.append(pid)
-            for i, job in enumerate(jobs):
-                yield _received(pipes[i % width - 1]) if i % width else render(job)
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for pipe in pipes:
-                pipe.close()
+        except OSError as exc:      # no process or descriptor left: EAGAIN, ENOMEM, EMFILE
+            raise MemoryError(f"cannot start a render process: {exc}") from exc
+        for i, job in enumerate(jobs):
+            # no local holds a result while the caller has it
+            yield received(i % width - 1) if i % width else render(job)
+    finally:
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _serve(render, jobs, fd: int, pipes) -> None:
@@ -262,13 +279,13 @@ def _send(out, tag: bytes, data: bytes) -> None:
     out.write(data)
 
 
-def _received(pipe) -> bytes:
-    """The next result a render child sent down ``pipe``; a failure it sent is raised."""
+def _received(pipe) -> bytes | None:
+    """The next result sent down ``pipe``, None if its child ended; a sent failure is raised."""
     head = pipe.read(9)
     size = int.from_bytes(head[1:], "little")
     data = pipe.read(size)
     if len(head) < 9 or len(data) < size:
-        raise RuntimeError("a render process ended without sending its result")
+        return None
     if head[:1] == b"M":
         raise MemoryError(data.decode() or "in a render process")
     if head[:1] == b"N":
@@ -308,14 +325,3 @@ def write_partial(path, data, digest=None) -> Path:
             blocks.close()
         raise
     return partial
-
-
-def write_text(path, data, digest=None) -> Path:
-    """:func:`write_partial`, which then replaces ``path``; ``path`` keeps its bytes on failure."""
-    path = Path(path)
-    partial = write_partial(path, data, digest)
-    try:
-        return partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise

@@ -3,10 +3,10 @@
 A sweep runs one trace per G value through :func:`trace_at`, which names
 the failing G in any error it raises.  :func:`run_sweep` runs them in
 grid order in the calling thread; the ``sweep`` command maps one job per
-G (trace, diagnostic and rows) over the processes of
-``serialize._rendered``.  Every kernel runs with OpenBLAS pinned to one
-thread and nothing in the pipeline is random, so the grid alone
-determines the output, however it was scheduled.
+G (trace, diagnostic and rows) over ``serialize._rendered``'s processes,
+where a forked map's BLAS pin keeps each job's kernels and render in one
+thread.  Nothing in the pipeline is random and every kernel pins OpenBLAS
+to one thread, so the grid alone determines the output, however scheduled.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from metricspin import serialize  # noqa: E402
+from metricspin import model  # noqa: E402
 
 
 @pytest.fixture
 def render_cpus(monkeypatch):
-    """Call with W: a CSV render then sees W usable CPUs, whatever this machine has."""
-    return lambda cpus: monkeypatch.setattr(serialize, "usable_cpus", lambda: cpus)
+    """Call with W: the BLAS pin, and so every map and trace, then sees W usable CPUs."""
+    return lambda cpus: monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
 
 
 @pytest.fixture

@@ -1,15 +1,18 @@
 """The model's OpenBLAS pin and its chunk threads.
 
 Every eigensolve and chunk product runs with numpy's OpenBLAS at one
-thread.  The first running kernel owns the caller's thread count, the
-BLAS thread budget: a trace that gets it runs its chunks on that many
-threads, started for the call.  A sweep maps one job per G over forked
-processes and holds the budget while it forks, so each job runs its
-trace's chunks itself; a sweep in one process leaves each trace the
-budget.  So the output bytes must not depend on ``OPENBLAS_NUM_THREADS``,
-the caller's thread count must be what it was after any kernel, and
-chunk threads must call no function of ``metricspin.model`` (a profiler
-that wraps those functions keeps one span stack per process).
+thread.  The pin also says how many CPUs its holder may use: the first
+holder gets the usable CPUs (the affinity set), so a trace that gets
+more than one runs its chunks on that many threads, started for the
+call; a holder that enters while the pin is held gets one.  A sweep maps
+one job per G over forked processes and holds the pin while it forks, so
+each job, in this process and in each child (which inherits the held
+pin), runs its trace's chunks itself and calls no OpenBLAS thread
+function; a sweep in one process leaves each trace the usable CPUs.  So
+the output bytes must not depend on ``OPENBLAS_NUM_THREADS``, the
+caller's thread count must be what it was after any kernel, and chunk
+threads must call no function of ``metricspin.model`` (a profiler that
+wraps those functions keeps one span stack per process).
 """
 
 import dataclasses
@@ -37,7 +40,7 @@ from metricspin import (
     observable_trace,
     run_sweep,
 )
-from metricspin import cli, model, serialize, sweep
+from metricspin import cli, model, sweep
 from metricspin.model import _ONE_BLAS_THREAD, ParityBlock
 from metricspin.sweep import SweepGrid
 
@@ -95,18 +98,27 @@ def test_non_model_commands_never_load_the_thread_calls(tmp_path):
     assert proc.stdout.strip() == "None"
 
 
-@pytest.fixture
-def two_blas_threads():
-    """The caller's OpenBLAS thread count set to 2, then restored; yields its getter."""
+def caller_blas_threads(count: int):
+    """The caller's OpenBLAS thread count set to ``count``, then restored; yields its getter."""
     with _ONE_BLAS_THREAD:
         calls = _ONE_BLAS_THREAD.calls
     if not calls:
         pytest.skip("numpy's BLAS exports no thread-count calls")
     get, set_ = calls
     old = get()
-    set_(2)
+    set_(count)
     yield get
     set_(old)
+
+
+@pytest.fixture
+def two_blas_threads():
+    yield from caller_blas_threads(2)
+
+
+@pytest.fixture
+def one_blas_thread():
+    yield from caller_blas_threads(1)
 
 
 def broken_hamiltonian(p: ModelParams):
@@ -134,8 +146,8 @@ class TestPinHygiene:
         # at d = 400 one unpinned product or eigensolve changes the bits, so a
         # trace ending must not restore the count under one still running;
         # switching threads as often as it can: more plain threads than cores,
-        # of which the first to start a trace owns the budget and runs chunk
-        # threads beside the others
+        # of which the first to take the pin gets the usable CPUs and runs
+        # chunk threads beside the others
         grid = SweepGrid(G_values=(0.5, 3.0, 10.0, 30.0), direction="z", N=20, t_max=10.0)
         serial = run_sweep(grid)
 
@@ -224,7 +236,7 @@ def is_chunk_thread(thread: threading.Thread) -> bool:
 
 
 def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads):
-    # 40 chunks under a budget of 2 threads
+    # 40 chunks on the usable CPUs
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
     if model.usable_cpus() > 1:
@@ -232,37 +244,57 @@ def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads
     assert not any(map(is_chunk_thread, threading.enumerate()))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chunk_threads_follow_the_usable_cpus(monkeypatch, one_blas_thread, chunk_threads,
+                                              render_cpus, cpus):
+    # OPENBLAS_NUM_THREADS=1 sizes nothing: 40 chunks run on 2 chunk threads
+    # at two usable CPUs and in the calling thread at one
+    pools, executor = [], model.ThreadPoolExecutor
+
+    def recorded(workers, **kwargs):
+        pools.append(workers)
+        return executor(workers, **kwargs)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", recorded)
+    render_cpus(cpus)
+    p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
+    observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
+    assert pools == ([2] if cpus == 2 else [])
+    if cpus == 1:
+        assert chunk_threads == {threading.current_thread()}
+    assert one_blas_thread() == 1 and _ONE_BLAS_THREAD.users == 0
+
+
 #: a sweep of four G values, each trace 8 chunks of 128 steps at N=8
 SWEEP = ["sweep", "--set", "N=8", "--set", "G_list=0.5,1,3,10", "--set", "t_max=20"]
 
 
-def test_sweep_workers_are_its_only_threads(tmp_path, monkeypatch, two_blas_threads,
-                                            chunk_threads, render_cpus):
-    # the sweep's map holds the budget while it forks, so each job, this
+def test_sweep_workers_are_its_only_threads(tmp_path, two_blas_threads, chunk_threads,
+                                            render_cpus):
+    # the sweep's map holds the pin while it forks, so each job, this
     # process's included, runs its trace's chunks itself
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     render_cpus(2)
     assert cli.main([*SWEEP, "--out", str(tmp_path)]) == 0
     assert chunk_threads == {threading.current_thread()}
     assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 
 
-def test_sweep_in_one_process_leaves_traces_their_chunk_threads(tmp_path, monkeypatch,
-                                                                 two_blas_threads,
-                                                                 chunk_threads, render_cpus):
-    # a map of width one takes no pin: each trace owns the budget in turn
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
-    render_cpus(1)
-    assert cli.main([*SWEEP, "--out", str(tmp_path)]) == 0
-    assert any(map(is_chunk_thread, chunk_threads))
+def test_sweep_in_one_process_leaves_traces_their_chunk_threads(tmp_path, two_blas_threads,
+                                                                 chunk_threads, render_cpus,
+                                                                 forks):
+    # a one-G sweep is a map of one job, which takes no pin: its trace
+    # gets the usable CPUs
+    render_cpus(2)
+    argv = ["sweep", "--set", "N=8", "--set", "G_list=3", "--set", "t_max=20"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert any(map(is_chunk_thread, chunk_threads)) and forks == []
     assert not any(map(is_chunk_thread, threading.enumerate()))
     assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 
 
 def test_sweep_on_one_core_runs_in_the_calling_thread(tmp_path, monkeypatch, chunk_threads,
-                                                      forks):
-    for module in (model, serialize):
-        monkeypatch.setattr(module, "usable_cpus", lambda: 1)
+                                                      render_cpus, forks):
+    render_cpus(1)
     assert cli.main([*SWEEP, "--out", str(tmp_path / "one")]) == 0
     assert chunk_threads == {threading.current_thread()} and forks == []
     monkeypatch.undo()
@@ -281,7 +313,7 @@ def test_sweep_workers_capped_at_the_cpu_count(tmp_path, render_cpus, forks):
 
 def test_chunk_thread_that_cannot_start_exits_2(tmp_path, monkeypatch, capsys,
                                                 two_blas_threads):
-    # a trace with a budget of two threads and 40 chunks starts a chunk
+    # a trace with two usable CPUs and 40 chunks starts a chunk
     # thread, which fails as it does when no memory is left for its stack
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
 
@@ -304,11 +336,45 @@ def sx_at_end(p: ModelParams) -> tuple[float, int]:
 
 
 def test_forked_child_runs_traces(two_blas_threads):
-    # a child forked while the pin is held has none of the kernels that hold
-    # it, so it must start with the pin free
+    # a child forked while the pin is held keeps it held: its traces are
+    # nested, and the one holder it inherited is never released there
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
     p = ModelParams(G=1.0, N=6, t_max=20.0)
-    want = sx_at_end(p)
+    sx, users = sx_at_end(p)
+    assert users == 0
     with _ONE_BLAS_THREAD, multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(sx_at_end, (p,)).get(timeout=60) == want
+        assert pool.apply_async(sx_at_end, (p,)).get(timeout=60) == (sx, 1)
+
+
+def test_forked_child_makes_no_thread_call(monkeypatch, two_blas_threads):
+    # each call of the pin's get and set functions is counted; a child
+    # forked while the pin is held runs a trace of 40 chunks and reports
+    # its count down a pipe
+    counts = [0]
+
+    def counted(call):
+        def wrapper(*args):
+            counts[0] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(_ONE_BLAS_THREAD, "calls", tuple(map(counted, _ONE_BLAS_THREAD.calls)))
+    p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
+    h, psi0 = build_minimal_hamiltonian(p), initial_state("z", 1, p.N)
+    read, write = os.pipe()
+    with _ONE_BLAS_THREAD:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read)
+                counts[0] = 0
+                observable_trace(h, psi0)
+                os.write(write, str(counts[0]).encode())
+            finally:
+                os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        report = pipe.read()
+    os.waitpid(pid, 0)
+    assert report == b"0"

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from metricspin.model import (
     initial_state,
     observable_trace,
 )
-from metricspin.serialize import _BLOCK_ROWS, render_csv, write_text
+from metricspin.serialize import _BLOCK_ROWS, render_csv, write_partial
 from metricspin.sweep import SweepGrid, revival_diagnostic, run_sweep
 from oracles import csv_oracle
 
@@ -468,24 +469,18 @@ class TestHeatmapExport:
         want = [revival_diagnostic(tr, t_min=1.0) for tr in run_sweep(grid)]
         assert diagnostics == [[d.revival_peak, d.first_peak_time] for d in want]
 
-    def test_row_count_and_header(self, tmp_path):
+    def test_row_count_and_header(self):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
-        path = write_text(tmp_path / "heatmap.csv", heatmap_of(grid)[0])
-        lines = path.read_text().splitlines()
+        lines = heatmap_of(grid)[0].decode().splitlines()
         assert lines[0] == "G,t,sx,px,n_alpha,n_beta"
         assert len(lines) == 1 + 2 * 3  # header + |G| * |times|
 
-    def test_reexport_is_byte_identical(self, tmp_path):
-        p1 = write_text(tmp_path / "a.csv", heatmap_of(short_grid((0.3,)))[0])
-        p2 = write_text(tmp_path / "b.csv", heatmap_of(short_grid((0.3,)))[0])
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_reexport_is_byte_identical(self):
+        assert heatmap_of(short_grid((0.3,)))[0] == heatmap_of(short_grid((0.3,)))[0]
 
-    def test_rows_sorted_by_g_then_t(self, tmp_path):
+    def test_rows_sorted_by_g_then_t(self):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
-        heatmap = heatmap_of(grid)[0]
-        path = write_text(tmp_path / "heatmap.csv", heatmap)
-        assert path.read_bytes() == heatmap
-        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+        rows = [line.split(",")[:2] for line in heatmap_of(grid)[0].decode().splitlines()[1:]]
         keys = [(float(g), float(t)) for g, t in rows]
         assert keys == sorted(keys)
 
@@ -493,7 +488,7 @@ class TestHeatmapExport:
         heatmap = heatmap_of(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))[0]
         missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
         with pytest.raises(OSError) as err:
-            write_text(missing, heatmap)
+            write_partial(missing, heatmap)
         assert str(missing) in str(err.value) or missing.name in str(err.value)
 
 
@@ -521,22 +516,6 @@ class TestHeatmapExport:
         return [SimpleNamespace(times=np.arange(per_g) * 0.02, sx=rng.standard_normal(per_g),
                                 px=rng.standard_normal(per_g), n_alpha=np.zeros(per_g),
                                 n_beta=np.full(per_g, 0.5)) for _ in range(G_count)]
-
-    def test_a_g_renders_in_near_equal_jobs_of_at_most_a_block(self, monkeypatch,
-                                                               render_cpus):
-        # a G's job renders its rows in parts of at most a block, each one
-        # render_csv call of one block, so that the job never forks again
-        render_cpus(1)
-        sizes = []
-
-        def counted(header, columns):
-            sizes.append(len(columns[0]))
-            return render_csv(header, columns)
-
-        monkeypatch.setattr(cli, "render_csv", counted)
-        grid = planted_sweep(monkeypatch, self.random_traces(2, 2 * _BLOCK_ROWS + 3))
-        heatmap_of(grid)
-        assert sizes == [1366, 1366, 1367] * 2
 
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch, render_cpus):
         # each G is rendered and hashed on its own, so streaming the
@@ -673,6 +652,50 @@ class TestRenderProcesses:
         assert err == "config error: run too large for memory: planted in a child\n"
         assert len(forks) == 1
         assert snapshot(out) == {}      # no trace.csv, no .partial, no manifest
+        self.assert_no_child_left()
+
+    # at two CPUs the first fork fails; at three the second, after one child started
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failed_fork_exits_2(self, tmp_path, monkeypatch, capsys, render_cpus, cpus):
+        render_cpus(cpus)
+        fork, started = os.fork, []
+
+        def no_process_left():
+            if len(started) == cpus - 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            started.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", no_process_left)
+        out = tmp_path / "o"
+        assert cli.main([*self.EVOLVE, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run too large for memory: "
+                              "cannot start a render process:") and err.count("\n") == 1
+        assert len(started) == cpus - 2
+        assert snapshot(out) == {}      # no trace.csv, no .partial, no manifest
+        self.assert_no_child_left()
+
+    def test_child_killed_by_a_signal_exits_2(self, tmp_path, monkeypatch, capsys, render_cpus,
+                                              forks):
+        # as the OOM killer would: G=1, the forked job, ends without a word
+        render_cpus(2)
+        parent, trace_at = os.getpid(), cli.trace_at
+
+        def killed(grid, G):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return trace_at(grid, G)
+
+        monkeypatch.setattr(cli, "trace_at", killed)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--set", "N=4", "--set", "G_list=0.1,1", *FAST,
+                         "--set", "t_min=1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: run too large for memory: a render process ended "
+                       f"without its result (wait status {signal.SIGKILL})\n")
+        assert len(forks) == 1
+        assert snapshot(out) == {}
         self.assert_no_child_left()
 
     # the sweep forks once, for its G; its t column is formatted in this process

@@ -1,4 +1,5 @@
 import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -13,7 +14,7 @@ from metricspin import serialize
 from metricspin.cli import BANDS_HEADER
 from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, _WIDTH, render_csv, write_partial, write_text
+from metricspin.serialize import _BLOCK_ROWS, _WIDTH, _rendered, render_csv, write_partial
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
@@ -233,18 +234,9 @@ def test_blocks_are_the_header_then_whole_row_blocks(n):
     assert all(b.endswith(b"\n") for b in blocks)
 
 
-def test_write_text_takes_bytes_or_blocks(tmp_path):
-    path = tmp_path / "a.csv"
-    assert write_text(path, b"x\n") == path
-    assert path.read_bytes() == b"x\n"
-    assert write_text(str(path), iter([b"1\n", b"", b"2\n"])) == path
-    assert path.read_bytes() == b"1\n2\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
-
-
 def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
     path = tmp_path / "a.csv"
-    write_text(path, b"old\n")
+    path.write_bytes(b"old\n")
 
     def blocks():
         yield b"new\n"
@@ -252,15 +244,15 @@ def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
         raise MemoryError("injected")
 
     with pytest.raises(MemoryError):
-        write_text(path, blocks())
+        write_partial(path, blocks())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert path.read_bytes() == b"old\n"
 
 
 def test_write_partial_leaves_the_file_itself_as_it_was(tmp_path):
     path = tmp_path / "a.csv"
-    write_text(path, b"old\n")
-    partial = write_partial(path, iter([b"new", b"\n"]))
+    path.write_bytes(b"old\n")
+    partial = write_partial(path, iter([b"new", b"", b"\n"]))
     assert partial == tmp_path / "a.csv.partial"
     assert partial.read_bytes() == b"new\n" and path.read_bytes() == b"old\n"
 
@@ -279,7 +271,7 @@ def test_streaming_holds_no_whole_file_text(tmp_path, render_cpus):
     columns = distinct_tiny_floats(n, k)
     tracemalloc.start()
     try:
-        path = write_text(tmp_path / "big.csv", render_csv("a,b", columns))
+        path = write_partial(tmp_path / "big.csv", render_csv("a,b", columns))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,7 +327,7 @@ def test_streaming_forked_bytes(tmp_path, render_cpus):
     render_cpus(1)
     want = rendered("a,b", columns)
     render_cpus(2)
-    path = write_text(tmp_path / "big.csv", render_csv("a,b", columns))
+    path = write_partial(tmp_path / "big.csv", render_csv("a,b", columns))
     assert path.read_bytes() == want
 
 
@@ -348,7 +340,6 @@ def assert_no_child_left():
     (ValueError("planted"), RuntimeError, "ValueError: planted"),
     (MemoryError("planted"), MemoryError, "planted"),
     (NumericalConsistencyError("planted"), NumericalConsistencyError, "^planted$"),
-    (None, RuntimeError, "without sending its result"),     # the child exits
 ])
 def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, raised,
                                             message):
@@ -357,8 +348,6 @@ def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, r
 
     def failing(values):
         if os.getpid() != parent:
-            if planted is None:
-                os._exit(7)
             raise planted
         return texts(values)
 
@@ -366,6 +355,40 @@ def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, r
     with pytest.raises(raised, match=message):
         rendered(None, [np.arange(3 * B) / 7.0])
     assert_no_child_left()
+
+
+# an exit status of 7 waits as 7 << 8, a signal as its number
+@pytest.mark.parametrize("end, status", [(lambda: os._exit(7), 7 << 8),
+                                         (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                          signal.SIGKILL)], ids=["exit", "killed"])
+def test_child_that_ends_without_its_result_is_a_memory_error(monkeypatch, render_cpus,
+                                                              end, status):
+    render_cpus(2)
+    parent, texts = os.getpid(), serialize._texts
+
+    def ending(values):
+        if os.getpid() != parent:
+            end()
+        return texts(values)
+
+    monkeypatch.setattr(serialize, "_texts", ending)
+    with pytest.raises(MemoryError, match=rf"without its result \(wait status {status}\)"):
+        rendered(None, [np.arange(3 * B) / 7.0])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_render_inside_a_job_forks_nothing(render_cpus, forks, cpus):
+    # each job renders three blocks; the map's pin is held in this process's
+    # share and inherited by each child's, so the inner render stays in its
+    # process (a child that forked would fail through ``forks``)
+    columns = [[np.arange(3 * B) / (7.0 + job)] for job in range(4)]
+    render_cpus(1)
+    want = [rendered(None, c) for c in columns]
+    assert forks == []
+    render_cpus(cpus)
+    assert list(_rendered(lambda c: rendered(None, c), columns)) == want
+    assert len(forks) == cpus - 1
 
 
 def test_closing_early_kills_every_child(render_cpus, forks):
