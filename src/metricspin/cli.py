@@ -94,10 +94,8 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
     ``wall_time_s`` runs from ``t0`` to the last file written.  Then the
     old manifest is removed, the files are renamed into place and the new
     manifest last, so a manifest always matches its directory.  A failure
-    removes every partial file, and ``outdir`` if this run made it and it is empty.
+    removes every partial file.
     """
-    made = not outdir.exists()
-    outdir.mkdir(parents=True, exist_ok=True)
     digests, partials = {}, []
     try:
         for name, blocks in files.items():
@@ -116,8 +114,6 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
     except BaseException:
         for partial in partials:
             partial.unlink(missing_ok=True)
-        if made and not any(outdir.iterdir()):
-            outdir.rmdir()
         raise
 
 
@@ -148,28 +144,27 @@ def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: li
     """``heatmap.csv`` in blocks: the header, then each G's rows, one :func:`_rendered` job per G.
 
     A job builds its G's trace and returns the trace's revival peak and
-    first peak time as two float64s, then its rows, rendered in one
-    :func:`render_csv` call (inside the job that render stays in one
-    process).  In grid order, the two go onto ``diagnostics`` and the
-    rows' sha256 onto ``run_checksums``.  Every point shares one time
-    grid, so the t column is formatted once, into one fixed-width array,
-    before the header."""
+    first peak time, and its rows, rendered in one :func:`render_csv`
+    call (inside the job that render stays in one process).  In grid
+    order, the two go onto ``diagnostics`` and the rows' sha256 onto
+    ``run_checksums``.  Every point shares one time grid, so the t column
+    is formatted once, into one fixed-width array, before the header."""
     times = grid.params_at(grid.G_values[0]).times
     t_text = serialize._texts(times)     # the one hook that formats every CSV float
     yield (HEATMAP_HEADER + "\n").encode()
 
-    def job(G: float) -> bytes:
+    def job(G: float) -> tuple:
         tr = trace_at(grid, G)
         d = revival_diagnostic(tr, t_min=t_min)
         rows = render_csv(None, (np.full(times.size, G), t_text, tr.sx, tr.px,
                                  tr.n_alpha, tr.n_beta))
-        return b"".join([np.array([d.revival_peak, d.first_peak_time]).tobytes(), *rows])
+        return d.revival_peak, d.first_peak_time, b"".join(rows)
 
-    for data in _rendered(job, grid.G_values):
-        diagnostics.append(np.frombuffer(data, count=2).tolist())
-        run_checksums.append(hashlib.sha256(memoryview(data)[16:]).hexdigest())
-        yield memoryview(data)[16:]
-        del data                # not held while the next job runs
+    for peak, first_peak_time, rows in _rendered(job, grid.G_values):
+        diagnostics.append((peak, first_peak_time))
+        run_checksums.append(hashlib.sha256(rows).hexdigest())
+        yield rows
+        del rows                # not held while the next job runs
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
@@ -289,15 +284,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_directory(out: str) -> tuple[Path, bool]:
+    """``out`` as a directory, made with its parents if missing, and whether this call made it."""
+    outdir = Path(out)
+    made = not outdir.exists()
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # a file, under a file, or where no directory can be made
+        raise ConfigError(f"key 'out': cannot make directory {out!r}: {exc.strerror}") from exc
+    return outdir, made
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made = False
     try:
         cfg = parse_config(args.config, args.overrides)
         if args.out is not None:
             cfg.out = args.out
         if not cfg.out:
             raise ConfigError("no output directory: set key 'out' or pass --out")
-        outdir = Path(cfg.out)
+        outdir, made = _output_directory(cfg.out)
         if args.command == "evolve":
             return cmd_evolve(cfg, outdir)
         if args.command == "sweep":
@@ -316,6 +323,9 @@ def main(argv=None) -> int:
     except (NumericalConsistencyError, ExtractionInvalidError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3
+    finally:        # a run that succeeded left its manifest, so this removes a failed one's
+        if made and not any(outdir.iterdir()):
+            outdir.rmdir()
 
 
 if __name__ == "__main__":

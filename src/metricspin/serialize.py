@@ -35,10 +35,13 @@ or the row's newline; dropping the NUL bytes leaves the block's text.
 Formatting holds the interpreter lock, so threads cannot share it;
 forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
 or a sweep's G values) over W processes: the caller runs jobs 0, W, 2W,
-... and each of W - 1 forked children its own residue class, sending the
-results down a pipe; the caller yields them in job order, so the bytes
-are those of one process.  A map of two or more jobs holds the model's
-BLAS pin while it forks, with W = min(the CPUs the pin gives, jobs), so
+... and each of W - 1 forked children its own residue class.  A job's
+result is any picklable value; a child pickles each one, or the failure
+that ends its jobs, down a pipe and flushes it at once, so the caller
+never waits on a later job for it.  The caller yields the results in job
+order, so the bytes are those of one process, and raises a failure as
+the same exception.  A map of two or more jobs holds the model's BLAS
+pin while it forks, with W = min(the CPUs the pin gives, jobs), so
 every job runs its kernels on one thread and a map inside a job, nested,
 stays in its process.  A map of one job, or while another Python thread
 is alive (a fork copies only the calling thread), or without ``os.fork``
@@ -51,12 +54,12 @@ the OOM killer ended), raises ``MemoryError``.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
 from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
 from .model import _ONE_BLAS_THREAD
@@ -193,12 +196,12 @@ def _blocks(header, n, columns, tables):
 
 
 def _rendered(render, jobs):
-    """``render(job)``, bytes, for each of the sequence ``jobs``, yielded in job order.
+    """``render(job)``, a picklable value, for each of the sequence ``jobs``, in job order.
 
     Spread over forked processes as the module docstring says.  A child's
-    ``MemoryError`` and ``NumericalConsistencyError`` are raised here as
-    such, any other failure as ``RuntimeError``; closing the generator
-    early kills the children.
+    failure is raised here as the exception it raised (as ``RuntimeError``
+    naming its type if it cannot be pickled); closing the generator early
+    kills the children.
     """
     if len(jobs) > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
         with _ONE_BLAS_THREAD as cpus:
@@ -214,13 +217,16 @@ def _forked(render, jobs, width: int):
 
     pids, pipes = [], []
 
-    def received(child: int) -> bytes:
-        data = _received(pipes[child])
-        if data is None:
+    def received(child: int):
+        try:
+            value = pickle.load(pipes[child])
+        except (EOFError, pickle.UnpicklingError):      # no message, or a truncated one
             _, status = os.waitpid(pids[child], 0)
             pids[child] = None          # reaped, so its pid may be reused
             raise MemoryError(f"a render process ended without its result (wait status {status})")
-        return data
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     try:
         try:
@@ -248,13 +254,15 @@ def _forked(render, jobs, width: int):
 
 
 def _serve(render, jobs, fd: int, pipes) -> None:
-    """In a forked child: send ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
+    """In a forked child: pickle ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
 
-    Each message is a tag (``R`` a result, ``M`` a ``MemoryError``, ``N``
-    a ``NumericalConsistencyError``, ``E`` any other failure), an 8-byte
-    length and that many bytes: the result, or the error's text.  Never
-    returns: the child leaves through ``os._exit``, so it runs no exit
-    handler and flushes no buffer of the caller's.
+    Each value is flushed as soon as it is pickled: ``pickle.dump`` leaves
+    at least its last byte in the file's write buffer, and without the
+    flush the caller, which needs that byte, would wait for the child's
+    next job as well.  A failure ends the messages: the exception itself,
+    or ``RuntimeError("Type: text")`` if it does not survive pickling.
+    Never returns: the child leaves through ``os._exit``, so it runs no
+    exit handler and flushes no buffer of the caller's.
     """
     status = 1
     try:
@@ -263,36 +271,16 @@ def _serve(render, jobs, fd: int, pipes) -> None:
         with os.fdopen(fd, "wb") as out:
             try:
                 for job in jobs:
-                    _send(out, b"R", render(job))
-            except (MemoryError, NumericalConsistencyError) as exc:    # exits 2 and 3
-                tag = b"M" if isinstance(exc, MemoryError) else b"N"
-                _send(out, tag, str(exc).encode(errors="replace"))
-            except Exception as exc:    # reported to the caller, which raises
-                _send(out, b"E", f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+                    pickle.dump(render(job), out)
+                    out.flush()
+            except Exception as exc:    # raised by the caller
+                try:
+                    pickle.dump(pickle.loads(pickle.dumps(exc)), out)
+                except Exception:       # it does not survive pickling
+                    pickle.dump(RuntimeError(f"{type(exc).__name__}: {exc}"), out)
         status = 0
     finally:
         os._exit(status)
-
-
-def _send(out, tag: bytes, data: bytes) -> None:
-    out.write(tag + len(data).to_bytes(8, "little"))
-    out.write(data)
-
-
-def _received(pipe) -> bytes | None:
-    """The next result sent down ``pipe``, None if its child ended; a sent failure is raised."""
-    head = pipe.read(9)
-    size = int.from_bytes(head[1:], "little")
-    data = pipe.read(size)
-    if len(head) < 9 or len(data) < size:
-        return None
-    if head[:1] == b"M":
-        raise MemoryError(data.decode() or "in a render process")
-    if head[:1] == b"N":
-        raise NumericalConsistencyError(data.decode())
-    if head[:1] == b"E":
-        raise RuntimeError(f"a render process failed: {data.decode()}")
-    return data
 
 
 def render_manifest(pairs) -> bytes:

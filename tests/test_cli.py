@@ -191,6 +191,39 @@ class TestConfigErrors:
         assert rc == 2
         assert "gee" in capsys.readouterr().err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"G=0.0\n# \xff\n")
+        out = tmp_path / "o"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    # an existing file, a path under a file, and a directory no one may make
+    @pytest.mark.parametrize("out", ["file", "file/sub", "/proc/nope"])
+    @pytest.mark.parametrize("command", ["evolve", "sweep"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, monkeypatch, capsys, command,
+                                            out):
+        if out.startswith("/proc") and not Path("/proc/self").is_dir():
+            pytest.skip("needs /proc")
+        (tmp_path / "file").write_bytes(b"kept")
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was checked")
+
+        for module in (cli, sweep_mod, model_mod):
+            monkeypatch.setattr(module, "build_minimal_hamiltonian", work)
+        out = out if out.startswith("/") else str(tmp_path / out)
+        assert cli.main([command, "--out", out, "--set", "N=4", *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key 'out': cannot make directory {out!r}:")
+        assert err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_bytes() == b"kept"
+        assert not Path(out).exists() or Path(out).is_file()
+
     def test_override_beats_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("G=0.5\nt_max=2\ndt=0.5\n")
@@ -467,7 +500,7 @@ class TestHeatmapExport:
         for _ in cli._heatmap(grid, 1.0, diagnostics, []):
             pass
         want = [revival_diagnostic(tr, t_min=1.0) for tr in run_sweep(grid)]
-        assert diagnostics == [[d.revival_peak, d.first_peak_time] for d in want]
+        assert diagnostics == [(d.revival_peak, d.first_peak_time) for d in want]
 
     def test_row_count_and_header(self):
         grid = SweepGrid(G_values=(0.1, 1.0), N=4, t_max=0.4, dt=0.2)
@@ -697,6 +730,45 @@ class TestRenderProcesses:
         assert len(forks) == 1
         assert snapshot(out) == {}
         self.assert_no_child_left()
+
+    # at two CPUs, G=1 is the forked child's job
+    @pytest.mark.parametrize("planted, code", [
+        (NumericalConsistencyError("planted"), 3),
+        (MemoryError("planted"), 2),
+        (ValueError("planted"), None),          # not a run failure: raised out of main
+    ])
+    def test_sweep_job_failure_is_the_same_at_one_and_two_cpus(self, tmp_path, monkeypatch,
+                                                               capsys, render_cpus, forks,
+                                                               planted, code):
+        trace_at = cli.trace_at
+
+        def failing(grid, G):
+            if G == 1.0:
+                raise planted
+            return trace_at(grid, G)
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        monkeypatch.setattr(cli, "trace_at", failing)
+        seen = []
+        for cpus in (1, 2):
+            render_cpus(cpus)
+            heatmap = outcome(lambda: b"".join(cli._heatmap(short_grid((0.1, 1.0)),
+                                                            ALL_TIMES, [], [])))
+            assert heatmap == (type(planted), "planted")
+            out = tmp_path / f"cpus{cpus}"
+            rc = outcome(lambda: cli.main(["sweep", "--set", "N=4", "--set", "G_list=0.1,1",
+                                           *FAST, "--set", "t_min=1", "--out", str(out)]))
+            seen.append((rc, capsys.readouterr().err))
+            assert not out.exists()
+            self.assert_no_child_left()
+        assert seen[0] == seen[1]
+        assert seen[0][0] == (code if code is not None else (type(planted), "planted"))
+        assert len(forks) == 2          # the heatmap's and the run's, at two CPUs
 
     # the sweep forks once, for its G; its t column is formatted in this process
     @pytest.mark.parametrize("argv, forked", [

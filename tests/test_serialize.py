@@ -1,4 +1,5 @@
 import os
+import select
 import signal
 import sys
 import threading
@@ -336,13 +337,33 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Unpicklable(Exception):
+    """Cannot be pickled: it holds a lock."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+class Unrebuildable(Exception):
+    """Pickles, but cannot be unpickled: its class takes two arguments, its args hold one."""
+
+    def __init__(self, text, code):
+        super().__init__(text)
+        self.code = code
+
+
 @pytest.mark.parametrize("planted, raised, message", [
-    (ValueError("planted"), RuntimeError, "ValueError: planted"),
+    (ValueError("planted"), ValueError, "^planted$"),
     (MemoryError("planted"), MemoryError, "planted"),
     (NumericalConsistencyError("planted"), NumericalConsistencyError, "^planted$"),
+    (Unpicklable("planted"), RuntimeError, "^Unpicklable: planted$"),
+    (Unrebuildable("planted", 7), RuntimeError, "^Unrebuildable: planted$"),
 ])
 def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, raised,
                                             message):
+    # the failure of the child's job arrives as the same exception, or as a
+    # RuntimeError naming its type if it does not survive pickling
     render_cpus(2)
     parent, texts = os.getpid(), serialize._texts
 
@@ -352,8 +373,35 @@ def test_child_failure_raised_in_the_caller(monkeypatch, render_cpus, planted, r
         return texts(values)
 
     monkeypatch.setattr(serialize, "_texts", failing)
-    with pytest.raises(raised, match=message):
+    with pytest.raises(raised, match=message) as failure:
         rendered(None, [np.arange(3 * B) / 7.0])
+    assert type(failure.value) is raised
+    assert_no_child_left()
+
+
+def test_each_result_reaches_the_caller_before_the_next_job_ends(render_cpus, forks):
+    # at two CPUs the child runs jobs 1 and 3, and its job 3 waits for a byte
+    # that the caller writes only in job 2, after it has job 1's result: a
+    # result left in the child's write buffer would hold both until job 3
+    # timed out
+    render_cpus(2)
+    read, write = os.pipe()
+
+    def render(job):
+        if job == 2:
+            os.write(write, b"x")
+        if job == 3:
+            if not select.select([read], [], [], 5)[0]:
+                raise TimeoutError("job 1's result waited for job 3")
+            os.read(read, 1)
+        return job
+
+    try:
+        assert list(_rendered(render, range(4))) == [0, 1, 2, 3]
+    finally:
+        os.close(read)
+        os.close(write)
+    assert len(forks) == 1
     assert_no_child_left()
 
 
