@@ -1,9 +1,14 @@
 """Command-line entry point: evolve, sweep, lattice, gravity-check, convergence.
 
-Every command is deterministic given its config file.  Exit codes are a
-stable contract: 0 success, 2 config error, 3 numerical-consistency
-failure.  Each command builds all its library inputs, which refuse
-out-of-range values, before any work; :func:`_refused_as` names the key.
+Every run takes one path through :func:`main`: parse the arguments and
+the config, make the output directory, start the clock, call the
+command, and commit what it returns in one :func:`_write_outputs` call.
+A command (one entry of :data:`COMMANDS`) maps its config to its
+manifest config pairs and its files; it builds all its library inputs,
+which refuse out-of-range values, before any work, and
+:func:`_refused_as` names the key.  Every command is deterministic given
+its config.  Exit codes are a stable contract: 0 success, 2 config
+error, 3 numerical-consistency failure.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def _config_pairs(cfg: RunConfig, *keys: str) -> list[tuple[str, str]]:
     return [(k, fmt(v) if isinstance(v, float) else str(v)) for k, v in zip(keys, values)]
 
 
-def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
+def _write_outputs(outdir: Path, command: str, t0: float, config_pairs, files,
                    run_checksums=()):
     """Write ``files`` (name -> iterable of bytes blocks, the primary first) and the manifest.
 
@@ -117,17 +122,14 @@ def _write_outputs(outdir: Path, command: str, config_pairs, files, t0: float,
         raise
 
 
-def cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
-    t0 = time.perf_counter()
+def cmd_evolve(cfg: RunConfig):
     params = _model_params(cfg, G=cfg.G, N=cfg.N)
     h = build_minimal_hamiltonian(params)
     trace = observable_trace(h, initial_state(cfg.direction, _sign_value(cfg), params.N))
     config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N", "t_max", "dt")
     columns = (trace.times, trace.sx, trace.sy, trace.sz, trace.px, trace.py,
                trace.pz, trace.n_alpha, trace.n_beta, trace.energy, trace.norm)
-    _write_outputs(outdir, "evolve", config_pairs,
-                   {"trace.csv": render_csv(TRACE_HEADER, columns)}, t0)
-    return 0
+    return config_pairs, {"trace.csv": render_csv(TRACE_HEADER, columns)}
 
 
 def _sweep_grid(cfg: RunConfig) -> SweepGrid:
@@ -167,10 +169,7 @@ def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: li
         del rows                # not held while the next job runs
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
-    t0 = time.perf_counter()
-    if workers < 1:     # accepted for compatibility: a sweep runs on every usable CPU
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
+def cmd_sweep(cfg: RunConfig):
     # against the time grid that every point shares, before any G value
     with _refused_as():
         check_t_min(cfg.t_min, _model_params(cfg, G=0.0, N=cfg.N).times)
@@ -189,12 +188,10 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, workers: int = 1) -> int:
         ("G_values", ",".join(fmt(v) for v in grid.G_values)),
         *_config_pairs(cfg, "t_min"),
     ]
-    _write_outputs(outdir, "sweep", config_pairs, files, t0, run_checksums)
-    return 0
+    return config_pairs, files, run_checksums
 
 
-def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
-    t0 = time.perf_counter()
+def cmd_lattice(cfg: RunConfig):
     if cfg.kx_count < 2 or cfg.ky_count < 2:
         raise ConfigError("keys 'kx_count'/'ky_count' must be >= 2 per axis")
     with _refused_as("lattice_G", "alpha_c", "beta_c"):
@@ -219,12 +216,10 @@ def cmd_lattice(cfg: RunConfig, outdir: Path) -> int:
     }
     config_pairs = _config_pairs(cfg, "lattice_G", "alpha_c", "beta_c", "kx_min", "kx_max",
                                  "ky_min", "ky_max", "kx_count", "ky_count", "fd_step")
-    _write_outputs(outdir, "lattice", config_pairs, files, t0)
-    return 0
+    return config_pairs, files
 
 
-def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
-    t0 = time.perf_counter()
+def cmd_gravity_check(cfg: RunConfig):
     mus = parse_float_list(cfg.mu_list, "mu_list")
     if not mus:
         raise ConfigError("key 'mu_list' must name at least one mass value")
@@ -244,15 +239,11 @@ def cmd_gravity_check(cfg: RunConfig, outdir: Path) -> int:
                      spacing / (2.0 * mu), spacing / (4.0 * mu),
                      resonant_momentum(mu)))
     config_pairs = _config_pairs(cfg, "mu_list", "N_mode", "levels")
-    _write_outputs(outdir, "gravity-check", config_pairs,
-                   {"gravity_report.csv": render_csv(GRAVITY_HEADER,
-                                                      np.array(rows, dtype=float).T)},
-                   t0)
-    return 0
+    return config_pairs, {"gravity_report.csv": render_csv(GRAVITY_HEADER,
+                                                            np.array(rows, dtype=float).T)}
 
 
-def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
-    t0 = time.perf_counter()
+def cmd_convergence(cfg: RunConfig):
     n_list = parse_int_list(cfg.N_list, "N_list")
     params = _model_params(cfg, G=cfg.G)     # N comes from each cutoff
     with _refused_as("N_list"):
@@ -261,9 +252,12 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
     lo, hi, dev = zip(*pairs)
     columns = (np.array(lo), np.array(hi), np.array(dev, dtype=float))
     config_pairs = _config_pairs(cfg, "direction", "sign", "G", "mu", "N_list", "t_max", "dt")
-    _write_outputs(outdir, "convergence", config_pairs,
-                   {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)}, t0)
-    return 0
+    return config_pairs, {"convergence.csv": render_csv(CONVERGENCE_HEADER, columns)}
+
+
+#: command name -> function from its config to ``(config_pairs, files[, run_checksums])``
+COMMANDS = {"evolve": cmd_evolve, "sweep": cmd_sweep, "lattice": cmd_lattice,
+            "gravity-check": cmd_gravity_check, "convergence": cmd_convergence}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-1/2 probe coupled to two bosonic fluctuation modes")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("evolve", "sweep", "lattice", "gravity-check", "convergence"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -304,16 +298,13 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if not cfg.out:
             raise ConfigError("no output directory: set key 'out' or pass --out")
+        workers = getattr(args, "workers", 1)
+        if workers < 1:     # accepted for compatibility: a sweep runs on every usable CPU
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
         outdir, made = _output_directory(cfg.out)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, outdir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, workers=args.workers)
-        if args.command == "lattice":
-            return cmd_lattice(cfg, outdir)
-        if args.command == "gravity-check":
-            return cmd_gravity_check(cfg, outdir)
-        return cmd_convergence(cfg, outdir)
+        t0 = time.perf_counter()
+        _write_outputs(outdir, args.command, t0, *COMMANDS[args.command](cfg))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -99,7 +99,6 @@ class RevivalDiagnostic:
 
     revival_peak: float
     first_peak_time: float
-    envelope_decay: float
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -124,8 +123,7 @@ def revival_diagnostic(trace: ObservableTrace, t_min: float = DEFAULT_T_MIN) -> 
     The envelope is approximated by the sequence of local maxima of p_x;
     the first envelope peak is the first local maximum of that sequence
     (falling back to the post-t_min global maximum for monotone
-    envelopes).  ``envelope_decay`` compares the best excursion in the
-    final third of the window against the first third; 0 means no decay.
+    envelopes).
     """
     t = trace.times
     check_t_min(t_min, t)
@@ -143,11 +141,4 @@ def revival_diagnostic(trace: ObservableTrace, t_min: float = DEFAULT_T_MIN) -> 
                       and t[peak_idx[j]] > t_min]
         if node_peaks:
             first_peak_time = float(t[peak_idx[node_peaks[0]]])
-
-    third = max(1, t.size // 3)
-    early = float(px[:third].max())
-    late = float(px[-third:].max())
-    envelope_decay = max(0.0, 1.0 - late / early) if early > 0 else 0.0
-    return RevivalDiagnostic(revival_peak=revival_peak,
-                             first_peak_time=first_peak_time,
-                             envelope_decay=envelope_decay)
+    return RevivalDiagnostic(revival_peak=revival_peak, first_peak_time=first_peak_time)

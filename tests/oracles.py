@@ -6,6 +6,9 @@ assembly code) so that a bug in the implementation cannot hide in the
 expectation values.  The one exception is :func:`kronecker_parity_blocks`,
 the Kronecker-product block formula the package used to assemble with,
 kept as the bit-level reference of the diagonal assembly that replaced it.
+:func:`full_matrix_from_blocks` builds no reference: it lifts the
+package's own parity blocks to the full basis, where they are compared
+with :func:`minimal_hamiltonian_oracle`.
 """
 
 import math
@@ -109,6 +112,20 @@ def parity_isometry_oracle(N: int, sign: int) -> np.ndarray:
             W[col, col] = phase / math.sqrt(2.0)
             W[N * N + col, col] = phase * sigma / math.sqrt(2.0)
     return W
+
+
+def full_matrix_from_blocks(blocks) -> np.ndarray:
+    """``sum_s W_s B_s W_s^dag`` over parity ``blocks``, ``W_s`` from :func:`parity_isometry_oracle`.
+
+    The package's assembly (the blocks every command runs) on the full
+    basis, for comparison with :func:`minimal_hamiltonian_oracle`.
+    """
+    N = math.isqrt(blocks[0].entries.shape[0])
+    total = np.zeros((2 * N * N, 2 * N * N), dtype=complex)
+    for block in blocks:
+        W = parity_isometry_oracle(N, block.sign)
+        total += W @ block.entries @ W.conj().T
+    return total
 
 
 _SPIN_START = {

@@ -36,6 +36,8 @@ from metricspin import (
     truncation_convergence,
 )
 
+from oracles import minimal_hamiltonian_oracle
+
 SQRT2 = math.sqrt(2.0)
 FIXTURES = Path(__file__).parent / "fixtures"
 CALIBRATION = json.loads((FIXTURES / "revival_calibration.json").read_text())
@@ -161,7 +163,7 @@ def test_c08_precession_peaks():
 
     # peak positions located as roots of d<sy>/dt, against k pi / sqrt(2)
     sy = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(params.N * params.N))
-    H = h.matrix.entries
+    H = minimal_hamiltonian_oracle(params.G, params.mu, params.N, g=0.0)
     K = 1j * (H @ sy - sy @ H)
 
     def dsy(t):

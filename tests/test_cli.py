@@ -453,7 +453,11 @@ class TestSweepCommand:
         assert large - small <= 1024, f"{small} kB at 4 G, {large} kB at 64 G"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+    def test_workers_below_one_refused(self, tmp_path, monkeypatch, capsys, workers):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built")
+
+        monkeypatch.setattr(sweep_mod, "build_minimal_hamiltonian", no_work)
         out = tmp_path / "o"
         rc = cli.main(["sweep", "--out", str(out), "--workers", workers, *FAST])
         assert rc == 2
@@ -801,7 +805,14 @@ class TestStreamedOutputs:
     # 3 x 2051 heatmap rows; each G's rows are their own two blocks
     SWEEP = ["sweep", "--set", "G_list=0.05,0.5,5", "--set", "N=4",
              "--set", "t_max=41", "--set", "dt=0.02", "--set", "t_min=1"]
-    OTHER = ["--set", "lattice_G=0.02", "--set", "G_list=0.06,0.6,6"]
+    EVOLVE = ["evolve", "--set", "N=4", "--set", "t_max=5", "--set", "dt=0.1"]
+    GRAVITY = ["gravity-check", "--set", "N_mode=12", "--set", "levels=3",
+               "--set", "mu_list=1,2"]
+    CONVERGENCE = ["convergence", "--set", "N_list=3,4", "--set", "t_max=5",
+                   "--set", "dt=0.1"]
+    # one key per command: lattice, sweep, evolve and convergence, gravity-check
+    OTHER = ["--set", "lattice_G=0.02", "--set", "G_list=0.06,0.6,6", "--set", "G=0.4",
+             "--set", "mu_list=0.5,4"]
 
     @staticmethod
     def fail_at(monkeypatch, tmp_path, argv, out, share):
@@ -852,7 +863,7 @@ class TestStreamedOutputs:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert snapshot(out) == before
 
-    @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
+    @pytest.mark.parametrize("command", ["LATTICE", "SWEEP", "EVOLVE", "GRAVITY", "CONVERGENCE"])
     def test_commit_fault_keeps_an_earlier_run_or_leaves_no_manifest(self, tmp_path,
                                                                     monkeypatch, command):
         # an OSError at each os.unlink and os.replace of the commit in turn;

@@ -37,6 +37,7 @@ from metricspin.model import (
 from oracles import (
     dense_state_oracle,
     dense_trace_oracle,
+    full_matrix_from_blocks,
     kronecker_parity_blocks,
     metric_expectations,
     minimal_hamiltonian_oracle,
@@ -143,7 +144,7 @@ class TestBuildHamiltonian:
         # G = 0: eigenvalues are +-sqrt(2) + sqrt(2) (n_a + n_b)
         p = ModelParams(G=0.0, N=2, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        evals = np.sort(np.linalg.eigvalsh(h.matrix.entries))
+        evals = np.sort(np.linalg.eigvalsh(full_matrix_from_blocks(h.blocks)))
         expected = np.sort([s * SQRT2 + SQRT2 * m
                             for s in (-1, 1) for m in (0, 1, 1, 2)])
         npt.assert_allclose(evals, expected, atol=1e-12)
@@ -152,8 +153,9 @@ class TestBuildHamiltonian:
     def test_dimension_and_hermiticity(self):
         p = ModelParams(G=math.pi, N=14, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        assert h.matrix.dim == 392
-        m = h.matrix.entries
+        m = full_matrix_from_blocks(h.blocks)
+        assert m.shape == (392, 392)
+        npt.assert_allclose(m, minimal_hamiltonian_oracle(p.G, 1.0, p.N), atol=1e-14)
         assert np.abs(m - m.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("G,N", [(math.pi, 6), (0.05, 5), (10.0, 4)])
@@ -161,14 +163,14 @@ class TestBuildHamiltonian:
         p = ModelParams(G=G, N=N, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         ref = minimal_hamiltonian_oracle(G, 1.0, N)
-        npt.assert_allclose(h.matrix.entries, ref, atol=1e-14)
+        npt.assert_allclose(full_matrix_from_blocks(h.blocks), ref, atol=1e-14)
 
     def test_coupling_block_magnitude_at_crossover(self):
         # spin-offdiagonal entries from (b + b^dag) scale as sqrt(2) sqrt(n)
         p = ModelParams(G=math.pi, N=14, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         N = p.N
-        m = h.matrix.entries
+        m = full_matrix_from_blocks(h.blocks)
         for nb in range(5):
             i = nb                      # |up, 0, nb>
             j = N * N + nb + 1          # |down, 0, nb + 1>
@@ -179,13 +181,13 @@ class TestBuildHamiltonian:
         h = build_minimal_hamiltonian(p, g=0.0)
         assert h.g == 0.0
         ref = minimal_hamiltonian_oracle(5.0, 1.0, 4, g=0.0)
-        npt.assert_allclose(h.matrix.entries, ref, atol=1e-14)
+        npt.assert_allclose(full_matrix_from_blocks(h.blocks), ref, atol=1e-14)
 
     def test_commutes_with_sigma_x_at_zero_coupling(self):
         p = ModelParams(G=0.0, N=8, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         sx = np.kron(SIGMA_X, np.eye(p.N * p.N))
-        m = h.matrix.entries
+        m = full_matrix_from_blocks(h.blocks)
         assert np.abs(m @ sx - sx @ m).max() == 0.0
 
 
@@ -237,7 +239,8 @@ class TestEvolve:
         psi0 = initial_state("y", +1, p.N)
         t = 1.7
         state = evolve(h, psi0, [t])[0]
-        ref = scipy.linalg.expm(-1j * h.matrix.entries * t) @ psi0.amplitudes
+        H = minimal_hamiltonian_oracle(p.G, p.mu, p.N)
+        ref = scipy.linalg.expm(-1j * H * t) @ psi0.amplitudes
         assert abs(np.vdot(ref, state.amplitudes)) >= 1.0 - 1e-12
 
     def test_composition(self):
@@ -395,7 +398,7 @@ class TestSymmetrySector:
         N = p.N
         parity = np.diag((-1.0) ** np.arange(N))
         s_bad = np.kron(SIGMA_Y, np.kron(parity, np.eye(N)))
-        m = h.matrix.entries
+        m = minimal_hamiltonian_oracle(p.G, p.mu, N)
         residual = np.abs(m @ s_bad - s_bad @ m).max()
         assert residual > abs(h.g)
 
@@ -720,6 +723,7 @@ class TestTraceAgainstScalarPath:
         psi0 = initial_state("y", -1, p.N)
         trace = observable_trace(h, psi0)
         states = evolve(h, psi0, p.times)
+        H = minimal_hamiltonian_oracle(p.G, p.mu, p.N)
         n = np.diag(np.arange(5.0))
         sx_op, sy_op, sz_op = (np.kron(s, np.eye(25)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
         na_op = np.kron(np.eye(2), np.kron(n, np.eye(5)))
@@ -735,7 +739,7 @@ class TestTraceAgainstScalarPath:
             assert trace.n_alpha[i] == pytest.approx(expectation(na_op, state), abs=1e-12)
             assert trace.n_beta[i] == pytest.approx(expectation(nb_op, state), abs=1e-12)
             assert trace.energy[i] == pytest.approx(
-                expectation(h.matrix.entries, state), abs=1e-12)
+                expectation(H, state), abs=1e-12)
             assert trace.norm[i] == pytest.approx(np.linalg.norm(state.amplitudes), abs=1e-12)
 
 

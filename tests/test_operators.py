@@ -21,7 +21,7 @@ from metricspin.model import (
     initial_state,
 )
 
-from oracles import embed_oracle
+from oracles import embed_oracle, full_matrix_from_blocks, minimal_hamiltonian_oracle
 
 SQRT2 = math.sqrt(2.0)
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -43,14 +43,18 @@ def ladder(N: int) -> np.ndarray:
 class TestBasisConvention:
     def test_minimal_model_dimension(self):
         h = build_minimal_hamiltonian(ModelParams(G=0.3, N=14, t_max=1.0, dt=0.5))
-        assert h.matrix.dim == 392
+        m = full_matrix_from_blocks(h.blocks)
+        assert m.shape == (392, 392)
+        npt.assert_allclose(m, minimal_hamiltonian_oracle(0.3, 1.0, 14), atol=1e-14)
         assert initial_state("x", +1, 14).amplitudes.shape == (392,)
 
     def test_row_major_index(self):
-        # the decoupled dense matrix has sqrt(2) (n_a + n_b) at s*N*N + n_a*N + n_b
+        # the decoupled matrix has sqrt(2) (n_a + n_b) at s*N*N + n_a*N + n_b
         N = 14
         h = build_minimal_hamiltonian(ModelParams(G=0.0, N=N, t_max=1.0, dt=0.5))
-        diag = np.diag(h.matrix.entries).real
+        m = full_matrix_from_blocks(h.blocks)
+        npt.assert_allclose(m, minimal_hamiltonian_oracle(0.0, 1.0, N), atol=1e-14)
+        diag = np.diag(m).real
         for s, na, nb in [(0, 0, 0), (0, 0, 13), (0, 1, 0), (1, 0, 0), (1, 13, 13)]:
             assert diag[s * N * N + na * N + nb] == pytest.approx(SQRT2 * (na + nb))
         assert diag.size == 392

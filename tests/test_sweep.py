@@ -124,7 +124,6 @@ class TestRevivalDiagnostic:
         times = np.linspace(0.0, 20.0, 201)
         d = revival_diagnostic(_synthetic_trace(times, np.ones_like(times)), t_min=2.0)
         assert d.revival_peak == 1.0
-        assert d.envelope_decay == 0.0
 
     def test_collapse_and_revival_signal(self):
         # envelope dips at t=30 and fully revives at t=60; ripple on top
@@ -139,7 +138,6 @@ class TestRevivalDiagnostic:
         times = np.linspace(0.0, 50.0, 2001)
         px = 0.5 + 0.5 * np.exp(-times / 2.0)
         d = revival_diagnostic(_synthetic_trace(times, px), t_min=2.0)
-        assert d.envelope_decay > 0.3
         assert d.revival_peak < 0.9
 
     def test_peak_bounded_for_real_run(self):
