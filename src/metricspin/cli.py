@@ -112,7 +112,7 @@ def _write_outputs(outdir: Path, command: str, t0: float, config_pairs, files,
                  ("checksum_sha256", next(iter(digests.values()))),
                  *((f"checksum_sha256.{name}", d) for name, d in digests.items()),
                  *((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))]
-        partials.append(write_partial(outdir / "manifest.txt", render_manifest(pairs)))
+        partials.append(write_partial(outdir / "manifest.txt", (render_manifest(pairs),)))
         (outdir / "manifest.txt").unlink(missing_ok=True)
         for partial in partials:
             partial.replace(partial.with_suffix(""))
@@ -176,9 +176,9 @@ def cmd_sweep(cfg: RunConfig):
     grid = _sweep_grid(cfg)
     diagnostics, run_checksums = [], []
 
-    def diagnostics_csv():      # once the heatmap has streamed, so its G are all done
-        yield from render_csv(DIAGNOSTICS_HEADER, (np.array(grid.G_values),
-                                                   *map(np.array, zip(*diagnostics))))
+    def diagnostics_csv():      # after the heatmap: a G not yet streamed raises ValueError
+        peaks = np.reshape(diagnostics, (len(grid.G_values), 2)).T
+        yield from render_csv(DIAGNOSTICS_HEADER, (np.array(grid.G_values), *peaks))
 
     files = {"heatmap.csv": _heatmap(grid, cfg.t_min, diagnostics, run_checksums),
              "diagnostics.csv": diagnostics_csv()}

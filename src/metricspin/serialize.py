@@ -12,12 +12,20 @@ bit is set; NaN, whatever its sign bit, prints ``nan``.  So the distinct
 values of a float column are found over the whole column by bit pattern
 (``0.0`` and ``-0.0`` keep their own text), and the distinct magnitudes of
 all such columns of a call are formatted together, each exactly once, into
-one fixed-width bytes table per column that the rows index.  A column
-with more than ``_TABLE_SHARE`` of its rows distinct has no table, and
-neither has an integer column: they are formatted as their rows are
-rendered.  Rows are rendered and yielded in blocks of ``_BLOCK_ROWS``, so
-the text of the whole file is never held; the bytes are those of
-rendering every number on its own.
+one bytes table per column that the rows index, cut to the column's
+longest text.  A column with more than ``_TABLE_SHARE`` of its rows
+distinct has no table: it is formatted as its rows are rendered.  Rows are
+rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the
+whole file is never held; the bytes are those of rendering every number
+on its own.
+
+The layout sees one kind of column: texts.  Per block, every column gives
+its cells' texts as one fixed-width bytes array: a float column's from its
+table or from ``_texts``, an integer column's from numpy's ``astype("S")``
+(``repr``'s text, 21 wide for int64), a bytes column's as they are.  The
+block's rows are laid out in one buffer, a slot per column as wide as its
+texts, each text NUL-padded and followed by its ``,`` or the row's
+newline; dropping the NUL bytes leaves the block's text.
 
 Floats are formatted as arrays, never one Python call per value:
 ``_texts`` (:func:`metricspin.floattext.texts`) gives a whole array's
@@ -28,9 +36,7 @@ shortest digits that round back to it, or hands the value to ``repr``:
 NaN, infinities, zeros, subnormals, powers of two, magnitudes outside
 [1e-280, 1e280], and any value whose rounding interval ends or
 last-digit rounding lie within 1e-9 of a tie (none of 100,000 uniform
-draws in [0, 1)).  A block's rows are laid out in one buffer of
-fixed-width slots, each cell's text NUL-padded and followed by its ``,``
-or the row's newline; dropping the NUL bytes leaves the block's text.
+draws in [0, 1)).
 
 Formatting holds the interpreter lock, so threads cannot share it;
 forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
@@ -72,9 +78,6 @@ _MAGNITUDE = np.int64(2 ** 63 - 1)
 
 #: bit pattern of +inf; a larger magnitude is a NaN
 _INF_BITS = np.float64(np.inf).view(np.int64)
-
-#: the longest text of an integer column's value, ``-9223372036854775808``
-_INT_WIDTH = 20
 
 #: largest share of a column's rows that may be distinct in a table; a
 #: table costs each row a lookup, so it must spare a quarter of the
@@ -128,18 +131,22 @@ def _signed(keys: np.ndarray, magnitudes: np.ndarray, texts: np.ndarray) -> np.n
     minus = (keys < 0) & (magnitude <= _INF_BITS)      # NaN prints nan
     chars[minus, 1:] = chars[minus, :-1]        # a magnitude's text is at most 23 long
     chars[minus, 0] = ord("-")
-    return signed
+    width = _WIDTH          # cut to the longest text (texts are left-aligned)
+    while width > 1 and not chars[:, width - 1].any():
+        width -= 1
+    return signed.astype(f"S{width}")
 
 
 def render_csv(header: str | None, columns):
     """ASCII CSV, one line per row of the equal-length 1-D ``columns``, as bytes blocks.
 
     Floats render as ``fmt`` does, integers as ``repr(int)``, bytes (``S``)
-    texts as they are (a text holds no NUL byte).  The columns are checked
-    and their value tables built here; the returned iterator yields the
-    ``header`` line on its own (nothing for ``header=None``), then one
-    bytes object per ``_BLOCK_ROWS`` rows (the last may be shorter), every
-    row ending in a newline.
+    texts as they are (a text holds no NUL byte); each block is laid out
+    from its columns' texts, as the module docstring says.  The columns
+    are checked and their value tables built here; the returned iterator
+    yields the ``header`` line on its own (nothing for ``header=None``),
+    then one bytes object per ``_BLOCK_ROWS`` rows (the last may be
+    shorter), every row ending in a newline.
     """
     columns = [_checked(c) for c in columns]
     n = columns[0].size if columns else 0
@@ -149,47 +156,30 @@ def render_csv(header: str | None, columns):
 
 
 def _blocks(header, n, columns, tables):
-    """The blocks of :func:`render_csv`: rows ``_BLOCK_ROWS`` at a time.
-
-    A block's cells go into one buffer, a row of fixed-width slots (each
-    column's widest text, NUL-padded, then its ``,`` or the row's newline);
-    dropping the NUL bytes leaves the rows' text.
-    """
+    """The blocks of :func:`render_csv`, ``_BLOCK_ROWS`` rows each, laid out as the module says."""
     if header is not None:
         yield header.encode() + b"\n"
 
-    def width(v: np.ndarray, table) -> int:
-        if v.dtype.kind == "S":
-            return v.dtype.itemsize
-        if v.dtype.kind == "i":
-            return _INT_WIDTH
-        if table is None:
-            return _WIDTH
-        # a table's longest text (texts are left-aligned); a constant column's is short
-        return max(1, np.count_nonzero(table[1].view(np.uint8).reshape(-1, _WIDTH).any(axis=0)))
-
-    widths = [width(v, table) for v, table in zip(columns, tables)]
-    slots = np.cumsum([0] + [w + 1 for w in widths])
-
     def cells(v: np.ndarray, table, start: int) -> np.ndarray:
         part = v[start:start + _BLOCK_ROWS]
-        if v.dtype.kind == "S":
-            return np.ascontiguousarray(part)
-        if v.dtype.kind == "i":
-            return part.astype(f"S{_INT_WIDTH}")
+        if v.dtype.kind != "f":
+            return part.astype("S")     # an integer's text is repr's; bytes stay as they are
         if table is None:
             return _texts(part)
         return table[1][np.searchsorted(table[0], part.view(np.int64))]
 
     def rows(start: int) -> bytes:
-        buffer = np.empty((min(_BLOCK_ROWS, n - start), slots[-1]), dtype=np.uint8)
-        for v, table, w, at in zip(columns, tables, widths, slots):
-            texts = cells(v, table, start)
-            buffer[:, at:at + w] = texts.view(np.uint8).reshape(texts.size, -1)[:, :w]
+        texts = [cells(v, table, start) for v, table in zip(columns, tables)]
+        buffer = np.empty((texts[0].size, sum(t.itemsize + 1 for t in texts)), dtype=np.uint8)
+        at = 0
+        for t in texts:
+            w = t.itemsize
+            buffer[:, at:at + w] = t.view(np.uint8).reshape(t.size, w)
             buffer[:, at + w] = ord(",")
+            at += w + 1
         buffer[:, -1] = ord("\n")
         data = buffer.tobytes()
-        del buffer              # so that no more than two copies of the block are held
+        del texts, buffer       # so that no more than two copies of the block are held
         return data.translate(None, b"\0")
 
     yield from _rendered(rows, range(0, n, _BLOCK_ROWS))
@@ -288,18 +278,17 @@ def render_manifest(pairs) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in pairs).encode()
 
 
-def write_partial(path, data, digest=None) -> Path:
-    """Write ``data``, bytes or an iterable of bytes blocks, to ``<name>.partial``; return it.
+def write_partial(path, blocks, digest=None) -> Path:
+    """Write ``blocks``, an iterable of bytes blocks, to ``<name>.partial``; return it.
 
     The blocks go to the file beside ``path`` as they come, each also fed
     to ``digest``, a ``hashlib`` object, if one is given.  On any
     exception, a failing block included, the partial file is removed and a
-    generator ``data`` is closed (which stops its render, forked processes
+    generator ``blocks`` is closed (which stops its render, forked processes
     included).
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    blocks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     try:
         with open(partial, "wb") as fh:
             for block in blocks:

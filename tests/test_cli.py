@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import hashlib
+import inspect
 import math
 import os
 import re
@@ -18,9 +19,11 @@ import pytest
 
 import metricspin
 import metricspin.cli as cli
+import metricspin.lattice as lattice_mod
 import metricspin.serialize as serialize_mod
 import metricspin.model as model_mod
 import metricspin.sweep as sweep_mod
+from metricspin.config import RunConfig, parse_config
 from metricspin.errors import NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
 from metricspin.model import (
@@ -191,6 +194,15 @@ class TestConfigErrors:
         assert rc == 2
         assert "gee" in capsys.readouterr().err
 
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_max=2\nG 0.5\n")
+        out = tmp_path / "o"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}:2: expected key=value, got 'G 0.5'\n"
+        assert not out.exists()
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"G=0.0\n# \xff\n")
@@ -231,6 +243,21 @@ class TestConfigErrors:
                        "--set", "G=0"])
         assert rc == 0
         assert read_manifest(tmp_path / "o" / "manifest.txt")["G"] == "0.0"
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    model = {f.name: f.default for f in dataclasses.fields(ModelParams)}
+    grid = {f.name: f.default for f in dataclasses.fields(SweepGrid)}
+    for key in ("mu", "N", "t_max", "dt"):
+        assert getattr(cfg, key) == model[key] == grid[key], key
+    signature = inspect.signature(sweep_mod.default_grid).parameters
+    assert (cfg.G_count, cfg.G_min, cfg.G_max) == tuple(
+        signature[k].default for k in ("count", "G_min", "G_max"))
+    assert cfg.t_min == sweep_mod.DEFAULT_T_MIN
+    assert cfg.fd_step == lattice_mod.FD_STEP
+    assert cfg.direction == grid["direction"]
+    assert cli._sign_value(cfg) == grid["sign"]
 
 
 class TestOversizedRuns:
@@ -347,6 +374,17 @@ class TestNonFiniteConfigValues:
         ("gravity-check", "mu_list=1,inf"),
         ("gravity-check", "mu_list=nan,2"),
         ("sweep", "G_list=0.1,nan"),
+        # values that do not parse, text choices outside their set, and an
+        # override with no "="
+        ("evolve", "N=abc"),
+        ("evolve", "N=1e3"),
+        ("evolve", "G=abc"),
+        ("evolve", "direction=w"),
+        ("evolve", "sign=0"),
+        ("evolve", "G"),
+        ("convergence", "N_list=3,x"),
+        ("gravity-check", "mu_list=1,x"),
+        ("gravity-check", "mu_list=,"),
     ])
     def test_rejected_as_config_error(self, tmp_path, capsys, command, setting):
         out = tmp_path / "o"
@@ -354,8 +392,10 @@ class TestNonFiniteConfigValues:
                        "--set", "levels=3", "--set", "kx_count=3", "--set", "ky_count=3",
                        "--set", setting])
         assert rc == 2
-        assert setting.split("=")[0] in capsys.readouterr().err
-        assert non_finite_files(out) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert setting.split("=")[0] in err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -369,6 +409,19 @@ class TestSweepCommand:
         for name in ("t", "sx", "px", "n_alpha", "n_beta"):
             npt.assert_array_equal(sw[name], ev[name])
         assert np.all(sw["G"] == 0.05)
+
+    @pytest.mark.parametrize("streamed", [0, 2], ids=["first", "after-one-G"])
+    def test_diagnostics_before_the_heatmap_has_streamed_fails(self, streamed):
+        cfg = parse_config(None, ["G_list=0.1,1", "N=4", "t_max=1", "dt=0.5", "t_min=0.5"])
+        _, files, _ = cli.cmd_sweep(cfg)
+        heatmap = files["heatmap.csv"]
+        try:
+            for _ in range(streamed):     # the header, then the first G's rows
+                next(heatmap)
+            with pytest.raises(ValueError):
+                b"".join(files["diagnostics.csv"])
+        finally:
+            heatmap.close()
 
     def test_outputs_and_diagnostics_header(self, tmp_path):
         rc = cli.main(["sweep", "--out", str(tmp_path),

@@ -276,6 +276,8 @@ class TestEvolve:
             evolve(h, psi0, [1.0, 0.5])
         with pytest.raises(ValueError):
             evolve(h, psi0, [-1.0, 0.5])
+        with pytest.raises(ValueError, match="1-D"):
+            evolve(h, psi0, [[0.0, 0.5]])
 
     @pytest.mark.parametrize("times", [[0.5, math.nan, 0.2], [math.nan], [0.2, math.nan],
                                        [math.inf], [0.1, math.inf], [-math.inf, 0.5]],
@@ -548,6 +550,13 @@ class TestParityBlocks:
             m = m[:, :-1]
         with pytest.raises(NumericalConsistencyError, match="parity block -1"):
             ParityBlock(-1, m)
+
+    def test_complex_block_with_zero_imaginary_part_keeps_its_real_part(self):
+        m = build_minimal_hamiltonian(ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)) \
+            .blocks[0].entries
+        block = ParityBlock(1, m.astype(complex))
+        assert block.entries.dtype == np.float64
+        npt.assert_array_equal(block.entries, m)
 
     def test_symmetry_within_tolerance_accepted(self):
         m = np.eye(4)
