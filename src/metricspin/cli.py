@@ -8,7 +8,8 @@ manifest config pairs and its files; it builds all its library inputs,
 which refuse out-of-range values, before any work, and
 :func:`_refused_as` names the key.  Every command is deterministic given
 its config.  Exit codes are a stable contract: 0 success, 2 config
-error, 3 numerical-consistency failure.
+error (a run too large for memory, or whose files cannot be written,
+included), 3 numerical-consistency failure.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _rendered, fmt, render_csv, render_manifest, write_partial
+from .serialize import _rendered, _writing, fmt, render_csv, render_manifest, write_partial
 from .sweep import SweepGrid, check_t_min, default_grid, revival_diagnostic, trace_at
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
@@ -99,7 +100,8 @@ def _write_outputs(outdir: Path, command: str, t0: float, config_pairs, files,
     ``wall_time_s`` runs from ``t0`` to the last file written.  Then the
     old manifest is removed, the files are renamed into place and the new
     manifest last, so a manifest always matches its directory.  A failure
-    removes every partial file.
+    removes every partial file; one to open, write or rename a file is a
+    ``ConfigError`` naming it (``serialize._writing``).
     """
     digests, partials = {}, []
     try:
@@ -113,9 +115,11 @@ def _write_outputs(outdir: Path, command: str, t0: float, config_pairs, files,
                  *((f"checksum_sha256.{name}", d) for name, d in digests.items()),
                  *((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))]
         partials.append(write_partial(outdir / "manifest.txt", (render_manifest(pairs),)))
-        (outdir / "manifest.txt").unlink(missing_ok=True)
+        with _writing(outdir / "manifest.txt"):
+            (outdir / "manifest.txt").unlink(missing_ok=True)
         for partial in partials:
-            partial.replace(partial.with_suffix(""))
+            with _writing(partial.with_suffix("")):
+                partial.replace(partial.with_suffix(""))
     except BaseException:
         for partial in partials:
             partial.unlink(missing_ok=True)
@@ -191,6 +195,25 @@ def cmd_sweep(cfg: RunConfig):
     return config_pairs, files, run_checksums
 
 
+def _bands(kx: np.ndarray, ky: np.ndarray, couplings: LatticeCouplings):
+    """``bands.csv`` in blocks: the header, then the kx-major grid's rows, one
+    :func:`_rendered` job per ``_BLOCK_ROWS`` of them.
+
+    A job maps its flat range of rows to ``(i, j) = divmod(row, ky.size)``,
+    evaluates the bands on those points alone and renders its rows in one
+    :func:`render_csv` call, so no process holds more than the two axes and
+    one job's rows, at any grid size."""
+    yield (BANDS_HEADER + "\n").encode()
+    rows = kx.size * ky.size
+
+    def job(start: int) -> bytes:
+        i, j = np.divmod(np.arange(start, min(start + serialize._BLOCK_ROWS, rows)), ky.size)
+        e_lo, e_hi = dispersion(np.stack([kx[i], ky[j]], axis=-1), couplings)
+        return b"".join(render_csv(None, (kx[i], ky[j], e_lo, e_hi)))
+
+    yield from _rendered(job, range(0, rows, serialize._BLOCK_ROWS))
+
+
 def cmd_lattice(cfg: RunConfig):
     if cfg.kx_count < 2 or cfg.ky_count < 2:
         raise ConfigError("keys 'kx_count'/'ky_count' must be >= 2 per axis")
@@ -207,13 +230,8 @@ def cmd_lattice(cfg: RunConfig):
                        (f"C_{tag}", fmt(C)), (f"D_{tag}", fmt(D))])
     kx = np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count)
     ky = np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count)
-    kx_grid, ky_grid = np.meshgrid(kx, ky, indexing="ij")
-    e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
-    band_columns = (kx_grid.ravel(), ky_grid.ravel(), e_lo.ravel(), e_hi.ravel())
-    files = {
-        "bands.csv": render_csv(BANDS_HEADER, band_columns),
-        "fermi_report.txt": [render_manifest(report)],
-    }
+    files = {"bands.csv": _bands(kx, ky, couplings),
+             "fermi_report.txt": [render_manifest(report)]}
     config_pairs = _config_pairs(cfg, "lattice_G", "alpha_c", "beta_c", "kx_min", "kx_max",
                                  "ky_min", "ky_max", "kx_count", "ky_count", "fd_step")
     return config_pairs, files

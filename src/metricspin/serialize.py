@@ -40,13 +40,13 @@ draws in [0, 1)).
 
 Formatting holds the interpreter lock, so threads cannot share it;
 forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
-or a sweep's G values) over W processes: the caller runs jobs 0, W, 2W,
-... and each of W - 1 forked children its own residue class.  A job's
-result is any picklable value; a child pickles each one, or the failure
-that ends its jobs, down a pipe and flushes it at once, so the caller
-never waits on a later job for it.  The caller yields the results in job
-order, so the bytes are those of one process, and raises a failure as
-the same exception.  A map of two or more jobs holds the model's BLAS
+a sweep's G values, or the lattice's row ranges) over W processes: the
+caller runs jobs 0, W, 2W, ... and each of W - 1 forked children its own
+residue class.  A job's result is any picklable value; a child pickles
+each one, or the failure that ends its jobs, down a pipe and flushes it
+at once, so the caller never waits on a later job for it.  The caller
+yields the results in job order, so the bytes are those of one process,
+and raises a failure as the same exception.  A map of two or more jobs holds the model's BLAS
 pin while it forks, with W = min(the CPUs the pin gives, jobs), so
 every job runs its kernels on one thread and a map inside a job, nested,
 stays in its process.  A map of one job, or while another Python thread
@@ -62,10 +62,12 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
 from .model import _ONE_BLAS_THREAD
@@ -278,24 +280,41 @@ def render_manifest(pairs) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in pairs).encode()
 
 
+@contextmanager
+def _writing(path: Path):
+    """Re-raise an ``OSError`` of the block, which writes or renames ``path``, as a
+    ``ConfigError`` naming it: a full disk, a file size limit or a quota ends the
+    run with exit 2 like a run too large for memory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def write_partial(path, blocks, digest=None) -> Path:
     """Write ``blocks``, an iterable of bytes blocks, to ``<name>.partial``; return it.
 
     The blocks go to the file beside ``path`` as they come, each also fed
-    to ``digest``, a ``hashlib`` object, if one is given.  On any
-    exception, a failing block included, the partial file is removed and a
-    generator ``blocks`` is closed (which stops its render, forked processes
-    included).
+    to ``digest``, a ``hashlib`` object, if one is given.  An ``OSError``
+    of opening, writing or closing the file is raised as :func:`_writing`
+    says; one from ``blocks`` as it is.  On any exception, a failing block
+    included, the partial file is removed and a generator ``blocks`` is
+    closed (which stops its render, forked processes included).
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
-        with open(partial, "wb") as fh:
+        with _writing(path):
+            fh = open(partial, "wb")
+        with fh:
             for block in blocks:
-                fh.write(block)
+                with _writing(path):
+                    fh.write(block)
                 if digest is not None:
                     digest.update(block)
                 del block       # not held while the next block renders
+            with _writing(path):
+                fh.close()      # writes what is still buffered, a short file's all
     except BaseException:
         partial.unlink(missing_ok=True)
         if hasattr(blocks, "close"):

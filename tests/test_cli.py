@@ -24,7 +24,7 @@ import metricspin.serialize as serialize_mod
 import metricspin.model as model_mod
 import metricspin.sweep as sweep_mod
 from metricspin.config import RunConfig, parse_config
-from metricspin.errors import NumericalConsistencyError
+from metricspin.errors import ConfigError, NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
 from metricspin.model import (
     ModelParams,
@@ -100,6 +100,19 @@ def non_finite_files(out):
     """Written files whose text contains nan or inf."""
     written = [f for f in out.rglob("*") if f.is_file()] if out.exists() else []
     return [f for f in written if re.search(rb"nan|inf", f.read_bytes(), re.IGNORECASE)]
+
+
+def command_peak_kb(out: Path, argv: list[str]) -> int:
+    """Peak resident memory (``VmHWM``, kB) of a fresh process that runs ``argv`` into ``out``."""
+    code = ("import sys; from metricspin import cli; "
+            "assert cli.main(sys.argv[1:]) == 0; "
+            "print(next(int(line.split()[1]) for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 class TestEvolveCommand:
@@ -488,19 +501,9 @@ class TestSweepCommand:
         # each G's trace lives in its job alone: the command's peak resident
         # memory at 64 G of 5001 rows is that at 4 G, where holding every
         # trace would add 0.3 MB per G
-        code = ("import sys; from metricspin import cli; "
-                "assert cli.main(sys.argv[1:]) == 0; "
-                "print(next(int(line.split()[1]) for line in open('/proc/self/status') "
-                "if line.startswith('VmHWM:')))")
-        env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
-
         def peak_kb(G_count: int) -> int:
-            proc = subprocess.run(
-                [sys.executable, "-c", code, "sweep", "--out", str(tmp_path / str(G_count)),
-                 "--set", "N=4", "--set", f"G_count={G_count}"],
-                capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
+            return command_peak_kb(tmp_path / str(G_count),
+                                   ["sweep", "--set", "N=4", "--set", f"G_count={G_count}"])
 
         small, large = peak_kb(4), peak_kb(64)
         assert large - small <= 1024, f"{small} kB at 4 G, {large} kB at 64 G"
@@ -577,9 +580,9 @@ class TestHeatmapExport:
     def test_io_error_carries_path(self, tmp_path):
         heatmap = heatmap_of(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))[0]
         missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
-        with pytest.raises(OSError) as err:
+        with pytest.raises(ConfigError, match="^cannot write .*: No such file") as err:
             write_partial(missing, heatmap)
-        assert str(missing) in str(err.value) or missing.name in str(err.value)
+        assert str(missing) in str(err.value)
 
 
     @pytest.mark.parametrize("per_g", [1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
@@ -832,17 +835,23 @@ class TestRenderProcesses:
         (EVOLVE, 1),
         (["sweep", "--set", "N=4", "--set", "t_max=100", "--set", "G_list=0.1,1,3,10"], 1),
     ])
-    def test_write_fault_mid_file_leaves_no_child(self, tmp_path, monkeypatch,
+    def test_write_fault_mid_file_leaves_no_child(self, tmp_path, monkeypatch, capsys,
                                                   render_cpus, forks, argv, forked):
         render_cpus(2)
         monkeypatch.setattr(serialize_mod, "open", FullDisk, raising=False)
+        # the test holds the run's files, so only the closed generator can
+        # have ended the child
+        held, command = [], cli.COMMANDS[argv[0]]
+
+        def holding(cfg):
+            held.append(command(cfg))
+            return held[0]
+
+        monkeypatch.setitem(cli.COMMANDS, argv[0], holding)
         out = tmp_path / "o"
-        with pytest.raises(OSError) as err:
-            cli.main([*argv, "--out", str(out)])
-        assert err.value.errno == errno.ENOSPC
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"{os.strerror(errno.ENOSPC)}\n" in capsys.readouterr().err
         assert len(forks) == forked
-        # the traceback still holds the run's frames, so only the closed
-        # generator can have ended the child
         self.assert_no_child_left()
         assert snapshot(out) == {}
 
@@ -871,9 +880,10 @@ class TestStreamedOutputs:
     def fail_at(monkeypatch, tmp_path, argv, out, share):
         """Make the CSV number format of ``argv`` run into ``out`` raise
         MemoryError in the call that formats the number ``share`` of the way
-        through the run (0: the first, 1: the last).  Returns the names of
-        the files in ``out`` at that moment."""
-        count, seen, texts = [0], [], serialize_mod._texts
+        through the run (0: the first, 1: the last) of this process, or of a
+        render child with as much work.  Returns a function that gives the
+        names of the files in ``out`` at that moment."""
+        count, seen, texts = [0], tmp_path / "seen", serialize_mod._texts
 
         def counting(values):
             count[0] += values.size
@@ -886,12 +896,13 @@ class TestStreamedOutputs:
         def failing(values):
             count[0] += values.size
             if count[0] >= number:
-                seen.extend(sorted(f.name for f in out.iterdir()) if out.exists() else [])
+                with open(seen, "a") as fh:     # a render child's list outlives it here
+                    fh.writelines(f"{f.name}\n" for f in (out.iterdir() if out.exists() else ()))
                 raise MemoryError("injected")
             return texts(values)
 
         monkeypatch.setattr(serialize_mod, "_texts", failing)
-        return seen
+        return lambda: sorted(seen.read_text().split()) if seen.exists() else []
 
     @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
@@ -901,7 +912,7 @@ class TestStreamedOutputs:
         assert cli.main([*getattr(self, command), "--out", str(out)]) == 2
         assert "run too large for memory" in capsys.readouterr().err
         if share > 0:                   # failed while a CSV streamed
-            assert any(name.endswith(".csv.partial") for name in seen), seen
+            assert any(name.endswith(".csv.partial") for name in seen()), seen()
         assert snapshot(out) == {}
 
     @pytest.mark.parametrize("command", ["LATTICE", "SWEEP"])
@@ -917,7 +928,7 @@ class TestStreamedOutputs:
         assert snapshot(out) == before
 
     @pytest.mark.parametrize("command", ["LATTICE", "SWEEP", "EVOLVE", "GRAVITY", "CONVERGENCE"])
-    def test_commit_fault_keeps_an_earlier_run_or_leaves_no_manifest(self, tmp_path,
+    def test_commit_fault_keeps_an_earlier_run_or_leaves_no_manifest(self, tmp_path, capsys,
                                                                     monkeypatch, command):
         # an OSError at each os.unlink and os.replace of the commit in turn;
         # a directory that holds a manifest must always match it
@@ -951,9 +962,10 @@ class TestStreamedOutputs:
             out = tmp_path / f"fault{k}"
             before = earlier_run(out)
             fault[0] = k
-            with pytest.raises(OSError, match="injected"):
-                cli.main([*argv, "--out", str(out)])
+            assert cli.main([*argv, "--out", str(out)]) == 2
             fault[0] = None
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"config error: cannot write '.*': injected at \w+\n", err), err
             after = snapshot(out)
             assert not any(name.endswith(".partial") for name in after), (k, sorted(after))
             assert after == before or "manifest.txt" not in after, (k, sorted(after))
@@ -1010,6 +1022,47 @@ class TestLatticeCommand:
                 col.extend(part)
         want = csv_oracle("kx,ky,E_minus,E_plus", columns).encode()
         assert (tmp_path / "bands.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("grid", [
+        ["kx_count=2", "ky_count=2"],
+        ["kx_count=41", "ky_count=41"],         # the default: one job, no fork
+        # 2257 rows, not a whole number of jobs; off centre, so few values repeat
+        ["kx_count=37", "ky_count=61", "kx_min=-1.1", "lattice_G=0.01", "alpha_c=0.2"],
+        # 7500 rows: the first kx row spans two jobs
+        ["kx_count=3", "ky_count=2500", "lattice_G=0.01", "alpha_c=0.2"],
+        # the pinned run of test_pinned_outputs
+        ["kx_count=61", "ky_count=61", "kx_min=-4.4", "kx_max=4.4", "ky_min=-4.4", "ky_max=4.4"],
+    ])
+    def test_bands_stream_matches_the_whole_grid_render(self, tmp_path, render_cpus, forks,
+                                                        grid):
+        args = [a for item in grid for a in ("--set", item)]
+        written = []
+        for cpus in (1, 2):
+            render_cpus(cpus)
+            assert cli.main(["lattice", "--out", str(tmp_path / str(cpus)), *args]) == 0
+            written.append((tmp_path / str(cpus) / "bands.csv").read_bytes())
+        cfg = parse_config(None, grid)
+        kx_grid, ky_grid = np.meshgrid(np.linspace(cfg.kx_min, cfg.kx_max, cfg.kx_count),
+                                       np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count),
+                                       indexing="ij")
+        couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
+        e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
+        want = csv_oracle(cli.BANDS_HEADER, [kx_grid.ravel(), ky_grid.ravel(),
+                                             e_lo.ravel(), e_hi.ravel()]).encode()
+        assert written == [want, want]
+        assert len(forks) == (kx_grid.size > _BLOCK_ROWS)     # one map, at two CPUs
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_peak_memory_is_flat_in_the_grid(self, tmp_path):
+        # the command's process holds the two axes and one job's rows: its
+        # peak at 1201 x 1201 is that at 401 x 401, nine times fewer rows,
+        # where the whole grid's columns alone would add 41 MB
+        def peak_kb(count: int) -> int:
+            return command_peak_kb(tmp_path / str(count), [
+                "lattice", "--set", f"kx_count={count}", "--set", f"ky_count={count}"])
+
+        small, large = peak_kb(401), peak_kb(1201)
+        assert abs(large - small) <= 3 * 1024, f"{small} kB at 401^2, {large} kB at 1201^2"
 
     @pytest.mark.parametrize("window", [
         ["ky_min=-1e308", "ky_max=1e308"],
@@ -1078,6 +1131,30 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("argv, name", [
+    (["lattice", "--set", "kx_count=201", "--set", "ky_count=201"], "bands.csv"),
+    (["evolve", "--set", "N=4", "--set", "t_max=100"], "trace.csv"),
+])
+def test_file_size_limit_exits_2_in_one_line(tmp_path, argv, name):
+    # a write past RLIMIT_FSIZE fails with EFBIG once SIGXFSZ is ignored, as
+    # one past a full disk or a quota fails with ENOSPC or EDQUOT
+    code = ("import resource, signal, sys; from metricspin import cli; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (16384, hard)); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"config error: cannot write {str(out / name)!r}: "
+                           f"{os.strerror(errno.EFBIG)}\n")
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 def test_cli_import_loads_no_scipy():

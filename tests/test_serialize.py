@@ -1,3 +1,4 @@
+import errno
 import os
 import select
 import signal
@@ -13,7 +14,7 @@ from oracles import csv_oracle
 
 from metricspin import serialize
 from metricspin.cli import BANDS_HEADER
-from metricspin.errors import NumericalConsistencyError
+from metricspin.errors import ConfigError, NumericalConsistencyError
 from metricspin.lattice import LatticeCouplings, dispersion
 from metricspin.serialize import _BLOCK_ROWS, _WIDTH, _rendered, render_csv, write_partial
 
@@ -248,6 +249,49 @@ def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
         write_partial(path, blocks())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("at, raised", [
+    ("write", ConfigError),
+    ("close", ConfigError),     # a short file, a manifest, is written only as it closes
+    ("blocks", OSError),        # the render's own failure is no write failure
+])
+def test_a_write_failure_names_the_file_and_leaves_no_partial(tmp_path, monkeypatch,
+                                                               at, raised):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class Disk:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, block):
+            if at == "write":
+                raise full
+            return self.fh.write(block)
+
+        def close(self):
+            self.fh.close()
+            if at == "close":
+                raise full
+
+    def blocks():
+        yield b"a=1\n"
+        if at == "blocks":
+            raise full
+
+    monkeypatch.setattr(serialize, "open", Disk, raising=False)
+    path = tmp_path / "manifest.txt"
+    with pytest.raises(raised) as err:
+        write_partial(path, blocks())
+    if raised is ConfigError:
+        assert str(err.value) == f"cannot write {str(path)!r}: {os.strerror(errno.ENOSPC)}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_partial_leaves_the_file_itself_as_it_was(tmp_path):
