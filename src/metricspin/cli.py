@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -196,22 +198,18 @@ def cmd_sweep(cfg: RunConfig):
 
 
 def _bands(kx: np.ndarray, ky: np.ndarray, couplings: LatticeCouplings):
-    """``bands.csv`` in blocks: the header, then the kx-major grid's rows, one
-    :func:`_rendered` job per ``_BLOCK_ROWS`` of them.
+    """``bands.csv`` in blocks, streamed by :func:`serialize.render_rows` over the kx-major grid.
 
-    A job maps its flat range of rows to ``(i, j) = divmod(row, ky.size)``,
-    evaluates the bands on those points alone and renders its rows in one
-    :func:`render_csv` call, so no process holds more than the two axes and
-    one job's rows, at any grid size."""
-    yield (BANDS_HEADER + "\n").encode()
-    rows = kx.size * ky.size
-
-    def job(start: int) -> bytes:
-        i, j = np.divmod(np.arange(start, min(start + serialize._BLOCK_ROWS, rows)), ky.size)
+    Block ``[lo, hi)`` maps its flat range of rows to ``(i, j) =
+    divmod(row, ky.size)`` and evaluates the bands on those points alone,
+    so no process holds more than the two axes and one block's rows, at
+    any grid size."""
+    def block(lo: int, hi: int) -> tuple:
+        i, j = np.divmod(np.arange(lo, hi), ky.size)
         e_lo, e_hi = dispersion(np.stack([kx[i], ky[j]], axis=-1), couplings)
-        return b"".join(render_csv(None, (kx[i], ky[j], e_lo, e_hi)))
+        return kx[i], ky[j], e_lo, e_hi
 
-    yield from _rendered(job, range(0, rows, serialize._BLOCK_ROWS))
+    return serialize.render_rows(BANDS_HEADER, kx.size * ky.size, block)
 
 
 def cmd_lattice(cfg: RunConfig):
@@ -296,20 +294,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_directory(out: str) -> tuple[Path, bool]:
-    """``out`` as a directory, made with its parents if missing, and whether this call made it."""
+def _output_directory(out: str) -> tuple[Path, list[Path]]:
+    """``out`` as a directory, made with its parents if missing, and those made, deepest first."""
     outdir = Path(out)
-    made = not outdir.exists()
+    made = list(itertools.takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:      # a file, under a file, or where no directory can be made
+        _remove_empty(made)
         raise ConfigError(f"key 'out': cannot make directory {out!r}: {exc.strerror}") from exc
     return outdir, made
 
 
+def _remove_empty(made: list[Path]) -> None:
+    """Remove the directories ``made``, deepest first, while each is empty (or missing)."""
+    for directory in made:
+        if os.path.isdir(directory):        # False, not an error, for a name too long
+            if any(directory.iterdir()):
+                return
+            directory.rmdir()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    made = False
+    made = []
     try:
         cfg = parse_config(args.config, args.overrides)
         if args.out is not None:
@@ -333,8 +341,7 @@ def main(argv=None) -> int:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3
     finally:        # a run that succeeded left its manifest, so this removes a failed one's
-        if made and not any(outdir.iterdir()):
-            outdir.rmdir()
+        _remove_empty(made)
 
 
 if __name__ == "__main__":

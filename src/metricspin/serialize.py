@@ -5,19 +5,19 @@ so re-running a manifest reproduces files byte for byte on any platform
 with IEEE-754 doubles.  Every output is rendered to bytes (CSVs in
 ASCII, manifests in UTF-8) and written through :func:`write_partial`.
 
-Every CSV goes through :func:`render_csv`, which takes the file's columns
-as 1-D arrays: floats, integers, or bytes texts written as they are.  A
-float's text is its magnitude's text with ``-`` prepended where its sign
-bit is set; NaN, whatever its sign bit, prints ``nan``.  So the distinct
-values of a float column are found over the whole column by bit pattern
-(``0.0`` and ``-0.0`` keep their own text), and the distinct magnitudes of
-all such columns of a call are formatted together, each exactly once, into
-one bytes table per column that the rows index, cut to the column's
-longest text.  A column with more than ``_TABLE_SHARE`` of its rows
-distinct has no table: it is formatted as its rows are rendered.  Rows are
-rendered and yielded in blocks of ``_BLOCK_ROWS``, so the text of the
-whole file is never held; the bytes are those of rendering every number
-on its own.
+Every CSV is a stream of self-contained blocks of ``_BLOCK_ROWS`` rows:
+:func:`render_rows` renders rows ``[lo, hi)`` from the columns a
+function gives for them, and :func:`render_csv` is that stream over the
+slices of whole columns.  A column is 1-D floats, integers, or bytes
+texts written as they are.  A block shares nothing with another block:
+each float column finds the distinct values of its block's rows by bit
+pattern (``0.0`` and ``-0.0`` keep their own text), and it has a value
+table when at most ``_TABLE_SHARE`` of them are distinct.  One ``_texts``
+call per block formats the distinct values of the tabled columns and
+the rows of the others; a tabled column's rows index its table's texts,
+cut to its longest text.  So a render holds one block's columns, texts
+and tables at a time, and never the text of the whole file; the bytes
+are those of rendering every number on its own.
 
 The layout sees one kind of column: texts.  Per block, every column gives
 its cells' texts as one fixed-width bytes array: a float column's from its
@@ -39,14 +39,14 @@ last-digit rounding lie within 1e-9 of a tie (none of 100,000 uniform
 draws in [0, 1)).
 
 Formatting holds the interpreter lock, so threads cannot share it;
-forked processes can.  :func:`_rendered` maps jobs (a file's row blocks,
-a sweep's G values, or the lattice's row ranges) over W processes: the
-caller runs jobs 0, W, 2W, ... and each of W - 1 forked children its own
-residue class.  A job's result is any picklable value; a child pickles
-each one, or the failure that ends its jobs, down a pipe and flushes it
-at once, so the caller never waits on a later job for it.  The caller
-yields the results in job order, so the bytes are those of one process,
-and raises a failure as the same exception.  A map of two or more jobs holds the model's BLAS
+forked processes can.  :func:`_rendered` maps jobs (a file's row blocks
+or a sweep's G values) over W processes: the caller runs jobs 0, W, 2W,
+... and each of W - 1 forked children its own residue class.  A job's
+result is any picklable value; a child pickles each one, or the failure
+that ends its jobs, down a pipe and flushes it at once, so the caller
+never waits on a later job for it.  The caller yields the results in job
+order, so the bytes are those of one process, and raises a failure as
+the same exception.  A map of two or more jobs holds the model's BLAS
 pin while it forks, with W = min(the CPUs the pin gives, jobs), so
 every job runs its kernels on one thread and a map inside a job, nested,
 stays in its process.  A map of one job, or while another Python thread
@@ -72,18 +72,12 @@ from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
 from .model import _ONE_BLAS_THREAD
 
-#: rows rendered together; bounds a block's cell buffer and text
+#: rows rendered together; bounds a block's cell buffer, texts and tables
 _BLOCK_ROWS = 2048
 
-#: clears the sign bit of a float64 bit pattern read as int64, leaving its magnitude's
-_MAGNITUDE = np.int64(2 ** 63 - 1)
-
-#: bit pattern of +inf; a larger magnitude is a NaN
-_INF_BITS = np.float64(np.inf).view(np.int64)
-
-#: largest share of a column's rows that may be distinct in a table; a
-#: table costs each row a lookup, so it must spare a quarter of the
-#: formatting (a symmetric band grid spares half, a trace column none)
+#: largest share of a block's rows that may be distinct in a column's
+#: table; a table costs each row a lookup, so it must spare a quarter of
+#: the formatting (a symmetric band grid spares half, a trace column none)
 _TABLE_SHARE = 0.75
 
 def fmt(x) -> str:
@@ -91,16 +85,21 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _checked(column) -> np.ndarray:
-    """A CSV column as a 1-D array: float64, integer or bytes texts."""
-    values = np.asarray(column)
-    if values.ndim != 1:
-        raise ValueError(f"CSV columns must be 1-D, got shape {values.shape}")
-    if values.dtype.kind == "f":
-        return values.astype(np.float64, copy=False)
-    if values.dtype.kind in "iS":       # bytes texts are written as they are
-        return values
-    raise TypeError(f"CSV columns must be real, integer or bytes, got dtype {values.dtype}")
+def _checked(columns, n: int | None = None) -> list:
+    """``columns`` as 1-D arrays of ``n`` rows (the first's if None): float64, integer or bytes."""
+    checked = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.ndim != 1:
+            raise ValueError(f"CSV columns must be 1-D, got shape {values.shape}")
+        if values.dtype.kind == "f":
+            values = values.astype(np.float64, copy=False)
+        elif values.dtype.kind not in "iS":     # bytes texts are written as they are
+            raise TypeError(f"CSV columns must be real, integer or bytes, got dtype {values.dtype}")
+        checked.append(values)
+    if any(c.size != (checked[0].size if n is None else n) for c in checked):
+        raise ValueError("CSV columns must have equal lengths")
+    return checked
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -110,81 +109,68 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))[:keys.size]]
 
 
-def _tables(columns) -> list:
-    """Per column, its table (sorted distinct bit patterns, their texts) or None."""
-    keys = []
-    for values in columns:
-        distinct = _distinct(values.view(np.int64)) if values.dtype.kind == "f" else None
-        repeats = distinct is not None and distinct.size <= _TABLE_SHARE * values.size
-        keys.append(distinct if repeats else None)
-    tabled = [k for k in keys if k is not None]
-    if not tabled:
-        return keys
-    magnitudes = _distinct(np.concatenate(tabled) & _MAGNITUDE)
-    texts = _texts(magnitudes.view(np.float64))
-    return [None if k is None else (k, _signed(k, magnitudes, texts)) for k in keys]
-
-
-def _signed(keys: np.ndarray, magnitudes: np.ndarray, texts: np.ndarray) -> np.ndarray:
-    """Texts of the float bit patterns ``keys`` from the ``texts`` of the sorted ``magnitudes``."""
-    magnitude = keys & _MAGNITUDE
-    signed = texts[np.searchsorted(magnitudes, magnitude)]
-    chars = signed.view(np.uint8).reshape(signed.size, _WIDTH)
-    minus = (keys < 0) & (magnitude <= _INF_BITS)      # NaN prints nan
-    chars[minus, 1:] = chars[minus, :-1]        # a magnitude's text is at most 23 long
-    chars[minus, 0] = ord("-")
-    width = _WIDTH          # cut to the longest text (texts are left-aligned)
-    while width > 1 and not chars[:, width - 1].any():
-        width -= 1
-    return signed.astype(f"S{width}")
-
-
 def render_csv(header: str | None, columns):
     """ASCII CSV, one line per row of the equal-length 1-D ``columns``, as bytes blocks.
 
     Floats render as ``fmt`` does, integers as ``repr(int)``, bytes (``S``)
-    texts as they are (a text holds no NUL byte); each block is laid out
-    from its columns' texts, as the module docstring says.  The columns
-    are checked and their value tables built here; the returned iterator
-    yields the ``header`` line on its own (nothing for ``header=None``),
-    then one bytes object per ``_BLOCK_ROWS`` rows (the last may be
-    shorter), every row ending in a newline.
+    texts as they are (a text holds no NUL byte).  The columns are checked
+    here; the returned iterator is :func:`render_rows` over their slices.
     """
-    columns = [_checked(c) for c in columns]
+    columns = _checked(columns)
     n = columns[0].size if columns else 0
-    if any(c.size != n for c in columns):
-        raise ValueError("CSV columns must have equal lengths")
-    return _blocks(header, n, columns, _tables(columns))
+    return render_rows(header, n, lambda lo, hi: [c[lo:hi] for c in columns])
 
 
-def _blocks(header, n, columns, tables):
-    """The blocks of :func:`render_csv`, ``_BLOCK_ROWS`` rows each, laid out as the module says."""
+def render_rows(header: str | None, n: int, block_columns):
+    """ASCII CSV of ``n`` rows, as bytes blocks, from their columns block by block.
+
+    Yields the ``header`` line on its own (nothing for ``header=None``),
+    then one bytes object per ``_BLOCK_ROWS`` rows (the last may be
+    shorter), every row ending in a newline.  Rows ``[lo, hi)`` render
+    from ``block_columns(lo, hi)``, ``hi - lo`` rows of the columns that
+    :func:`render_csv` takes, laid out as the module docstring says; each
+    block is a :func:`_rendered` job.
+    """
     if header is not None:
         yield header.encode() + b"\n"
 
-    def cells(v: np.ndarray, table, start: int) -> np.ndarray:
-        part = v[start:start + _BLOCK_ROWS]
-        if v.dtype.kind != "f":
-            return part.astype("S")     # an integer's text is repr's; bytes stay as they are
-        if table is None:
-            return _texts(part)
-        return table[1][np.searchsorted(table[0], part.view(np.int64))]
+    def block(lo: int) -> bytes:
+        hi = min(lo + _BLOCK_ROWS, n)
+        return _block(_checked(block_columns(lo, hi), hi - lo))
 
-    def rows(start: int) -> bytes:
-        texts = [cells(v, table, start) for v, table in zip(columns, tables)]
-        buffer = np.empty((texts[0].size, sum(t.itemsize + 1 for t in texts)), dtype=np.uint8)
-        at = 0
-        for t in texts:
-            w = t.itemsize
-            buffer[:, at:at + w] = t.view(np.uint8).reshape(t.size, w)
-            buffer[:, at + w] = ord(",")
-            at += w + 1
-        buffer[:, -1] = ord("\n")
-        data = buffer.tobytes()
-        del texts, buffer       # so that no more than two copies of the block are held
-        return data.translate(None, b"\0")
+    yield from _rendered(block, range(0, n, _BLOCK_ROWS))
 
-    yield from _rendered(rows, range(0, n, _BLOCK_ROWS))
+
+def _block(columns) -> bytes:
+    """The text of one block's rows, from its checked ``columns``, as the module docstring says."""
+    keys = [_distinct(v.view(np.int64)) if v.dtype.kind == "f" else None for v in columns]
+    tabled = [k is not None and k.size <= _TABLE_SHARE * v.size for k, v in zip(keys, columns)]
+    # every float in one call: a tabled column's distinct values, an untabled one's rows
+    shown = [k.view(np.float64) if t else v for k, v, t in zip(keys, columns, tabled)
+             if k is not None]
+    ends = np.cumsum([s.size for s in shown])
+    formatted = iter(np.split(_texts(np.concatenate(shown)), ends[:-1]) if shown else ())
+    texts = []
+    for v, k, t in zip(columns, keys, tabled):
+        if k is None:
+            texts.append(v.astype("S"))     # an integer's text is repr's; bytes stay as they are
+        elif t:
+            table = next(formatted)     # left-aligned texts: cut to the longest
+            width = table.view(np.uint8).reshape(-1, _WIDTH).any(axis=0).sum()
+            texts.append(table.astype(f"S{width}")[np.searchsorted(k, v.view(np.int64))])
+        else:
+            texts.append(next(formatted))
+    buffer = np.empty((texts[0].size, sum(t.itemsize + 1 for t in texts)), dtype=np.uint8)
+    at = 0
+    for t in texts:
+        w = t.itemsize
+        buffer[:, at:at + w] = t.view(np.uint8).reshape(t.size, w)
+        buffer[:, at + w] = ord(",")
+        at += w + 1
+    buffer[:, -1] = ord("\n")
+    data = buffer.tobytes()
+    del texts, buffer       # so that no more than two copies of the block are held
+    return data.translate(None, b"\0")
 
 
 def _rendered(render, jobs):

@@ -249,6 +249,33 @@ class TestConfigErrors:
         assert (tmp_path / "file").read_bytes() == b"kept"
         assert not Path(out).exists() or Path(out).is_file()
 
+    # one and two missing parents, under a directory that existed and stays
+    @pytest.mark.parametrize("parents", [["nest"], ["nest", "a"]])
+    def test_failed_run_removes_the_parents_it_made(self, tmp_path, capsys, parents):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept.joinpath(*parents, "b")
+        assert cli.main(["evolve", "--out", str(out), "--set", "G=-1"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [kept] and not any(kept.iterdir())
+
+    def test_failed_run_keeps_a_made_parent_that_gained_a_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "nest" / "a" / "b"
+
+        def failing(cfg):
+            (tmp_path / "nest" / "other").write_bytes(b"kept")
+            raise ConfigError("planted")
+
+        monkeypatch.setitem(cli.COMMANDS, "evolve", failing)
+        assert cli.main(["evolve", "--out", str(out)]) == 2
+        assert [p.name for p in (tmp_path / "nest").iterdir()] == ["other"]
+
+    def test_out_whose_leaf_cannot_be_made_leaves_no_parent(self, tmp_path, capsys):
+        out = tmp_path / "nest" / "a" / ("x" * 300)       # a name longer than NAME_MAX
+        assert cli.main(["evolve", "--out", str(out)]) == 2
+        assert "cannot make directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_override_beats_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("G=0.5\nt_max=2\ndt=0.5\n")

@@ -133,7 +133,7 @@ def symmetric_bands() -> list:
     return [kx.ravel(), ky.ravel(), e_lo.ravel(), e_hi.ravel()]
 
 
-def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch, render_cpus):
+def test_symmetric_bands_format_each_distinct_value_once_per_block(monkeypatch, render_cpus):
     render_cpus(1)      # counts the formatting of one process
     formatted, texts = [], serialize._texts
 
@@ -145,11 +145,41 @@ def test_symmetric_bands_format_each_distinct_value_once_per_file(monkeypatch, r
     columns = symmetric_bands()
     assert columns[0].size > _BLOCK_ROWS
     assert_matches_oracle(BANDS_HEADER, columns)
-    per_block = sum(np.unique(c[i:i + B]).size
-                    for c in columns for i in range(0, c.size, B))
-    # kx and ky share their magnitudes, and so do E_minus and E_plus
-    magnitudes = np.unique(np.abs(np.concatenate(columns)).view(np.int64)).size
-    assert len(formatted) == magnitudes < per_block / 2
+    # a block's column is tabled, and formats its distinct values, when at
+    # most _TABLE_SHARE of its rows are distinct; else it formats its rows
+    want = 0
+    for c in columns:
+        for lo in range(0, c.size, B):
+            rows = c[lo:lo + B]
+            distinct = np.unique(rows.view(np.int64)).size
+            want += distinct if distinct <= serialize._TABLE_SHARE * rows.size else rows.size
+    assert len(formatted) == want < 0.75 * sum(c.size for c in columns)
+
+
+def straddling_columns(n: int) -> list:
+    """Columns whose repeats straddle 2048-row blocks: a constant, ``0.0``
+    and ``-0.0`` and NaN of either sign bit split across a block boundary,
+    and a column that repeats five values in even blocks (tabled) and is
+    distinct in odd ones (untabled)."""
+    rows = np.arange(n)
+    negative_nan = float(np.copysign(np.nan, -1.0))
+    return [np.full(n, -2.5),
+            np.where(rows < B - 3, 0.0, -0.0),
+            rows - 3,
+            np.where((rows > 0) & (rows < B - 1), np.nan, negative_nan),
+            np.where(rows // B % 2 == 0, (rows % 5) * -0.25, rows / 7.0 + 1e-3)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+def test_repeats_that_straddle_blocks_match_per_element_oracle(n, cpus, render_cpus):
+    render_cpus(cpus)
+    columns = straddling_columns(n)
+    switching = columns[-1]
+    assert np.unique(switching[:B]).size <= serialize._TABLE_SHARE * min(n, B)
+    if n >= 2 * B:
+        assert np.unique(switching[B:2 * B]).size > serialize._TABLE_SHARE * B
+    assert_matches_oracle("c,z,i,nan,s", columns)
 
 
 #: magnitudes whose sign handling is special: zero, infinity, the largest
@@ -335,6 +365,25 @@ def test_streaming_holds_no_whole_file_text(tmp_path, render_cpus):
     # whole-file buffering would hold at least ``size`` bytes at its peak
     assert bound < size
     assert peak < bound, f"peak {peak} B is {peak / size:.2f} of the {size} B file"
+
+
+def test_render_working_set_is_flat_in_rows(render_cpus):
+    # every block builds its tables from its own rows, so a render's peak
+    # is one block's, whatever the file's length; tracemalloc sees this
+    # process only, so the render stays in it
+    render_cpus(1)
+    rendered(None, [np.ones(1)])        # builds the formatter's constant tables, once
+    peaks, rng = [], np.random.default_rng(7)
+    for n in (10_000, 400_000):
+        columns = [rng.uniform(1.0, 2.0, n) for _ in range(2)]     # distinct, on the fast path
+        tracemalloc.start()
+        try:
+            for _ in render_csv("a,b", columns):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, f"peaks {peaks} B"
 
 
 # ---------------------------------------------------------------- render processes
