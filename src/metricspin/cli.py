@@ -9,7 +9,9 @@ which refuse out-of-range values, before any work, and
 :func:`_refused_as` names the key.  Every command is deterministic given
 its config.  Exit codes are a stable contract: 0 success, 2 config
 error (a run too large for memory, or whose files cannot be written,
-included), 3 numerical-consistency failure.
+included), 3 numerical-consistency failure; a run stopped by SIGINT,
+SIGTERM or SIGHUP cleans up as a failed run does and exits with 128 plus
+the signal's number.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import argparse
 import hashlib
 import itertools
 import os
+import signal
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -202,12 +206,21 @@ def _bands(kx: np.ndarray, ky: np.ndarray, couplings: LatticeCouplings):
 
     Block ``[lo, hi)`` maps its flat range of rows to ``(i, j) =
     divmod(row, ky.size)`` and evaluates the bands on those points alone,
-    so no process holds more than the two axes and one block's rows, at
-    any grid size."""
+    so no process holds more than the two axes, their texts and one
+    block's rows, at any grid size.  Each number is formatted once: the
+    axes once per file, into texts that the blocks index, and a block's
+    upper band |f| as :func:`serialize.float_texts` says.  Its lower band
+    -|f| is those texts with a ``-`` in front, which is ``repr``'s text
+    since |f| is finite (``-0.0`` included)."""
+    kx_text, ky_text = (serialize.narrowed(serialize._texts(k)) for k in (kx, ky))
+
     def block(lo: int, hi: int) -> tuple:
         i, j = np.divmod(np.arange(lo, hi), ky.size)
-        e_lo, e_hi = dispersion(np.stack([kx[i], ky[j]], axis=-1), couplings)
-        return kx[i], ky[j], e_lo, e_hi
+        _, mag = dispersion(np.stack([kx[i], ky[j]], axis=-1), couplings)
+        (upper,) = serialize.float_texts([mag])
+        lower = np.full((upper.size, upper.itemsize + 1), ord("-"), dtype=np.uint8)
+        lower[:, 1:] = upper.view(np.uint8).reshape(upper.size, upper.itemsize)
+        return kx_text[i], ky_text[j], lower.view(f"S{upper.itemsize + 1}")[:, 0], upper
 
     return serialize.render_rows(BANDS_HEADER, kx.size * ky.size, block)
 
@@ -315,33 +328,69 @@ def _remove_empty(made: list[Path]) -> None:
             directory.rmdir()
 
 
+class _Stopped(BaseException):
+    """A stopping signal, raised in the main thread by :func:`_stopping_signals`."""
+
+    def __init__(self, signum: int):
+        super().__init__(signal.Signals(signum).name)
+        self.signum = signum
+
+
+def _stop(signum, frame):
+    raise _Stopped(signum)
+
+
+@contextmanager
+def _stopping_signals():
+    """In the block, SIGINT, SIGTERM and SIGHUP raise :class:`_Stopped`, so that
+    a stopped run unwinds through the ``finally`` blocks of a failed one.
+
+    Only a signal left to its default action is taken (a run under
+    ``nohup`` still ignores SIGHUP), and only in the main thread, the one
+    where Python runs signal handlers."""
+    taken = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+            if signal.getsignal(signum) in (signal.SIG_DFL, signal.default_int_handler):
+                taken[signum] = signal.signal(signum, _stop)
+    try:
+        yield
+    finally:
+        for signum, handler in taken.items():
+            signal.signal(signum, handler)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made = []
-    try:
-        cfg = parse_config(args.config, args.overrides)
-        if args.out is not None:
-            cfg.out = args.out
-        if not cfg.out:
-            raise ConfigError("no output directory: set key 'out' or pass --out")
-        workers = getattr(args, "workers", 1)
-        if workers < 1:     # accepted for compatibility: a sweep runs on every usable CPU
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
-        outdir, made = _output_directory(cfg.out)
-        t0 = time.perf_counter()
-        _write_outputs(outdir, args.command, t0, *COMMANDS[args.command](cfg))
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"config error: run too large for memory: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalConsistencyError, ExtractionInvalidError) as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
-        return 3
-    finally:        # a run that succeeded left its manifest, so this removes a failed one's
-        _remove_empty(made)
+    with _stopping_signals():
+        try:
+            cfg = parse_config(args.config, args.overrides)
+            if args.out is not None:
+                cfg.out = args.out
+            if not cfg.out:
+                raise ConfigError("no output directory: set key 'out' or pass --out")
+            workers = getattr(args, "workers", 1)
+            if workers < 1:     # accepted for compatibility: a sweep runs on every usable CPU
+                raise ConfigError(f"--workers must be >= 1, got {workers}")
+            outdir, made = _output_directory(cfg.out)
+            t0 = time.perf_counter()
+            _write_outputs(outdir, args.command, t0, *COMMANDS[args.command](cfg))
+            return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"config error: run too large for memory: {exc}", file=sys.stderr)
+            return 2
+        except (NumericalConsistencyError, ExtractionInvalidError) as exc:
+            print(f"numerical consistency failure: {exc}", file=sys.stderr)
+            return 3
+        except _Stopped as exc:
+            print(f"stopped by {exc}", file=sys.stderr)
+            return 128 + exc.signum
+        finally:        # a run that succeeded left its manifest, so this removes a failed one's
+            _remove_empty(made)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,14 @@ slices of whole columns.  A column is 1-D floats, integers, or bytes
 texts written as they are.  A block shares nothing with another block:
 each float column finds the distinct values of its block's rows by bit
 pattern (``0.0`` and ``-0.0`` keep their own text), and it has a value
-table when at most ``_TABLE_SHARE`` of them are distinct.  One ``_texts``
-call per block formats the distinct values of the tabled columns and
-the rows of the others; a tabled column's rows index its table's texts,
-cut to its longest text.  So a render holds one block's columns, texts
-and tables at a time, and never the text of the whole file; the bytes
-are those of rendering every number on its own.
+table when at most ``_TABLE_SHARE`` of them are distinct.
+:func:`float_texts` gives a block's float columns their texts: one
+``_texts`` call formats the distinct values of the tabled columns and
+the rows of the others, and a tabled column's rows index its table's
+texts, cut to its longest text.  A caller that builds a block's texts
+itself (the lattice's bands) calls it too.  So a render holds one
+block's columns, texts and tables at a time, and never the text of the
+whole file; the bytes are those of rendering every number on its own.
 
 The layout sees one kind of column: texts.  Per block, every column gives
 its cells' texts as one fixed-width bytes array: a float column's from its
@@ -68,7 +70,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .floattext import WIDTH as _WIDTH
 from .floattext import texts as _texts
 from .model import _ONE_BLAS_THREAD
 
@@ -141,25 +142,32 @@ def render_rows(header: str | None, n: int, block_columns):
     yield from _rendered(block, range(0, n, _BLOCK_ROWS))
 
 
+def float_texts(columns) -> list:
+    """The texts of one block's 1-D float64 ``columns``, a fixed-width bytes array each.
+
+    A column is tabled as the module docstring says, and one ``_texts``
+    call formats the tabled columns' distinct values and the others' rows.
+    """
+    keys = [_distinct(v.view(np.int64)) for v in columns]
+    tabled = [k.size <= _TABLE_SHARE * v.size for k, v in zip(keys, columns)]
+    shown = [k.view(np.float64) if t else v for k, v, t in zip(keys, columns, tabled)]
+    ends = np.cumsum([s.size for s in shown])
+    formatted = np.split(_texts(np.concatenate(shown)), ends[:-1]) if shown else []
+    return [narrowed(f)[np.searchsorted(k, v.view(np.int64))] if t else f
+            for v, k, t, f in zip(columns, keys, tabled, formatted)]
+
+
+def narrowed(texts: np.ndarray) -> np.ndarray:
+    """The left-aligned fixed-width bytes ``texts`` cut to the longest of them."""
+    width = texts.view(np.uint8).reshape(texts.size, texts.itemsize).any(axis=0).sum()
+    return texts.astype(f"S{width}")
+
+
 def _block(columns) -> bytes:
     """The text of one block's rows, from its checked ``columns``, as the module docstring says."""
-    keys = [_distinct(v.view(np.int64)) if v.dtype.kind == "f" else None for v in columns]
-    tabled = [k is not None and k.size <= _TABLE_SHARE * v.size for k, v in zip(keys, columns)]
-    # every float in one call: a tabled column's distinct values, an untabled one's rows
-    shown = [k.view(np.float64) if t else v for k, v, t in zip(keys, columns, tabled)
-             if k is not None]
-    ends = np.cumsum([s.size for s in shown])
-    formatted = iter(np.split(_texts(np.concatenate(shown)), ends[:-1]) if shown else ())
-    texts = []
-    for v, k, t in zip(columns, keys, tabled):
-        if k is None:
-            texts.append(v.astype("S"))     # an integer's text is repr's; bytes stay as they are
-        elif t:
-            table = next(formatted)     # left-aligned texts: cut to the longest
-            width = table.view(np.uint8).reshape(-1, _WIDTH).any(axis=0).sum()
-            texts.append(table.astype(f"S{width}")[np.searchsorted(k, v.view(np.int64))])
-        else:
-            texts.append(next(formatted))
+    floats = iter(float_texts([v for v in columns if v.dtype.kind == "f"]))
+    # an integer's text is repr's; bytes stay as they are
+    texts = [next(floats) if v.dtype.kind == "f" else v.astype("S") for v in columns]
     buffer = np.empty((texts[0].size, sum(t.itemsize + 1 for t in texts)), dtype=np.uint8)
     at = 0
     for t in texts:

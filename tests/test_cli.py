@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -998,6 +999,81 @@ class TestStreamedOutputs:
             assert after == before or "manifest.txt" not in after, (k, sorted(after))
         assert "manifest.txt" not in after      # the new files are in, the new manifest not
 
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                        reason="needs /proc's children lists")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+    def test_a_stopping_signal_mid_sweep_leaves_nothing(self, tmp_path, signum):
+        # the default 60-G sweep takes seconds; the signal comes once its
+        # heatmap streams and, given two CPUs, its render child runs
+        out = tmp_path / "runs" / "run1"
+        env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
+        # the signal at its default action, also where the suite runs with it
+        # ignored (a shell's background job ignores SIGINT)
+        proc = subprocess.Popen([sys.executable, "-m", "metricspin", "sweep", "--out", str(out)],
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL))
+
+        def children() -> list[int]:
+            path = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            return [int(pid) for pid in path.read_text().split()] if path.exists() else []
+
+        try:
+            deadline = time.monotonic() + 60
+            while not ((out / "heatmap.csv.partial").exists()
+                       and (children() or model_mod.usable_cpus() == 1)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            forked = children()
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 128 + signum, err
+        assert err == f"stopped by {signal.Signals(signum).name}\n"
+        assert not (tmp_path / "runs").exists()
+        assert not [pid for pid in forked if Path(f"/proc/{pid}").exists()]
+
+    @pytest.mark.parametrize("ignored", [False, True])
+    def test_a_sighup_stops_a_run_unless_it_was_ignored(self, tmp_path, monkeypatch, capsys,
+                                                        ignored):
+        evolve = cli.COMMANDS["evolve"]
+
+        def hung_up(cfg):
+            os.kill(os.getpid(), signal.SIGHUP)
+            return evolve(cfg)
+
+        monkeypatch.setitem(cli.COMMANDS, "evolve", hung_up)
+        previous = signal.signal(signal.SIGHUP, signal.SIG_IGN if ignored else signal.SIG_DFL)
+        try:
+            rc = cli.main([*self.EVOLVE, "--out", str(tmp_path / "run")])
+        finally:
+            signal.signal(signal.SIGHUP, previous)
+        if ignored:         # as under nohup
+            assert rc == 0 and (tmp_path / "run" / "manifest.txt").exists()
+        else:
+            assert rc == 128 + signal.SIGHUP
+            assert capsys.readouterr().err == "stopped by SIGHUP\n"
+            assert not (tmp_path / "run").exists()
+
+    def test_main_restores_the_signal_handlers(self, tmp_path):
+        stops = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+        before = [signal.getsignal(s) for s in stops]
+        assert cli.main([*self.EVOLVE, "--out", str(tmp_path)]) == 0
+        assert [signal.getsignal(s) for s in stops] == before
+
+
+#: a bands grid whose |f| is 0.0 on its ky_min edge, in tabled and untabled blocks
+ZERO_BAND = ["kx_count=101", "ky_count=61", "kx_min=-4.4", "kx_max=4.4",
+             "ky_min=-1", "ky_max=4.4", "lattice_G=0.01", "beta_c=1"]
+
+
+def zero_band_dispersion(k_grid, couplings):
+    """:func:`dispersion` with |f| = 0.0 where ky is ``ZERO_BAND``'s ky_min, -1."""
+    _, mag = dispersion(k_grid, couplings)
+    mag = np.where(np.asarray(k_grid)[..., 1] == -1.0, 0.0, mag)
+    return -mag, mag
+
 
 class TestLatticeCommand:
     def test_free_report(self, tmp_path):
@@ -1059,9 +1135,14 @@ class TestLatticeCommand:
         ["kx_count=3", "ky_count=2500", "lattice_G=0.01", "alpha_c=0.2"],
         # the pinned run of test_pinned_outputs
         ["kx_count=61", "ky_count=61", "kx_min=-4.4", "kx_max=4.4", "ky_min=-4.4", "ky_max=4.4"],
+        # off centre in ky: E_plus is tabled in the block that spans kx = 0 alone
+        ["kx_count=101", "ky_count=61", "kx_min=-4.4", "kx_max=4.4", "ky_min=-1", "ky_max=4.4"],
+        ZERO_BAND,
     ])
-    def test_bands_stream_matches_the_whole_grid_render(self, tmp_path, render_cpus, forks,
-                                                        grid):
+    def test_bands_stream_matches_the_whole_grid_render(self, tmp_path, monkeypatch,
+                                                        render_cpus, forks, grid):
+        bands = zero_band_dispersion if grid == ZERO_BAND else dispersion
+        monkeypatch.setattr(cli, "dispersion", bands)
         args = [a for item in grid for a in ("--set", item)]
         written = []
         for cpus in (1, 2):
@@ -1073,11 +1154,39 @@ class TestLatticeCommand:
                                        np.linspace(cfg.ky_min, cfg.ky_max, cfg.ky_count),
                                        indexing="ij")
         couplings = LatticeCouplings.from_background(cfg.lattice_G, cfg.alpha_c, cfg.beta_c)
-        e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
+        e_lo, e_hi = bands(np.stack([kx_grid, ky_grid], axis=-1), couplings)
         want = csv_oracle(cli.BANDS_HEADER, [kx_grid.ravel(), ky_grid.ravel(),
                                              e_lo.ravel(), e_hi.ravel()]).encode()
         assert written == [want, want]
         assert len(forks) == (kx_grid.size > _BLOCK_ROWS)     # one map, at two CPUs
+        if grid == ZERO_BAND:
+            assert want.count(b",-0.0,0.0\n") == cfg.kx_count
+
+    def test_bands_format_each_number_once(self, monkeypatch, render_cpus):
+        # the axes once per file; per block, E_plus's distinct values where it
+        # is tabled, else its rows; E_minus takes E_plus's texts
+        render_cpus(1)      # counts the formatting of one process
+        formatted, texts = [0], serialize_mod._texts
+
+        def counting(values):
+            formatted[0] += values.size
+            return texts(values)
+
+        monkeypatch.setattr(serialize_mod, "_texts", counting)
+        kx, ky = np.linspace(-np.pi, np.pi, 81), np.linspace(-np.pi, np.pi, 61)
+        couplings = LatticeCouplings.from_background(0.01, 0.0, 1.0)
+        rows = b"".join(cli._bands(kx, ky, couplings))
+        kx_grid, ky_grid = np.meshgrid(kx, ky, indexing="ij")
+        e_lo, e_hi = dispersion(np.stack([kx_grid, ky_grid], axis=-1), couplings)
+        assert rows == csv_oracle(cli.BANDS_HEADER, [kx_grid.ravel(), ky_grid.ravel(),
+                                                     e_lo.ravel(), e_hi.ravel()]).encode()
+        blocks = [e_hi.ravel()[lo:lo + _BLOCK_ROWS] for lo in range(0, e_hi.size, _BLOCK_ROWS)]
+        distinct = [np.unique(b.view(np.int64)).size for b in blocks]
+        tabled = [d <= serialize_mod._TABLE_SHARE * b.size for d, b in zip(distinct, blocks)]
+        assert len(blocks) > 2 and any(tabled) and not all(tabled)
+        want = kx.size + ky.size + sum(d if t else b.size
+                                       for d, t, b in zip(distinct, tabled, blocks))
+        assert formatted[0] == want
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
     def test_peak_memory_is_flat_in_the_grid(self, tmp_path):

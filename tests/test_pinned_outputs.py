@@ -18,8 +18,8 @@ RUNS = {
     "evolve": ["--set", "N=6", "--set", "t_max=20"],
     "sweep": ["--set", "N=6", "--set", "G_count=3", "--set", "t_max=5"],
     "convergence": ["--set", "N_list=4,6", "--set", "t_max=5", "--set", "direction=z"],
-    # 3,721 rows: more than one block; kx and ky share their magnitudes' texts,
-    # and so do E_minus and E_plus
+    # 3,721 rows: two blocks, which index the kx and ky texts formatted once
+    # for the file; E_minus writes E_plus's texts with a "-" in front
     "lattice": ["--set", "kx_count=61", "--set", "ky_count=61",
                 "--set", "kx_min=-4.4", "--set", "kx_max=4.4",
                 "--set", "ky_min=-4.4", "--set", "ky_max=4.4"],

@@ -15,8 +15,9 @@ from oracles import csv_oracle
 from metricspin import serialize
 from metricspin.cli import BANDS_HEADER
 from metricspin.errors import ConfigError, NumericalConsistencyError
+from metricspin.floattext import WIDTH as _WIDTH
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, _WIDTH, _rendered, render_csv, write_partial
+from metricspin.serialize import _BLOCK_ROWS, _rendered, render_csv, write_partial
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
