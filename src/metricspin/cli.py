@@ -9,7 +9,8 @@ which refuse out-of-range values, before any work, and
 :func:`_refused_as` names the key.  Every command is deterministic given
 its config.  Exit codes are a stable contract: 0 success, 2 config
 error (a run too large for memory, or whose files cannot be written,
-included), 3 numerical-consistency failure; a run stopped by SIGINT,
+included), 3 numerical-consistency failure (numpy's warning of an
+overflow or invalid value included); a run stopped by SIGINT,
 SIGTERM or SIGHUP cleans up as a failed run does and exits with 128 plus
 the signal's number.
 """
@@ -24,6 +25,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -54,7 +56,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _rendered, _writing, fmt, render_csv, render_manifest, write_partial
+from .serialize import _rendered, fmt, render_csv, render_manifest
 from .sweep import SweepGrid, check_t_min, default_grid, revival_diagnostic, trace_at
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
@@ -101,34 +103,56 @@ def _write_outputs(outdir: Path, command: str, t0: float, config_pairs, files,
                    run_checksums=()):
     """Write ``files`` (name -> iterable of bytes blocks, the primary first) and the manifest.
 
-    Every file goes to ``<name>.partial`` first, its sha256 taken as it is
+    Each file streams into ``<name>.partial``, its sha256 taken as it is
     written; a sweep's ``run_checksums`` fill as its heatmap streams.
     ``wall_time_s`` runs from ``t0`` to the last file written.  Then the
     old manifest is removed, the files are renamed into place and the new
-    manifest last, so a manifest always matches its directory.  A failure
-    removes every partial file; one to open, write or rename a file is a
-    ``ConfigError`` naming it (``serialize._writing``).
+    manifest last, so a manifest always matches its directory.  An
+    ``OSError`` of a file operation (a full disk, a quota, a file size
+    limit) is a ``ConfigError`` naming the file; one of the blocks passes
+    as it is.  On any failure every partial file is removed and every
+    block generator closed, which stops its render processes.
     """
     digests, partials = {}, []
+
+    def writing(path: Path, call, *args):
+        """``call(*args)``, whose ``OSError`` is raised as a ``ConfigError`` naming ``path``."""
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+    def stream(name: str, blocks) -> str:
+        """Write ``blocks`` to ``<name>.partial``; return their sha256."""
+        path, partial, digest = outdir / name, outdir / f"{name}.partial", hashlib.sha256()
+        partials.append((partial, path))
+        with writing(path, open, partial, "wb") as fh:
+            for block in blocks:
+                writing(path, fh.write, block)
+                digest.update(block)
+                del block       # not held while the next block renders
+            writing(path, fh.close)     # writes what is still buffered, a short file's all
+        return digest.hexdigest()
+
     try:
         for name, blocks in files.items():
-            digest = hashlib.sha256()
-            partials.append(write_partial(outdir / name, blocks, digest))
-            digests[name] = digest.hexdigest()
+            digests[name] = stream(name, blocks)
         pairs = [("command", command), ("code_version", __version__), *config_pairs,
                  ("wall_time_s", f"{time.perf_counter() - t0:.3f}"),
                  ("checksum_sha256", next(iter(digests.values()))),
                  *((f"checksum_sha256.{name}", d) for name, d in digests.items()),
                  *((f"checksum.run.{i:03d}", c) for i, c in enumerate(run_checksums))]
-        partials.append(write_partial(outdir / "manifest.txt", (render_manifest(pairs),)))
-        with _writing(outdir / "manifest.txt"):
-            (outdir / "manifest.txt").unlink(missing_ok=True)
-        for partial in partials:
-            with _writing(partial.with_suffix("")):
-                partial.replace(partial.with_suffix(""))
+        stream("manifest.txt", (render_manifest(pairs),))
+        manifest = outdir / "manifest.txt"
+        writing(manifest, lambda: manifest.unlink(missing_ok=True))
+        for partial, path in partials:
+            writing(path, partial.replace, path)
     except BaseException:
-        for partial in partials:
+        for partial, _ in partials:
             partial.unlink(missing_ok=True)
+        for blocks in files.values():
+            if hasattr(blocks, "close"):
+                blocks.close()
         raise
 
 
@@ -160,9 +184,10 @@ def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: li
     call (inside the job that render stays in one process).  In grid
     order, the two go onto ``diagnostics`` and the rows' sha256 onto
     ``run_checksums``.  Every point shares one time grid, so the t column
-    is formatted once, into one fixed-width array, before the header."""
+    is formatted once, before the header, into texts as wide as the longest."""
     times = grid.params_at(grid.G_values[0]).times
-    t_text = serialize._texts(times)     # the one hook that formats every CSV float
+    # _texts: the one hook that formats every CSV float
+    t_text = serialize.narrowed(serialize._texts(times))
     yield (HEATMAP_HEADER + "\n").encode()
 
     def job(G: float) -> tuple:
@@ -363,7 +388,10 @@ def _stopping_signals():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made = []
-    with _stopping_signals():
+    with _stopping_signals(), warnings.catch_warnings():
+        # numpy warns of a number that overflowed or is not one; no output may
+        # hold it, so the run fails there, in one stderr line like any other
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             cfg = parse_config(args.config, args.overrides)
             if args.out is not None:
@@ -383,7 +411,7 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             print(f"config error: run too large for memory: {exc}", file=sys.stderr)
             return 2
-        except (NumericalConsistencyError, ExtractionInvalidError) as exc:
+        except (NumericalConsistencyError, ExtractionInvalidError, RuntimeWarning) as exc:
             print(f"numerical consistency failure: {exc}", file=sys.stderr)
             return 3
         except _Stopped as exc:

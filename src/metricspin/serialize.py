@@ -3,7 +3,8 @@
 Floats are rendered as shortest round-trip decimals (Python ``repr``)
 so re-running a manifest reproduces files byte for byte on any platform
 with IEEE-754 doubles.  Every output is rendered to bytes (CSVs in
-ASCII, manifests in UTF-8) and written through :func:`write_partial`.
+ASCII, manifests in UTF-8); this module opens no file, and the command
+line (:func:`metricspin.cli._write_outputs`) writes what it renders.
 
 Every CSV is a stream of self-contained blocks of ``_BLOCK_ROWS`` rows:
 :func:`render_rows` renders rows ``[lo, hi)`` from the columns a
@@ -55,21 +56,22 @@ stays in its process.  A map of one job, or while another Python thread
 is alive (a fork copies only the calling thread), or without ``os.fork``
 takes no pin and stays in one process.  The children share the caller's
 pages copy-on-write and are killed and reaped before the map returns or
-fails; a failed fork, or a child that ends without its result (say, one
-the OOM killer ended), raises ``MemoryError``.
+fails; on Linux they also die with the caller's process, killed by
+``SIGKILL`` or not.  A failed fork, or a child that ends without its
+result (say, one the OOM killer ended), raises ``MemoryError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
+import signal
+import sys
 import threading
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
 from .floattext import texts as _texts
 from .model import _ONE_BLAS_THREAD
 
@@ -158,9 +160,10 @@ def float_texts(columns) -> list:
 
 
 def narrowed(texts: np.ndarray) -> np.ndarray:
-    """The left-aligned fixed-width bytes ``texts`` cut to the longest of them."""
-    width = texts.view(np.uint8).reshape(texts.size, texts.itemsize).any(axis=0).sum()
-    return texts.astype(f"S{width}")
+    """The left-aligned fixed-width bytes ``texts`` cut to the longest of them, as a view."""
+    cells = texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+    width = max(1, cells.any(axis=0).sum())       # a view needs a width, also with no texts
+    return cells[:, :width].view(f"S{width}")[:, 0]
 
 
 def _block(columns) -> bytes:
@@ -199,9 +202,7 @@ def _rendered(render, jobs):
 
 def _forked(render, jobs, width: int):
     """:func:`_rendered` over this process and ``width - 1`` forked children."""
-    import signal       # loaded only by a map that forks
-
-    pids, pipes = [], []
+    pids, pipes, parent = [], [], os.getpid()
 
     def received(child: int):
         try:
@@ -215,19 +216,26 @@ def _forked(render, jobs, width: int):
         return value
 
     try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])     # the caller's, unchanged
         try:
+            # no signal handler runs until every child is recorded: one raising
+            # before its pid is kept would lose the child, and one in an
+            # at-fork hook would be ignored, the signal with it
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             for k in range(1, width):
                 read, write = os.pipe()
                 pipes.append(os.fdopen(read, "rb"))
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _serve(render, jobs[k::width], write, pipes)
+                        _serve(render, jobs[k::width], write, pipes, parent, mask)
                 finally:
                     os.close(write)         # the child never gets here
                 pids.append(pid)
         except OSError as exc:      # no process or descriptor left: EAGAIN, ENOMEM, EMFILE
             raise MemoryError(f"cannot start a render process: {exc}") from exc
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i, job in enumerate(jobs):
             # no local holds a result while the caller has it
             yield received(i % width - 1) if i % width else render(job)
@@ -239,8 +247,12 @@ def _forked(render, jobs, width: int):
             pipe.close()
 
 
-def _serve(render, jobs, fd: int, pipes) -> None:
+def _serve(render, jobs, fd: int, pipes, parent: int, mask) -> None:
     """In a forked child: pickle ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
+
+    On Linux the child first asks for ``SIGKILL`` when ``parent`` dies, and
+    leaves at once if it has died already, so a child dies with a command
+    killed by ``SIGKILL``; then it takes back the caller's signal ``mask``.
 
     Each value is flushed as soon as it is pickled: ``pickle.dump`` leaves
     at least its last byte in the file's write buffer, and without the
@@ -252,6 +264,15 @@ def _serve(render, jobs, fd: int, pipes) -> None:
     """
     status = 1
     try:
+        if sys.platform == "linux":
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            # PR_SET_PDEATHSIG (1) fires when the forking *thread* ends; that
+            # is the process's end, since _rendered forks only as the one thread
+            prctl(1, signal.SIGKILL)
+            if os.getppid() != parent:  # it died before the call
+                return
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for pipe in pipes:              # the read ends, the caller's alone
             pipe.close()
         with os.fdopen(fd, "wb") as out:
@@ -272,46 +293,3 @@ def _serve(render, jobs, fd: int, pipes) -> None:
 def render_manifest(pairs) -> bytes:
     """Flat key=value text, one pair per line."""
     return "".join(f"{k}={v}\n" for k, v in pairs).encode()
-
-
-@contextmanager
-def _writing(path: Path):
-    """Re-raise an ``OSError`` of the block, which writes or renames ``path``, as a
-    ``ConfigError`` naming it: a full disk, a file size limit or a quota ends the
-    run with exit 2 like a run too large for memory."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
-
-
-def write_partial(path, blocks, digest=None) -> Path:
-    """Write ``blocks``, an iterable of bytes blocks, to ``<name>.partial``; return it.
-
-    The blocks go to the file beside ``path`` as they come, each also fed
-    to ``digest``, a ``hashlib`` object, if one is given.  An ``OSError``
-    of opening, writing or closing the file is raised as :func:`_writing`
-    says; one from ``blocks`` as it is.  On any exception, a failing block
-    included, the partial file is removed and a generator ``blocks`` is
-    closed (which stops its render, forked processes included).
-    """
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    try:
-        with _writing(path):
-            fh = open(partial, "wb")
-        with fh:
-            for block in blocks:
-                with _writing(path):
-                    fh.write(block)
-                if digest is not None:
-                    digest.update(block)
-                del block       # not held while the next block renders
-            with _writing(path):
-                fh.close()      # writes what is still buffered, a short file's all
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        if hasattr(blocks, "close"):
-            blocks.close()
-        raise
-    return partial

@@ -17,6 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import metricspin
 import metricspin.cli as cli
@@ -34,7 +36,7 @@ from metricspin.model import (
     initial_state,
     observable_trace,
 )
-from metricspin.serialize import _BLOCK_ROWS, render_csv, write_partial
+from metricspin.serialize import _BLOCK_ROWS, fmt, render_csv
 from metricspin.sweep import SweepGrid, revival_diagnostic, run_sweep
 from oracles import csv_oracle
 
@@ -366,6 +368,25 @@ class TestNumericalFailureExitCode:
         written = list(out.rglob("*")) if out.exists() else []
         assert not any(b"nan" in f.read_bytes().lower() for f in written if f.is_file())
 
+    # two time points, 0 and 1e308, so E t overflows in the phase table; at
+    # two CPUs the sweep's second G is a forked child's
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--set", "N=3"],
+        ["sweep", "--set", "N=3", "--set", "G_list=1,2", "--set", "t_min=0"],
+        ["convergence", "--set", "N_list=2,3"],
+    ])
+    def test_an_overflowing_phase_exits_3_in_one_line(self, tmp_path, capfd, render_cpus, argv):
+        render_cpus(2)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            rc = cli.main([*argv, "--set", "t_max=1e308", "--set", "dt=1e308",
+                           "--out", str(out)])
+        assert rc == 3 and not warned
+        err = capfd.readouterr().err
+        assert re.fullmatch(r"numerical consistency failure: .*overflow encountered.*\n", err)
+        assert not out.exists()
+
     def test_sweep_failure_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
         real = sweep_mod.observable_trace
 
@@ -608,9 +629,9 @@ class TestHeatmapExport:
     def test_io_error_carries_path(self, tmp_path):
         heatmap = heatmap_of(SweepGrid(G_values=(0.1,), N=4, t_max=0.4, dt=0.2))[0]
         missing = tmp_path / "no" / "such" / "dir" / "heatmap.csv"
-        with pytest.raises(ConfigError, match="^cannot write .*: No such file") as err:
-            write_partial(missing, heatmap)
-        assert str(missing) in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            cli._write_outputs(missing.parent, "sweep", 0.0, [], {missing.name: [heatmap]})
+        assert str(err.value) == f"cannot write {str(missing)!r}: {os.strerror(errno.ENOENT)}"
 
 
     @pytest.mark.parametrize("per_g", [1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
@@ -866,7 +887,7 @@ class TestRenderProcesses:
     def test_write_fault_mid_file_leaves_no_child(self, tmp_path, monkeypatch, capsys,
                                                   render_cpus, forks, argv, forked):
         render_cpus(2)
-        monkeypatch.setattr(serialize_mod, "open", FullDisk, raising=False)
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
         # the test holds the run's files, so only the closed generator can
         # have ended the child
         held, command = [], cli.COMMANDS[argv[0]]
@@ -999,6 +1020,19 @@ class TestStreamedOutputs:
             assert after == before or "manifest.txt" not in after, (k, sorted(after))
         assert "manifest.txt" not in after      # the new files are in, the new manifest not
 
+    @staticmethod
+    def children(pid: int) -> list[int]:
+        """The processes that ``pid`` forked and has not reaped."""
+        path = Path(f"/proc/{pid}/task/{pid}/children")
+        return [int(child) for child in path.read_text().split()] if path.exists() else []
+
+    @staticmethod
+    def running(pids) -> list[int]:
+        """Those of ``pids`` that still run: neither gone nor a zombie."""
+        stats = [Path(f"/proc/{pid}/stat") for pid in pids]
+        return [pid for pid, stat in zip(pids, stats)
+                if stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"]
+
     @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
                         reason="needs /proc's children lists")
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
@@ -1012,18 +1046,13 @@ class TestStreamedOutputs:
         proc = subprocess.Popen([sys.executable, "-m", "metricspin", "sweep", "--out", str(out)],
                                 stderr=subprocess.PIPE, text=True, env=env,
                                 preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL))
-
-        def children() -> list[int]:
-            path = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-            return [int(pid) for pid in path.read_text().split()] if path.exists() else []
-
         try:
             deadline = time.monotonic() + 60
             while not ((out / "heatmap.csv.partial").exists()
-                       and (children() or model_mod.usable_cpus() == 1)):
+                       and (self.children(proc.pid) or model_mod.usable_cpus() == 1)):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            forked = children()
+            forked = self.children(proc.pid)
             proc.send_signal(signum)
             _, err = proc.communicate(timeout=60)
         finally:
@@ -1033,6 +1062,61 @@ class TestStreamedOutputs:
         assert err == f"stopped by {signal.Signals(signum).name}\n"
         assert not (tmp_path / "runs").exists()
         assert not [pid for pid in forked if Path(f"/proc/{pid}").exists()]
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                        reason="needs /proc's children lists")
+    @pytest.mark.skipif(model_mod.usable_cpus() < 2, reason="a render forks at 2 or more CPUs")
+    def test_a_render_child_dies_with_a_killed_command(self, tmp_path):
+        # each process's one G is an N=30 trace over 15,001 time points,
+        # about 2 s; the command is killed as soon as it has forked
+        env = {**os.environ, "PYTHONPATH": str(Path(metricspin.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "metricspin", "sweep", "--set", "N=30",
+                                 "--set", "t_max=300", "--set", "G_count=2",
+                                 "--out", str(tmp_path / "run")], env=env)
+        forked = []
+        try:
+            deadline = time.monotonic() + 60
+            while not forked:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+                forked = self.children(proc.pid)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 1
+            while self.running(forked) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not self.running(forked)
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in self.running(forked):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_a_signal_as_a_render_forks_stops_the_run_and_its_child(self, tmp_path,
+                                                                     monkeypatch, capsys,
+                                                                     render_cpus):
+        # the signal comes as the fork returns in the command, before the
+        # child's pid is recorded: its handler must wait until it is
+        render_cpus(2)
+        fork = os.fork
+
+        def signalled():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", signalled)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            rc = cli.main(["evolve", "--set", "N=4", "--set", "t_max=100",
+                           "--out", str(tmp_path / "run")])
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert rc == 128 + signal.SIGINT
+        assert capsys.readouterr().err == "stopped by SIGINT\n"
+        TestRenderProcesses.assert_no_child_left()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("ignored", [False, True])
     def test_a_sighup_stops_a_run_unless_it_was_ignored(self, tmp_path, monkeypatch, capsys,
@@ -1434,3 +1518,100 @@ class TestManifestKeyOrder:
             keys = [line.split("=", 1)[0]
                     for line in (out / "manifest.txt").read_text().splitlines()]
             assert keys == self.KEYS[command].split(), command
+
+
+# ---------------------------------------------------------------- drawn runs
+
+#: texts that drawn numbers seldom hit: a double's extremes, a signed zero, non-numbers
+EXTREME_TEXTS = ["1e300", "-1e300", "5e-324", "-0.0", "0", "nan", "x", ""]
+
+ANY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def text(value) -> str:
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
+def as_text(values):
+    return values.map(text)
+
+
+def key(tame, bound=ANY):
+    """A key's ``--set`` texts: tame ones, from ``tame``, and wild ones: a
+    value within ``bound`` (the size keys'), any finite float or an extreme."""
+    return as_text(tame), st.one_of(as_text(bound), as_text(ANY), st.sampled_from(EXTREME_TEXTS))
+
+
+def listed(entries, bound=ANY, min_size=1):
+    """A list key: distinct tame ``entries`` in increasing order, or up to four wild ones."""
+    tame = st.lists(entries, min_size=min_size, max_size=4, unique=True)
+    return (tame.map(lambda values: ",".join(map(text, sorted(values)))),
+            st.lists(key(entries, bound)[1], max_size=4).map(",".join))
+
+
+@st.composite
+def time_grid(draw, wild):
+    """``t_max`` and ``dt`` of at most 200 time points, each tame unless named in ``wild``.
+
+    A wild ``dt`` is any float or extreme text; a wild ``t_max`` is, beside
+    the tame one, a text that no ``dt`` turns into more time points."""
+    dt = draw(key(st.floats(0.01, 1.0))["dt" in wild])
+    try:
+        t_max = fmt(draw(st.floats(1.0, 199.0)) * float(dt))
+    except ValueError:      # dt does not parse
+        t_max = "1"
+    if "t_max" in wild:
+        t_max = draw(st.one_of(st.just(t_max), as_text(st.floats(-2.0, 0.0)),
+                               st.sampled_from(["-1e300", "5e-324", "nan", "x", ""])))
+    return {"t_max": t_max, "dt": dt}
+
+
+SHARED = {"direction": (st.sampled_from("xyz"), st.sampled_from(["w", "", "xy"])),
+          "sign": (st.sampled_from("+-"), st.sampled_from(["0", "", "+-"])),
+          "mu": key(st.floats(0.1, 10.0)), "N": key(st.integers(2, 6), st.integers(-1, 6))}
+TIMED = ("evolve", "sweep", "convergence")
+
+#: every key each command reads, tame and wild, drawn so that a run stays
+#: small: N <= 6, at most 200 time points, k counts <= 50, N_mode <= 300,
+#: G_count <= 4
+COMMAND_KEYS = {
+    "evolve": {**SHARED, "G": key(st.floats(0.0, 20.0))},
+    "sweep": {**SHARED, "G_min": key(st.floats(1e-3, 1.0)), "G_max": key(st.floats(1.0, 100.0)),
+              "G_count": key(st.integers(1, 4), st.integers(-1, 4)),
+              "G_list": tuple(st.one_of(st.just(""), s) for s in listed(st.floats(0.0, 20.0))),
+              "t_min": key(st.floats(0.0, 5.0))},
+    "lattice": {**{k: key(st.floats(0.0, 0.1)) for k in ("lattice_G", "alpha_c", "beta_c")},
+                "kx_min": key(st.floats(-4.4, 0.0)), "kx_max": key(st.floats(0.1, 4.4)),
+                "ky_min": key(st.floats(-4.4, 0.0)), "ky_max": key(st.floats(0.1, 4.4)),
+                "kx_count": key(st.integers(2, 50), st.integers(-1, 50)),
+                "ky_count": key(st.integers(2, 50), st.integers(-1, 50)),
+                "fd_step": key(st.floats(1e-6, 1e-4))},
+    "gravity-check": {"mu_list": listed(st.floats(0.3, 5.0)),
+                      "N_mode": key(st.integers(12, 300), st.integers(-1, 300)),
+                      "levels": key(st.integers(2, 4), st.integers(-1, 200))},
+    "convergence": {**{k: v for k, v in SHARED.items() if k != "N"},
+                    "G": key(st.floats(0.0, 20.0)),
+                    "N_list": listed(st.integers(2, 6), st.integers(-1, 6), min_size=2)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_drawn_run_exits_0_2_or_3(tmp_path_factory, capfd, command, data):
+    # every key of the command is set: tame, or, for up to two keys, wild
+    names = [*COMMAND_KEYS[command], *(("t_max", "dt") if command in TIMED else ())]
+    wild = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    keys = {k: data.draw(texts[k in wild]) for k, texts in COMMAND_KEYS[command].items()}
+    if command in TIMED:
+        keys.update(data.draw(time_grid(wild)))
+    base = tmp_path_factory.mktemp("drawn")
+    with warnings.catch_warnings(record=True) as warned:     # each would be stderr lines
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--out", str(base / "made" / "run"),
+                       *(a for k, v in keys.items() for a in ("--set", f"{k}={v}"))])
+    err = capfd.readouterr().err
+    assert rc in (0, 2, 3) and err.count("\n") <= 1 and "Traceback" not in err, (rc, err)
+    assert not warned, [str(w.message) for w in warned]
+    assert (base / "made").exists() == (rc == 0)

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_oracle
 
-from metricspin import serialize
+from metricspin import cli, serialize
 from metricspin.cli import BANDS_HEADER
 from metricspin.errors import ConfigError, NumericalConsistencyError
 from metricspin.floattext import WIDTH as _WIDTH
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, _rendered, render_csv, write_partial
+from metricspin.serialize import _BLOCK_ROWS, _rendered, render_csv
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)
@@ -259,12 +259,27 @@ def test_bad_columns_refused(columns, error):
         render_csv("h", columns)
 
 
+@pytest.mark.parametrize("values", [[], [0.5], [0.5, -1e-300, 3.0]])
+def test_narrowed_texts_are_the_texts_cut_to_the_longest(values):
+    texts = serialize._texts(np.array(values, dtype=float))
+    cut = serialize.narrowed(texts)
+    assert cut.tolist() == texts.tolist()
+    if values:
+        assert cut.itemsize == max(len(t) for t in texts.tolist())
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 def test_blocks_are_the_header_then_whole_row_blocks(n):
     blocks = list(render_csv("a,b", [np.arange(n, dtype=float), -np.arange(n)]))
     assert blocks[0] == b"a,b\n"
     assert [b.count(b"\n") for b in blocks[1:]] == [min(B, n - i) for i in range(0, n, B)]
     assert all(b.endswith(b"\n") for b in blocks)
+
+
+def written(outdir, blocks, name="a.csv"):
+    """Commit ``blocks`` as a run's one file ``name`` in ``outdir``, as the CLI does; its path."""
+    cli._write_outputs(outdir, "evolve", 0.0, [], {name: blocks})
+    return outdir / name
 
 
 def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
@@ -277,14 +292,14 @@ def test_failing_blocks_leave_the_old_file_and_no_partial(tmp_path):
         raise MemoryError("injected")
 
     with pytest.raises(MemoryError):
-        write_partial(path, blocks())
+        written(tmp_path, blocks())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert path.read_bytes() == b"old\n"
 
 
 @pytest.mark.parametrize("at, raised", [
     ("write", ConfigError),
-    ("close", ConfigError),     # a short file, a manifest, is written only as it closes
+    ("close", ConfigError),     # a short file is written only as it closes
     ("blocks", OSError),        # the render's own failure is no write failure
 ])
 def test_a_write_failure_names_the_file_and_leaves_no_partial(tmp_path, monkeypatch,
@@ -316,21 +331,27 @@ def test_a_write_failure_names_the_file_and_leaves_no_partial(tmp_path, monkeypa
         if at == "blocks":
             raise full
 
-    monkeypatch.setattr(serialize, "open", Disk, raising=False)
-    path = tmp_path / "manifest.txt"
+    monkeypatch.setattr(cli, "open", Disk, raising=False)
+    path = tmp_path / "a.csv"
     with pytest.raises(raised) as err:
-        write_partial(path, blocks())
+        written(tmp_path, blocks())
     if raised is ConfigError:
         assert str(err.value) == f"cannot write {str(path)!r}: {os.strerror(errno.ENOSPC)}"
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_partial_leaves_the_file_itself_as_it_was(tmp_path):
+def test_a_partial_leaves_the_file_itself_as_it_was(tmp_path):
     path = tmp_path / "a.csv"
     path.write_bytes(b"old\n")
-    partial = write_partial(path, iter([b"new", b"", b"\n"]))
-    assert partial == tmp_path / "a.csv.partial"
-    assert partial.read_bytes() == b"new\n" and path.read_bytes() == b"old\n"
+    held = []
+
+    def blocks():
+        yield from (b"new", b"", b"\n")
+        held.append(path.read_bytes())      # every block written, none renamed
+
+    assert written(tmp_path, blocks()) == path
+    assert held == [b"old\n"] and path.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "manifest.txt"]
 
 
 def distinct_tiny_floats(n: int, k: int) -> list:
@@ -347,7 +368,7 @@ def test_streaming_holds_no_whole_file_text(tmp_path, render_cpus):
     columns = distinct_tiny_floats(n, k)
     tracemalloc.start()
     try:
-        path = write_partial(tmp_path / "big.csv", render_csv("a,b", columns))
+        path = written(tmp_path, render_csv("a,b", columns))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,7 +443,7 @@ def test_streaming_forked_bytes(tmp_path, render_cpus):
     render_cpus(1)
     want = rendered("a,b", columns)
     render_cpus(2)
-    path = write_partial(tmp_path / "big.csv", render_csv("a,b", columns))
+    path = written(tmp_path, render_csv("a,b", columns))
     assert path.read_bytes() == want
 
 
