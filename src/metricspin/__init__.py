@@ -50,5 +50,4 @@ from .sweep import (
     SweepGrid,
     default_grid,
     revival_diagnostic,
-    run_sweep,
 )

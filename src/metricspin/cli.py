@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, serialize
+from . import __version__, parallel, serialize
 from .config import RunConfig, parse_config, parse_float_list, parse_int_list
 from .errors import ConfigError, ExtractionInvalidError, NumericalConsistencyError
 from .gravity import (
@@ -56,7 +56,7 @@ from .model import (
     observable_trace,
     truncation_convergence,
 )
-from .serialize import _rendered, fmt, render_csv, render_manifest
+from .serialize import fmt, render_csv, render_manifest
 from .sweep import SweepGrid, check_t_min, default_grid, revival_diagnostic, trace_at
 
 TRACE_HEADER = "t,sx,sy,sz,px,py,pz,n_alpha,n_beta,energy,norm"
@@ -177,7 +177,7 @@ def _sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 
 def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: list):
-    """``heatmap.csv`` in blocks: the header, then each G's rows, one :func:`_rendered` job per G.
+    """``heatmap.csv`` in blocks: the header, then each G's rows, a fork map job per G.
 
     A job builds its G's trace and returns the trace's revival peak and
     first peak time, and its rows, rendered in one :func:`render_csv`
@@ -197,7 +197,7 @@ def _heatmap(grid: SweepGrid, t_min: float, diagnostics: list, run_checksums: li
                                  tr.n_alpha, tr.n_beta))
         return d.revival_peak, d.first_peak_time, b"".join(rows)
 
-    for peak, first_peak_time, rows in _rendered(job, grid.G_values):
+    for peak, first_peak_time, rows in parallel._rendered(job, grid.G_values):
         diagnostics.append((peak, first_peak_time))
         run_checksums.append(hashlib.sha256(rows).hexdigest())
         yield rows

@@ -44,21 +44,14 @@ through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
 +-N), after verifying that the assembled block has no weight elsewhere.
 The dense matrix on the full space is built only on demand.
 
-Every eigensolve and chunk runs with numpy's OpenBLAS pinned to one
-thread, so the output does not depend on the BLAS thread setting.  The
-pin gives its first holder the usable CPUs: a trace that gets more than
-one runs its independent chunks on that many threads, started for the
-call, each with its own buffers and its own rows of the output columns.
-A nested holder, also one in a child forked under the pin, gets one.
+Every eigensolve and chunk runs in :mod:`metricspin.parallel`'s BLAS pin,
+and a trace's independent chunks run on its thread map, each writing
+only its own rows of the output columns.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import pairwise
@@ -66,6 +59,7 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import NumericalConsistencyError
+from .parallel import _ONE_BLAS_THREAD, _threaded
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,74 +86,6 @@ _CHUNK_STATES = 196 * _CHUNK_STEPS
 _MIN_CHUNK_STEPS = 64
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one.
-
-    ``os.cpu_count()`` counts the machine's CPUs, also under ``taskset``
-    or a cgroup's cpuset, so it would oversubscribe a pinned run.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _OneBlasThread:
-    """Numpy's OpenBLAS held at one thread, and the CPUs its holder may use.
-
-    ``with _ONE_BLAS_THREAD as cpus:`` counts its holders under a lock.
-    The first gets :func:`usable_cpus`, saves the caller's thread count
-    and sets 1; a holder that enters while the pin is held gets 1 and
-    calls no thread function, also in a child forked while it was held.
-    The last to leave restores the count, so one trace ending never
-    unpins another still running.  The thread calls are looked up on
-    first use; where none exist, holders are counted but nothing pinned.
-    """
-
-    def __init__(self):
-        self.calls = None           # (get, set), or False once found missing
-        self.users = 0
-        self.saved = 1
-        self._renew_lock()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._renew_lock)
-
-    def _renew_lock(self):
-        # in a forked child too, where a thread that held it at the fork is gone
-        self.lock = threading.Lock()
-
-    def _library_calls(self):
-        try:
-            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            return False
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-
-    def __enter__(self) -> int:
-        with self.lock:
-            self.users += 1
-            if self.users > 1:
-                return 1
-            if self.calls is None:
-                self.calls = self._library_calls()
-            if self.calls:
-                self.saved = self.calls[0]()
-                self.calls[1](1)
-            return usable_cpus()
-
-    def __exit__(self, *exc):
-        with self.lock:
-            self.users -= 1
-            if self.users == 0 and self.calls:
-                self.calls[1](self.saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All simulation inputs: coupling knob G, mass mu, cutoff N, time grid."""
@@ -172,7 +98,7 @@ class ModelParams:
 
     def __post_init__(self):
         # written so that nan fails every check; G and mu must give a finite coupling
-        coupling_strength(self.G, self.mu)
+        g = coupling_strength(self.G, self.mu)
         if not isinstance(self.N, (int, np.integer)):
             raise ValueError(f"cutoff N must be an integer, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
@@ -187,6 +113,12 @@ class ModelParams:
         if not self.t_max / self.dt < np.iinfo(np.intp).max:
             raise ValueError(f"t_max/dt = {self.t_max / self.dt:.3g} time steps do not "
                              f"fit an array index (t_max={self.t_max}, dt={self.dt})")
+        # every phase E t must be a finite number: |E| is at most a block's
+        # Gershgorin bound, its diagonal sqrt2 (2N - 1) plus two hops per mode,
+        # each at most |g| sqrt(N - 1)
+        bound = SQRT2 * (2 * self.N - 1) + 4.0 * abs(g) * math.sqrt(self.N - 1)
+        if not math.isfinite(bound * self.t_max):
+            raise ValueError(f"t_max={self.t_max} overflows the phases E t, |E| <= {bound:.3g}")
 
     @property
     def times(self) -> np.ndarray:
@@ -606,73 +538,53 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
               for lo in range(0, times.size, span)]
     steps = chunks[0][2]
 
-    pending, taking = iter(chunks), threading.Lock()
-
-    def reduce_chunks(phase, amps, weight) -> None:
-        # takes the next chunk until none is left and reduces it into its rows of
-        # cols; runs on chunk threads, so it calls numpy and the propagator only
-        while True:
-            with taking:
-                chunk = next(pending, None)
-            if chunk is None:
-                return
-            lo, t0, count = chunk
-            rows = slice(lo, lo + count)
-            plus, minus = propagator.chunk(t0, count, phase, amps)
-            # phase is free once the amplitudes exist: it is the scratch, then cross
-            scratch = phase.view(float)
-            w = weight[:d * count].reshape(d, count)
-            for i, (block, phi) in enumerate(zip(h.blocks, (plus, minus))):
-                if phi is None:
-                    continue
-                # prob = |phi|^2: the first occupied block's goes into weight,
-                # the second's into scratch and is then added to weight
-                p = w if i == occupied[0] else scratch[d * count:2 * d * count].reshape(d, count)
-                np.square(phi.real, out=p)
-                np.add(p, np.square(phi.imag, out=scratch[:d * count].reshape(d, count)),
-                       out=p)
-                if p is not w:
-                    np.add(w, p, out=w)
-                cols["sx"][rows] += block.sign * (w_parity @ p)
-                # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
-                # Re(conj(x) y) sums the products of the interleaved re, im columns
-                d0, d1, dN = bands[i]
-                on_site = d0 @ p                # before the hop products overwrite p
-                f = phi.view(float)
-                hop1 = d1 @ np.multiply(f[:-1], f[1:],
-                                        out=scratch[:(d - 1) * 2 * count].reshape(d - 1, -1))
-                hopN = dN @ np.multiply(f[:-N], f[N:],
-                                        out=scratch[:(d - N) * 2 * count].reshape(d - N, -1))
-                cols["energy"][rows] += on_site + 2.0 * (hop1 + hopN).reshape(-1, 2).sum(axis=1)
-            cols["norm"][rows] = np.sqrt(w.sum(axis=0))
-            cols["n_alpha"][rows] = w_alpha @ w
-            cols["n_beta"][rows] = w_beta @ w
-            if plus is not None and minus is not None:
-                # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>;
-                # both blocks carry the same phase i^n_a, which cancels here
-                cross = np.conjugate(plus, out=phase[:d * count].reshape(d, count))
-                np.multiply(cross, minus, out=cross)
-                cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
-                cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
+    def reduce_chunk(lo, t0, count, phase, amps, weight) -> None:
+        # reduces one chunk into its rows of cols; runs on chunk threads, so it
+        # calls numpy and the propagator only
+        rows = slice(lo, lo + count)
+        plus, minus = propagator.chunk(t0, count, phase, amps)
+        # phase is free once the amplitudes exist: it is the scratch, then cross
+        scratch = phase.view(float)
+        w = weight[:d * count].reshape(d, count)
+        for i, (block, phi) in enumerate(zip(h.blocks, (plus, minus))):
+            if phi is None:
+                continue
+            # prob = |phi|^2: the first occupied block's (plus, or minus alone)
+            # goes into weight, the second's into scratch and is then added
+            p = w if i == 0 or plus is None else scratch[d * count:2 * d * count].reshape(d, count)
+            np.square(phi.real, out=p)
+            np.add(p, np.square(phi.imag, out=scratch[:d * count].reshape(d, count)),
+                   out=p)
+            if p is not w:
+                np.add(w, p, out=w)
+            cols["sx"][rows] += block.sign * (w_parity @ p)
+            # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
+            # Re(conj(x) y) sums the products of the interleaved re, im columns
+            d0, d1, dN = bands[i]
+            on_site = d0 @ p                # before the hop products overwrite p
+            f = phi.view(float)
+            hop1 = d1 @ np.multiply(f[:-1], f[1:],
+                                    out=scratch[:(d - 1) * 2 * count].reshape(d - 1, -1))
+            hopN = dN @ np.multiply(f[:-N], f[N:],
+                                    out=scratch[:(d - N) * 2 * count].reshape(d - N, -1))
+            cols["energy"][rows] += on_site + 2.0 * (hop1 + hopN).reshape(-1, 2).sum(axis=1)
+        cols["norm"][rows] = np.sqrt(w.sum(axis=0))
+        cols["n_alpha"][rows] = w_alpha @ w
+        cols["n_beta"][rows] = w_beta @ w
+        if plus is not None and minus is not None:
+            # sigma_z |e_sigma> = |e_-sigma>, sigma_y |e_sigma> = -i sigma |e_-sigma>;
+            # both blocks carry the same phase i^n_a, which cancels here
+            cross = np.conjugate(plus, out=phase[:d * count].reshape(d, count))
+            np.multiply(cross, minus, out=cross)
+            cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
+            cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
 
     with _ONE_BLAS_THREAD as cpus:
         propagator = _Propagator(h, psi0, params.dt, steps)
-        occupied = [i for i, s in enumerate(propagator.spectra) if s is not None]
-        bands = {i: h.blocks[i].bands() for i in occupied}   # checked before any worker starts
-        # unpinned, each BLAS call may start threads of its own
-        workers = min(cpus if _ONE_BLAS_THREAD.calls else 1, len(chunks))
-        # one buffer set per worker; a worker slowed down takes fewer chunks
-        tasks = [(*propagator.buffers(steps), np.empty(d * steps)) for _ in range(workers)]
-        if workers == 1:
-            reduce_chunks(*tasks[0])
-        else:
-            # leaving the block waits for every worker, even after one fails
-            with ThreadPoolExecutor(workers, thread_name_prefix="metricspin-chunk") as pool:
-                try:
-                    done = pool.map(reduce_chunks, *zip(*tasks))   # starts the threads
-                except RuntimeError as exc:     # "can't start new thread": out of memory
-                    raise MemoryError(f"cannot start a chunk thread: {exc}") from exc
-                list(done)
+        # each occupied block's bands, checked before any worker starts
+        bands = {i: h.blocks[i].bands() for i, s in enumerate(propagator.spectra) if s is not None}
+        _threaded(reduce_chunk, chunks, cpus,
+                  lambda: (*propagator.buffers(steps), np.empty(d * steps)))
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:

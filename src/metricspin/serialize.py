@@ -1,4 +1,4 @@
-"""Deterministic text output: CSV rows, manifests, checksums.
+"""Deterministic text output: CSV rows and manifests.
 
 Floats are rendered as shortest round-trip decimals (Python ``repr``)
 so re-running a manifest reproduces files byte for byte on any platform
@@ -41,39 +41,17 @@ NaN, infinities, zeros, subnormals, powers of two, magnitudes outside
 last-digit rounding lie within 1e-9 of a tie (none of 100,000 uniform
 draws in [0, 1)).
 
-Formatting holds the interpreter lock, so threads cannot share it;
-forked processes can.  :func:`_rendered` maps jobs (a file's row blocks
-or a sweep's G values) over W processes: the caller runs jobs 0, W, 2W,
-... and each of W - 1 forked children its own residue class.  A job's
-result is any picklable value; a child pickles each one, or the failure
-that ends its jobs, down a pipe and flushes it at once, so the caller
-never waits on a later job for it.  The caller yields the results in job
-order, so the bytes are those of one process, and raises a failure as
-the same exception.  A map of two or more jobs holds the model's BLAS
-pin while it forks, with W = min(the CPUs the pin gives, jobs), so
-every job runs its kernels on one thread and a map inside a job, nested,
-stays in its process.  A map of one job, or while another Python thread
-is alive (a fork copies only the calling thread), or without ``os.fork``
-takes no pin and stays in one process.  The children share the caller's
-pages copy-on-write and are killed and reaped before the map returns or
-fails; on Linux they also die with the caller's process, killed by
-``SIGKILL`` or not.  A failed fork, or a child that ends without its
-result (say, one the OOM killer ended), raises ``MemoryError``.
+A file's blocks are jobs of :func:`metricspin.parallel._rendered`, the
+map over forked processes, which yields them in order; so the bytes are
+those of a one-process render.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import pickle
-import signal
-import sys
-import threading
-
 import numpy as np
 
 from .floattext import texts as _texts
-from .model import _ONE_BLAS_THREAD
+from .parallel import _rendered
 
 #: rows rendered together; bounds a block's cell buffer, texts and tables
 _BLOCK_ROWS = 2048
@@ -182,112 +160,6 @@ def _block(columns) -> bytes:
     data = buffer.tobytes()
     del texts, buffer       # so that no more than two copies of the block are held
     return data.translate(None, b"\0")
-
-
-def _rendered(render, jobs):
-    """``render(job)``, a picklable value, for each of the sequence ``jobs``, in job order.
-
-    Spread over forked processes as the module docstring says.  A child's
-    failure is raised here as the exception it raised (as ``RuntimeError``
-    naming its type if it cannot be pickled); closing the generator early
-    kills the children.
-    """
-    if len(jobs) > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
-        with _ONE_BLAS_THREAD as cpus:
-            if cpus > 1:
-                yield from _forked(render, jobs, min(cpus, len(jobs)))
-                return
-    yield from map(render, jobs)
-
-
-def _forked(render, jobs, width: int):
-    """:func:`_rendered` over this process and ``width - 1`` forked children."""
-    pids, pipes, parent = [], [], os.getpid()
-
-    def received(child: int):
-        try:
-            value = pickle.load(pipes[child])
-        except (EOFError, pickle.UnpicklingError):      # no message, or a truncated one
-            _, status = os.waitpid(pids[child], 0)
-            pids[child] = None          # reaped, so its pid may be reused
-            raise MemoryError(f"a render process ended without its result (wait status {status})")
-        if isinstance(value, BaseException):
-            raise value
-        return value
-
-    try:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])     # the caller's, unchanged
-        try:
-            # no signal handler runs until every child is recorded: one raising
-            # before its pid is kept would lose the child, and one in an
-            # at-fork hook would be ignored, the signal with it
-            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            for k in range(1, width):
-                read, write = os.pipe()
-                pipes.append(os.fdopen(read, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve(render, jobs[k::width], write, pipes, parent, mask)
-                finally:
-                    os.close(write)         # the child never gets here
-                pids.append(pid)
-        except OSError as exc:      # no process or descriptor left: EAGAIN, ENOMEM, EMFILE
-            raise MemoryError(f"cannot start a render process: {exc}") from exc
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i, job in enumerate(jobs):
-            # no local holds a result while the caller has it
-            yield received(i % width - 1) if i % width else render(job)
-    finally:
-        for pid in filter(None, pids):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-
-
-def _serve(render, jobs, fd: int, pipes, parent: int, mask) -> None:
-    """In a forked child: pickle ``render(job)`` for each of ``jobs`` down the pipe ``fd``.
-
-    On Linux the child first asks for ``SIGKILL`` when ``parent`` dies, and
-    leaves at once if it has died already, so a child dies with a command
-    killed by ``SIGKILL``; then it takes back the caller's signal ``mask``.
-
-    Each value is flushed as soon as it is pickled: ``pickle.dump`` leaves
-    at least its last byte in the file's write buffer, and without the
-    flush the caller, which needs that byte, would wait for the child's
-    next job as well.  A failure ends the messages: the exception itself,
-    or ``RuntimeError("Type: text")`` if it does not survive pickling.
-    Never returns: the child leaves through ``os._exit``, so it runs no
-    exit handler and flushes no buffer of the caller's.
-    """
-    status = 1
-    try:
-        if sys.platform == "linux":
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-            # PR_SET_PDEATHSIG (1) fires when the forking *thread* ends; that
-            # is the process's end, since _rendered forks only as the one thread
-            prctl(1, signal.SIGKILL)
-            if os.getppid() != parent:  # it died before the call
-                return
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pipe in pipes:              # the read ends, the caller's alone
-            pipe.close()
-        with os.fdopen(fd, "wb") as out:
-            try:
-                for job in jobs:
-                    pickle.dump(render(job), out)
-                    out.flush()
-            except Exception as exc:    # raised by the caller
-                try:
-                    pickle.dump(pickle.loads(pickle.dumps(exc)), out)
-                except Exception:       # it does not survive pickling
-                    pickle.dump(RuntimeError(f"{type(exc).__name__}: {exc}"), out)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def render_manifest(pairs) -> bytes:

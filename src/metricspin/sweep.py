@@ -1,12 +1,12 @@
 """Parameter sweeps over the coupling G with revival diagnostics.
 
 A sweep runs one trace per G value through :func:`trace_at`, which names
-the failing G in any error it raises.  :func:`run_sweep` runs them in
-grid order in the calling thread; the ``sweep`` command maps one job per
-G (trace, diagnostic and rows) over ``serialize._rendered``'s processes,
-where a forked map's BLAS pin keeps each job's kernels and render in one
-thread.  Nothing in the pipeline is random and every kernel pins OpenBLAS
-to one thread, so the grid alone determines the output, however scheduled.
+the failing G in any error it raises; the ``sweep`` command maps one job
+per G (trace, diagnostic and rows) over ``parallel._rendered``'s
+processes, where a forked map's BLAS pin keeps each job's kernels and
+render in one thread.  Nothing in the pipeline is random and every
+kernel pins OpenBLAS to one thread, so the grid alone determines the
+output, however scheduled.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ def trace_at(grid: SweepGrid, G: float) -> ObservableTrace:
         except TypeError:
             failed = (MemoryError if isinstance(exc, MemoryError) else RuntimeError)(message)
         raise failed from exc
-
-
-def run_sweep(grid: SweepGrid) -> list[ObservableTrace]:
-    """One trace per G value, in grid order, in the calling thread; a failure aborts."""
-    return [trace_at(grid, G) for G in grid.G_values]
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from metricspin import model  # noqa: E402
+from metricspin import parallel  # noqa: E402
 
 
 @pytest.fixture
 def render_cpus(monkeypatch):
     """Call with W: the BLAS pin, and so every map and trace, then sees W usable CPUs."""
-    return lambda cpus: monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+    return lambda cpus: monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 
 import metricspin as ms
+from metricspin.sweep import trace_at
 
 T_MIN = 2.0
 NAMED_G = (0.05, 0.46, math.pi, 10.0)
@@ -24,7 +25,7 @@ FIXTURE = Path(__file__).with_name("revival_calibration.json")
 
 def main(out: Path = FIXTURE, count: int = 60):
     grid = ms.default_grid(count)
-    traces = ms.run_sweep(grid)
+    traces = [trace_at(grid, G) for G in grid.G_values]
     diags = [ms.revival_diagnostic(tr, t_min=T_MIN) for tr in traces]
 
     weak = [d.revival_peak for G, d in zip(grid.G_values, diags) if G <= 0.1]

@@ -31,10 +31,10 @@ from metricspin import (
     observable_trace,
     quadratic_site_hamiltonian,
     revival_diagnostic,
-    run_sweep,
     symmetry_check,
     truncation_convergence,
 )
+from metricspin.sweep import trace_at
 
 from oracles import minimal_hamiltonian_oracle
 
@@ -197,7 +197,7 @@ def test_c09_truncation_convergence():
 def default_sweep():
     grid = default_grid()
     t0 = time.perf_counter()
-    traces = run_sweep(grid)
+    traces = [trace_at(grid, G) for G in grid.G_values]
     elapsed = time.perf_counter() - t0
     return grid, traces, elapsed
 

@@ -1,4 +1,4 @@
-"""The model's OpenBLAS pin and its chunk threads.
+"""The OpenBLAS pin and the chunk threads of ``metricspin.parallel``.
 
 Every eigensolve and chunk product runs with numpy's OpenBLAS at one
 thread.  The pin also says how many CPUs its holder may use: the first
@@ -38,10 +38,10 @@ from metricspin import (
     evolve,
     initial_state,
     observable_trace,
-    run_sweep,
 )
-from metricspin import cli, model, sweep
-from metricspin.model import _ONE_BLAS_THREAD, ParityBlock
+from metricspin import cli, model, parallel, sweep
+from metricspin.model import ParityBlock
+from metricspin.parallel import _ONE_BLAS_THREAD
 from metricspin.sweep import SweepGrid
 
 from oracles import dense_trace_oracle
@@ -86,12 +86,12 @@ def test_output_bytes_do_not_depend_on_openblas_threads(tmp_path):
 
 
 def test_non_model_commands_never_load_the_thread_calls(tmp_path):
-    code = ("import sys; from metricspin import cli, model; "
+    code = ("import sys; from metricspin import cli, parallel; "
             f"cli.main(['lattice', '--out', {str(tmp_path / 'l')!r}, "
             "'--set', 'kx_count=5', '--set', 'ky_count=5']); "
             f"cli.main(['gravity-check', '--out', {str(tmp_path / 'g')!r}, "
             "'--set', 'N_mode=12', '--set', 'levels=3']); "
-            "print(model._ONE_BLAS_THREAD.calls)")
+            "print(parallel._ONE_BLAS_THREAD.calls)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
@@ -149,7 +149,7 @@ class TestPinHygiene:
         # of which the first to take the pin gets the usable CPUs and runs
         # chunk threads beside the others
         grid = SweepGrid(G_values=(0.5, 3.0, 10.0, 30.0), direction="z", N=20, t_max=10.0)
-        serial = run_sweep(grid)
+        serial = [sweep.trace_at(grid, G) for G in grid.G_values]
 
         def both():
             with ThreadPoolExecutor(4) as pool:
@@ -182,7 +182,7 @@ class TestPinHygiene:
 
         monkeypatch.setattr(sweep, "build_minimal_hamiltonian", planted)
         with pytest.raises(NumericalConsistencyError, match="G=3.0.*off the diagonals"):
-            run_sweep(grid)
+            [sweep.trace_at(grid, G) for G in grid.G_values]
         assert two_blas_threads() == 2
         assert _ONE_BLAS_THREAD.users == 0
 
@@ -239,7 +239,7 @@ def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads
     # 40 chunks on the usable CPUs
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
-    if model.usable_cpus() > 1:
+    if parallel.usable_cpus() > 1:
         assert any(map(is_chunk_thread, chunk_threads))
     assert not any(map(is_chunk_thread, threading.enumerate()))
 
@@ -249,13 +249,13 @@ def test_chunk_threads_follow_the_usable_cpus(monkeypatch, one_blas_thread, chun
                                               render_cpus, cpus):
     # OPENBLAS_NUM_THREADS=1 sizes nothing: 40 chunks run on 2 chunk threads
     # at two usable CPUs and in the calling thread at one
-    pools, executor = [], model.ThreadPoolExecutor
+    pools, executor = [], parallel.ThreadPoolExecutor
 
     def recorded(workers, **kwargs):
         pools.append(workers)
         return executor(workers, **kwargs)
 
-    monkeypatch.setattr(model, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", recorded)
     render_cpus(cpus)
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
@@ -315,7 +315,7 @@ def test_chunk_thread_that_cannot_start_exits_2(tmp_path, monkeypatch, capsys,
                                                 two_blas_threads):
     # a trace with two usable CPUs and 40 chunks starts a chunk
     # thread, which fails as it does when no memory is left for its stack
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     def cannot_start(thread):
         raise RuntimeError("can't start new thread")
@@ -378,3 +378,53 @@ def test_forked_child_makes_no_thread_call(monkeypatch, two_blas_threads):
         report = pipe.read()
     os.waitpid(pid, 0)
     assert report == b"0"
+
+
+def test_one_width_rule_sizes_both_maps(tmp_path, monkeypatch, one_blas_thread, render_cpus,
+                                        forks):
+    # at 1, 2 and 3 usable CPUs, with and without the pin's thread calls: the
+    # default-length evolve at N=8 (40 chunks, a trace.csv of three blocks)
+    # and a sweep of four G; one child per CPU past the first for every map,
+    # and one chunk thread per CPU for the trace, unless it has one CPU or
+    # its BLAS calls cannot be pinned; a sweep's traces run in their jobs.
+    # Each chunk thread's first chunk waits for the others, so that none
+    # takes every chunk before the next starts (a pool then reuses it)
+    started, start, chunk = [], threading.Thread.start, model._Propagator.chunk
+
+    def recorded(thread):
+        started.append(thread)
+        return start(thread)
+
+    outputs = {}
+    for calls in (True, False):
+        for cpus in (1, 2, 3):
+            threads = cpus if calls and cpus > 1 else 0
+            gathering, waited = threading.Barrier(max(threads, 1), timeout=30), set()
+
+            def gathered(self, *args):
+                if is_chunk_thread(threading.current_thread()) and \
+                        threading.current_thread() not in waited:
+                    waited.add(threading.current_thread())
+                    gathering.wait()
+                return chunk(self, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", recorded)
+                patch.setattr(model._Propagator, "chunk", gathered)
+                if not calls:
+                    patch.setattr(_ONE_BLAS_THREAD, "calls", False)
+                render_cpus(cpus)
+                out = tmp_path / f"{calls}-{cpus}"
+                for argv, want_forks, want_threads in (
+                        (["evolve", "--set", "N=8"], cpus - 1, threads),
+                        (SWEEP, cpus - 1, 0)):
+                    del forks[:], started[:]
+                    assert cli.main([*argv, "--out", str(out / argv[0])]) == 0
+                    assert len(forks) == want_forks, (argv[0], calls, cpus)
+                    assert sum(map(is_chunk_thread, started)) == want_threads, \
+                        (argv[0], calls, cpus)
+            outputs[calls, cpus] = {p.name: p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+    assert len(outputs[True, 1]) == 3          # trace, heatmap, diagnostics
+    for case, files in outputs.items():
+        assert files == outputs[True, 1], case
+    assert one_blas_thread() == 1 and _ONE_BLAS_THREAD.users == 0

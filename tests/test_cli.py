@@ -25,6 +25,7 @@ import metricspin.cli as cli
 import metricspin.lattice as lattice_mod
 import metricspin.serialize as serialize_mod
 import metricspin.model as model_mod
+import metricspin.parallel as parallel_mod
 import metricspin.sweep as sweep_mod
 from metricspin.config import RunConfig, parse_config
 from metricspin.errors import ConfigError, NumericalConsistencyError
@@ -37,7 +38,7 @@ from metricspin.model import (
     observable_trace,
 )
 from metricspin.serialize import _BLOCK_ROWS, fmt, render_csv
-from metricspin.sweep import SweepGrid, revival_diagnostic, run_sweep
+from metricspin.sweep import SweepGrid, revival_diagnostic, trace_at
 from oracles import csv_oracle
 
 SQRT2 = math.sqrt(2.0)
@@ -368,23 +369,52 @@ class TestNumericalFailureExitCode:
         written = list(out.rglob("*")) if out.exists() else []
         assert not any(b"nan" in f.read_bytes().lower() for f in written if f.is_file())
 
-    # two time points, 0 and 1e308, so E t overflows in the phase table; at
-    # two CPUs the sweep's second G is a forked child's
-    @pytest.mark.parametrize("argv", [
+    OVERFLOWING = [
         ["evolve", "--set", "N=3"],
         ["sweep", "--set", "N=3", "--set", "G_list=1,2", "--set", "t_min=0"],
         ["convergence", "--set", "N_list=2,3"],
-    ])
-    def test_an_overflowing_phase_exits_3_in_one_line(self, tmp_path, capfd, render_cpus, argv):
+    ]
+
+    # every eigenvalue planted at 1e308, so E t overflows in the phase table
+    # past t = 1.79 (ModelParams refuses a grid that could do so); at two
+    # CPUs the sweep's second G is a forked child's
+    @pytest.mark.parametrize("argv", OVERFLOWING)
+    def test_an_overflowing_phase_exits_3_in_one_line(self, tmp_path, capfd, monkeypatch,
+                                                      render_cpus, argv):
         render_cpus(2)
+        solve = ParityBlock.eigensystem
+
+        def planted(block):
+            evals, evecs = solve(block)
+            return np.full_like(evals, 1e308), evecs
+
+        monkeypatch.setattr(ParityBlock, "eigensystem", planted)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            rc = cli.main([*argv, "--set", "t_max=5", "--set", "dt=0.1", "--out", str(out)])
+        assert rc == 3 and not warned
+        err = capfd.readouterr().err
+        assert re.fullmatch(r"numerical consistency failure: .*overflow encountered.*\n", err)
+        assert not out.exists()
+
+    # two time points, 0 and 1e308: |E| t_max overflows, which ModelParams
+    # refuses from a Gershgorin bound on |E| before any work
+    @pytest.mark.parametrize("argv", OVERFLOWING)
+    def test_a_grid_whose_phase_overflows_exits_2(self, tmp_path, capfd, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built")
+
+        for module in (cli, model_mod, sweep_mod):
+            monkeypatch.setattr(module, "build_minimal_hamiltonian", no_work)
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             rc = cli.main([*argv, "--set", "t_max=1e308", "--set", "dt=1e308",
                            "--out", str(out)])
-        assert rc == 3 and not warned
+        assert rc == 2 and not warned
         err = capfd.readouterr().err
-        assert re.fullmatch(r"numerical consistency failure: .*overflow encountered.*\n", err)
+        assert re.fullmatch(r"config error: (N_list: )?t_max=1e\+308 overflows the phases .*\n", err)
         assert not out.exists()
 
     def test_sweep_failure_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -424,7 +454,7 @@ class TestNumericalFailureExitCode:
         assert len(forks) == 1
         assert snapshot(out) == {}
         TestRenderProcesses.assert_no_child_left()
-        assert model_mod._ONE_BLAS_THREAD.users == 0       # the map released the pin
+        assert parallel_mod._ONE_BLAS_THREAD.users == 0       # the map released the pin
 
 
 class TestNonFiniteConfigValues:
@@ -524,7 +554,8 @@ class TestSweepCommand:
                        "--set", "N=6", "--set", "t_max=45", "--set", "dt=0.02",
                        "--set", "t_min=1"])
         assert rc == 0
-        traces = run_sweep(SweepGrid(G_values=G_values, N=6, t_max=45.0, dt=0.02))
+        grid = SweepGrid(G_values=G_values, N=6, t_max=45.0, dt=0.02)
+        traces = [trace_at(grid, G) for G in grid.G_values]
         parts = [(np.full(tr.times.size, G), tr.times, tr.sx, tr.px, tr.n_alpha, tr.n_beta)
                  for G, tr in zip(G_values, traces)]
         columns = [np.concatenate(col) for col in zip(*parts)]
@@ -591,7 +622,7 @@ class TestHeatmapExport:
         # each G's rows span two blocks; its run checksum is the sha256 of
         # those rows rendered on their own
         grid = SweepGrid(G_values=(0.05, 0.5, 5.0), N=4, t_max=41.0, dt=0.02)
-        traces = run_sweep(grid)
+        traces = [trace_at(grid, G) for G in grid.G_values]
         heatmap, run_checksums = heatmap_of(grid)
         per_g = traces[0].times.size
         assert per_g % _BLOCK_ROWS != 0 and 3 * per_g > _BLOCK_ROWS
@@ -608,7 +639,7 @@ class TestHeatmapExport:
         diagnostics = []
         for _ in cli._heatmap(grid, 1.0, diagnostics, []):
             pass
-        want = [revival_diagnostic(tr, t_min=1.0) for tr in run_sweep(grid)]
+        want = [revival_diagnostic(tr, t_min=1.0) for tr in [trace_at(grid, G) for G in grid.G_values]]
         assert diagnostics == [(d.revival_peak, d.first_peak_time) for d in want]
 
     def test_row_count_and_header(self):
@@ -1049,7 +1080,7 @@ class TestStreamedOutputs:
         try:
             deadline = time.monotonic() + 60
             while not ((out / "heatmap.csv.partial").exists()
-                       and (self.children(proc.pid) or model_mod.usable_cpus() == 1)):
+                       and (self.children(proc.pid) or parallel_mod.usable_cpus() == 1)):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             forked = self.children(proc.pid)
@@ -1065,7 +1096,7 @@ class TestStreamedOutputs:
 
     @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
                         reason="needs /proc's children lists")
-    @pytest.mark.skipif(model_mod.usable_cpus() < 2, reason="a render forks at 2 or more CPUs")
+    @pytest.mark.skipif(parallel_mod.usable_cpus() < 2, reason="a render forks at 2 or more CPUs")
     def test_a_render_child_dies_with_a_killed_command(self, tmp_path):
         # each process's one G is an N=30 trace over 15,001 time points,
         # about 2 s; the command is killed as soon as it has forked

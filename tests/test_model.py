@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,7 @@ from metricspin import (
     symmetry_check,
     truncation_convergence,
 )
-from metricspin import model
+from metricspin import model, parallel
 from metricspin.model import (
     _CHUNK_STEPS,
     ENERGY_DRIFT_RTOL,
@@ -121,6 +122,24 @@ class TestModelParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_grid_whose_phase_overflows_refused(self):
+        # |E| t_max past the largest double, from a Gershgorin bound on |E|;
+        # below it a trace runs with no numpy warning
+        with pytest.raises(ValueError, match=r"t_max=1e\+308 overflows the phases E t"):
+            ModelParams(G=0.05, N=3, t_max=1e308, dt=1e308)
+        p = ModelParams(G=0.05, N=3, t_max=1e307, dt=1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
+        assert np.abs(tr.norm - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("G, mu, N", [(0.0, 1.0, 2), (3.0, 1.0, 6), (100.0, 0.3, 9)])
+    def test_gershgorin_bound_holds(self, G, mu, N):
+        h = build_minimal_hamiltonian(ModelParams(G=G, mu=mu, N=N))
+        bound = SQRT2 * (2 * N - 1) + 4.0 * abs(h.g) * math.sqrt(N - 1)
+        top = max(np.abs(np.linalg.eigvalsh(b.entries)).max() for b in h.blocks)
+        assert top <= bound
 
     @pytest.mark.parametrize("N", [14.0, 3.5, "14"])
     def test_non_integral_cutoff_refused(self, N):
@@ -697,7 +716,7 @@ class TestWorkingSet:
 
     @pytest.fixture(autouse=True)
     def one_cpu(self, monkeypatch):
-        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
     @staticmethod
     def traced_peak(run) -> int:

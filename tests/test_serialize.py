@@ -17,7 +17,8 @@ from metricspin.cli import BANDS_HEADER
 from metricspin.errors import ConfigError, NumericalConsistencyError
 from metricspin.floattext import WIDTH as _WIDTH
 from metricspin.lattice import LatticeCouplings, dispersion
-from metricspin.serialize import _BLOCK_ROWS, _rendered, render_csv
+from metricspin.parallel import _rendered
+from metricspin.serialize import _BLOCK_ROWS, render_csv
 
 B = _BLOCK_ROWS
 LENGTHS = (1, 2, B - 1, B, B + 1, 2 * B + 3)

@@ -15,8 +15,8 @@ from metricspin import (
     initial_state,
     observable_trace,
     revival_diagnostic,
-    run_sweep,
 )
+from metricspin.sweep import trace_at
 
 SHORT = dict(N=8, t_max=6.0, dt=0.1)
 COLUMNS = ("times", "sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
@@ -83,19 +83,21 @@ class TestSweepGrid:
 class TestRunSweep:
     def test_single_point_matches_standalone_trace(self):
         grid = short_grid((0.05,))
-        traces = run_sweep(grid)
+        traces = [trace_at(grid, G) for G in grid.G_values]
         params = ModelParams(G=0.05, **SHORT)
         h = build_minimal_hamiltonian(params)
         ref = observable_trace(h, initial_state("x", +1, params.N))
         assert_same_traces(traces, [ref])
 
     def test_zero_coupling_row_is_frozen(self):
-        px = run_sweep(short_grid((0.0, 0.05)))[0].px
+        grid = short_grid((0.0, 0.05))
+        px = [trace_at(grid, G) for G in grid.G_values][0].px
         assert np.abs(px - 1.0).max() <= 1e-10
 
     def test_deterministic_rerun(self):
         grid = short_grid((0.02, 0.2, 2.0))
-        assert_same_traces(run_sweep(grid), run_sweep(grid))
+        assert_same_traces([trace_at(grid, G) for G in grid.G_values],
+                           [trace_at(grid, G) for G in grid.G_values])
 
     def test_failure_reports_offending_g(self, monkeypatch):
         calls = {"n": 0}
@@ -109,7 +111,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "observable_trace", flaky)
         with pytest.raises(RuntimeError, match="G=0.2"):
-            run_sweep(short_grid((0.02, 0.2)))
+            grid = short_grid((0.02, 0.2))
+            [trace_at(grid, G) for G in grid.G_values]
 
 def _synthetic_trace(times, px):
     sx = 2.0 * np.asarray(px) - 1.0
@@ -142,7 +145,7 @@ class TestRevivalDiagnostic:
 
     def test_peak_bounded_for_real_run(self):
         grid = short_grid((0.2,))
-        d = revival_diagnostic(run_sweep(grid)[0], t_min=1.0)
+        d = revival_diagnostic([trace_at(grid, G) for G in grid.G_values][0], t_min=1.0)
         assert 0.0 <= d.revival_peak <= 1.0
 
     def test_insufficient_data(self):
