@@ -299,7 +299,9 @@ def cmd_gravity_check(cfg: RunConfig):
 
 def cmd_convergence(cfg: RunConfig):
     n_list = parse_int_list(cfg.N_list, "N_list")
-    params = _model_params(cfg, G=cfg.G)     # N comes from each cutoff
+    # N comes from each cutoff, checked there; the template has the smallest,
+    # so its bound on |E|, which grows with N, refuses no grid a cutoff takes
+    params = _model_params(cfg, G=cfg.G, N=2)
     with _refused_as("N_list"):
         convergence_params(params, n_list)
     pairs = truncation_convergence(params, cfg.direction, _sign_value(cfg), n_list)

@@ -44,9 +44,13 @@ through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
 +-N), after verifying that the assembled block has no weight elsewhere.
 The dense matrix on the full space is built only on demand.
 
-Every eigensolve and chunk runs in :mod:`metricspin.parallel`'s BLAS pin,
-and a trace's independent chunks run on its thread map, each writing
-only its own rows of the output columns.
+Every eigensolve and chunk runs in :mod:`metricspin.parallel`'s BLAS pin.
+A trace is its setup, in the calling thread (each occupied block's
+eigensolve, step table and bands), then the map of its independent
+chunks over the calling thread and the chunk threads, each chunk
+writing only its own rows of the output columns.  A truncation
+convergence prepares each next cutoff, one block at a time, as the
+calling thread's lead job in the current cutoff's map.
 """
 
 from __future__ import annotations
@@ -104,6 +108,10 @@ class ModelParams:
         object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise ValueError(f"cutoff N must be >= 2, got {self.N}")
+        # a state's 2 N^2 entries must fit np.intp, as the time grid's must
+        if not 2 * self.N ** 2 <= np.iinfo(np.intp).max:
+            raise ValueError(f"cutoff N must be at most {math.isqrt(np.iinfo(np.intp).max // 2)}, "
+                             f"so that its 2 N^2 states fit an array index")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
@@ -237,12 +245,15 @@ class ParityBlock:
                     f"parity block {self.sign:+d} is not real in its gauged basis")
             m = m.real
         m = np.array(m, dtype=np.float64, order="C")
-        asymmetry = m - m.T                 # the check's one temporary of m's size
-        dev = float(np.abs(asymmetry, out=asymmetry).max(initial=0.0))
-        if not dev <= HERMITICITY_ATOL:
-            raise NumericalConsistencyError(
-                f"parity block {self.sign:+d} deviates from symmetric by {dev:.3e} "
-                f"(> {HERMITICITY_ATOL})")
+        # an exactly symmetric finite block, as assembled, is checked through
+        # boolean temporaries; any other gets the float one of m's size
+        if not (np.array_equal(m, m.T) and np.isfinite(m).all()):
+            asymmetry = m - m.T
+            dev = float(np.abs(asymmetry, out=asymmetry).max(initial=0.0))
+            if not dev <= HERMITICITY_ATOL:
+                raise NumericalConsistencyError(
+                    f"parity block {self.sign:+d} deviates from symmetric by {dev:.3e} "
+                    f"(> {HERMITICITY_ATOL})")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -325,30 +336,32 @@ def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> Mi
     if g is None:
         g = coupling_strength(params.G, params.mu)
     g = float(g)
-    N = params.N
+    blocks = tuple(_parity_block(params.N, g, sign) for sign in (1, -1))
+    return MinimalHamiltonian(params=params, g=g, blocks=blocks)
+
+
+def _parity_block(N: int, g: float, sign: int) -> ParityBlock:
+    """Block ``sign`` of the model at cutoff ``N`` and coupling ``g``, from its five diagonals."""
     d = N * N
     levels, _, parity = _mode_factors(N)
     root = np.sqrt(levels[1:])                # <n-1| (a + a^dag) |n> = sqrt(n)
-    blocks = []
-    for sign in (1, -1):
-        spin = sign * parity                  # sigma_x eigenvalue at each n_a
-        entries = np.zeros((d, d))
-        _band(entries, 0)[:] = (SQRT2 * (spin[:, None] + levels[:, None]
-                                         + levels[None, :])).ravel()
-        # sigma_x (b + b^dag) keeps sigma: an n_b hop sqrt(n) sigma inside each
-        # n_a row, none from n_b = N-1 to the next row's n_b = 0
-        hop_b = np.zeros((N, N))
-        hop_b[:, :-1] = spin[:, None] * root
-        # sigma_y |e_sigma> = -i sigma |e_-sigma> pairs with the n_a hop of
-        # (a + a^dag), which flips sigma, and the phase i^n_a of the basis turns
-        # its -i into a real hop, sqrt(n) times sigma at the upper level n
-        hop_a = np.repeat(root * spin[1:], N)
-        for k, hop in ((1, hop_b.ravel()[:-1]), (N, hop_a)):
-            band = 0.0 + g * hop              # 0.0 +: a zero g leaves +0.0, not -0.0
-            _band(entries, k)[:] = band
-            _band(entries, -k)[:] = band
-        blocks.append(ParityBlock(sign, entries))
-    return MinimalHamiltonian(params=params, g=g, blocks=tuple(blocks))
+    spin = sign * parity                      # sigma_x eigenvalue at each n_a
+    entries = np.zeros((d, d))
+    _band(entries, 0)[:] = (SQRT2 * (spin[:, None] + levels[:, None]
+                                     + levels[None, :])).ravel()
+    # sigma_x (b + b^dag) keeps sigma: an n_b hop sqrt(n) sigma inside each
+    # n_a row, none from n_b = N-1 to the next row's n_b = 0
+    hop_b = np.zeros((N, N))
+    hop_b[:, :-1] = spin[:, None] * root
+    # sigma_y |e_sigma> = -i sigma |e_-sigma> pairs with the n_a hop of
+    # (a + a^dag), which flips sigma, and the phase i^n_a of the basis turns
+    # its -i into a real hop, sqrt(n) times sigma at the upper level n
+    hop_a = np.repeat(root * spin[1:], N)
+    for k, hop in ((1, hop_b.ravel()[:-1]), (N, hop_a)):
+        band = 0.0 + g * hop                  # 0.0 +: a zero g leaves +0.0, not -0.0
+        _band(entries, k)[:] = band
+        _band(entries, -k)[:] = band
+    return ParityBlock(sign, entries)
 
 
 _SPIN_STATES = {
@@ -389,29 +402,31 @@ class _Propagator:
     """Block amplitudes of ``psi(t)``, one chunk of time points at a time.
 
     A chunk holds the times ``t0 + j*dt`` for ``j < count``, ``count`` at
-    most ``steps``.  Each occupied block gets its step table
-    ``exp(-i E dt j)`` once, here; :meth:`chunk` then costs one exponential
-    per state for its start factor ``exp(-i E t0) c0``, broadcast into the
-    table, and one real product of the eigenvectors with the interleaved
-    real and imaginary parts.  A one-point chunk has the phases
-    ``exp(-i E t0)`` exactly, whatever ``dt``.  Only the blocks ``psi0``
-    has weight in are diagonalized, in the calling thread.
+    most ``steps``.  :meth:`solve` gives a block its eigensystem and its
+    step table ``exp(-i E dt j)``, once; :meth:`chunk` then costs one
+    exponential per state for its start factor ``exp(-i E t0) c0``,
+    broadcast into the table, and one real product of the eigenvectors
+    with the interleaved real and imaginary parts.  A one-point chunk has
+    the phases ``exp(-i E t0)`` exactly, whatever ``dt``.  Only the
+    :attr:`occupied` blocks, those ``psi0`` has weight in, are solved, in
+    the calling thread; the others stay ``None``.
 
     :meth:`chunk` calls no function of this module, so worker threads may
     run it with their own :meth:`buffers`.
     """
 
-    def __init__(self, h: MinimalHamiltonian, psi0: StateVector, dt: float, steps: int):
-        self.dim = h.params.N ** 2
-        times = dt * np.arange(steps)
-        self.spectra = []
-        for block, phi0 in zip(h.blocks, _block_amplitudes(psi0.amplitudes, h.params.N)):
-            if phi0.any():
-                evals, evecs = block.eigensystem()
-                self.spectra.append((evals, np.exp(-1j * np.outer(evals, times)), evecs,
-                                     evecs.T @ phi0))
-            else:
-                self.spectra.append(None)
+    def __init__(self, psi0: StateVector, N: int, dt: float, steps: int):
+        self.dim = N * N
+        self.steps = steps
+        self.times = dt * np.arange(steps)
+        self.phi0 = _block_amplitudes(psi0.amplitudes, N)
+        self.occupied = [i for i, phi0 in enumerate(self.phi0) if phi0.any()]
+        self.spectra = [None, None]
+
+    def solve(self, i: int, evals: np.ndarray, evecs: np.ndarray) -> None:
+        """Take the eigensystem of block ``i`` (0 for +1, 1 for -1) and make its step table."""
+        table = -1j * np.outer(evals, self.times)
+        self.spectra[i] = (evals, np.exp(table, out=table), evecs, evecs.T @ self.phi0[i])
 
     def buffers(self, count: int) -> tuple[np.ndarray, list]:
         """One worker's scratch: a complex phase block and each block's amplitudes."""
@@ -461,7 +476,9 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     gauge = _gauge(N)
     out = []
     with _ONE_BLAS_THREAD:
-        propagator = _Propagator(h, psi0, 0.0, 1)
+        propagator = _Propagator(psi0, N, 0.0, 1)
+        for i in propagator.occupied:
+            propagator.solve(i, *h.blocks[i].eigensystem())
         buffers = propagator.buffers(1)
         # each requested time is its own one-point chunk, so the grid may be arbitrary
         for t in times:
@@ -519,9 +536,59 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
     ``ENERGY_DRIFT_RTOL``); a violation, NaN included, raises
     :class:`NumericalConsistencyError` since it signals a broken
     propagation, not physics.  A state of another cutoff raises ``ValueError``.
+
+    The trace is its setup (:func:`_prepared`) then its chunk map
+    (:func:`_traced`), both under one hold of the BLAS pin.
     """
-    params = h.params
-    _check_state(psi0, params.N)
+    _check_state(psi0, h.params.N)
+    with _ONE_BLAS_THREAD as cpus:
+        return _traced(*_prepared(h.params, psi0, h.blocks.__getitem__), cpus)
+
+
+def _prepared(params: ModelParams, psi0: StateVector, block):
+    """The setup of a trace of ``psi0`` on the grid of ``params``, in the calling thread.
+
+    ``block(i)`` gives parity block ``i`` (0 for +1, 1 for -1).  It is
+    asked for only if ``psi0`` has weight in it, and one block at a time:
+    its bands are checked and copied, it is solved, and it is dropped
+    before the next is asked for, so a block made for the call holds its
+    dense entries only until its eigensolve returns.  Runs under the held
+    BLAS pin; returns the arguments of :func:`_traced` before ``cpus``.
+    """
+    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // params.N ** 2))
+    propagator = _Propagator(psi0, params.N, params.dt, min(span, params.times.size))
+    bands = {}
+    for i in propagator.occupied:
+        b = block(i)
+        bands[i] = _banded(b)
+        evals, evecs = b.eigensystem()
+        del b                   # its dense entries go before the step table is made
+        propagator.solve(i, evals, evecs)
+    return params, propagator, bands
+
+
+def _banded(block: ParityBlock) -> tuple[int, tuple[np.ndarray, ...]]:
+    """``block``'s sign and copies of its :meth:`~ParityBlock.bands`, free of its entries.
+
+    The copies sit in the columns of one array, so, like the diagonal
+    views, they have a non-unit stride, and their products the same bits.
+    """
+    views = block.bands()
+    kept = np.empty((views[0].size, 3))
+    copies = tuple(kept[:v.size, k] for k, v in enumerate(views))
+    for copy, view in zip(copies, views):
+        copy[:] = view
+    return block.sign, copies
+
+
+def _traced(params: ModelParams, propagator: _Propagator, bands: dict, cpus: int,
+            lead=None) -> ObservableTrace:
+    """The chunk map of a prepared trace, then its norm and energy checks.
+
+    Runs under the held BLAS pin that gave ``cpus``: the map's workers are
+    the calling thread, which first runs ``lead()`` if given, and the
+    chunk threads :func:`_threaded` starts.
+    """
     times = params.times
     N = params.N
     levels, _, parity = _mode_factors(N)
@@ -532,11 +599,10 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
             for name in ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")}
 
     d = N * N
-    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // d))
-    # the grid is t_k = k dt, so chunk c starts at times[c * span]
-    chunks = [(lo, times[lo], min(span, times.size - lo))
-              for lo in range(0, times.size, span)]
-    steps = chunks[0][2]
+    steps = propagator.steps
+    # the grid is t_k = k dt, so chunk c starts at times[c * steps]
+    chunks = [(lo, times[lo], min(steps, times.size - lo))
+              for lo in range(0, times.size, steps)]
 
     def reduce_chunk(lo, t0, count, phase, amps, weight) -> None:
         # reduces one chunk into its rows of cols; runs on chunk threads, so it
@@ -546,7 +612,7 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
         # phase is free once the amplitudes exist: it is the scratch, then cross
         scratch = phase.view(float)
         w = weight[:d * count].reshape(d, count)
-        for i, (block, phi) in enumerate(zip(h.blocks, (plus, minus))):
+        for i, phi in enumerate((plus, minus)):
             if phi is None:
                 continue
             # prob = |phi|^2: the first occupied block's (plus, or minus alone)
@@ -557,10 +623,10 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
                    out=p)
             if p is not w:
                 np.add(w, p, out=w)
-            cols["sx"][rows] += block.sign * (w_parity @ p)
+            sign, (d0, d1, dN) = bands[i]
+            cols["sx"][rows] += sign * (w_parity @ p)
             # <phi|H_s phi> from the diagonal and the real bands at offsets 1 and N;
             # Re(conj(x) y) sums the products of the interleaved re, im columns
-            d0, d1, dN = bands[i]
             on_site = d0 @ p                # before the hop products overwrite p
             f = phi.view(float)
             hop1 = d1 @ np.multiply(f[:-1], f[1:],
@@ -579,12 +645,8 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
             cols["sz"][rows] = 2.0 * cross.real.sum(axis=0)
             cols["sy"][rows] = -2.0 * (w_parity @ cross.imag)
 
-    with _ONE_BLAS_THREAD as cpus:
-        propagator = _Propagator(h, psi0, params.dt, steps)
-        # each occupied block's bands, checked before any worker starts
-        bands = {i: h.blocks[i].bands() for i, s in enumerate(propagator.spectra) if s is not None}
-        _threaded(reduce_chunk, chunks, cpus,
-                  lambda: (*propagator.buffers(steps), np.empty(d * steps)))
+    _threaded(reduce_chunk, chunks, cpus,
+              lambda: (*propagator.buffers(steps), np.empty(d * steps)), lead)
 
     norm_drift = float(np.abs(cols["norm"] - 1.0).max())
     if not norm_drift <= NORM_DRIFT_ATOL:
@@ -630,18 +692,29 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     For each consecutive pair of ``N_list`` the reported number is the
     maximum over the time grid and over the five observables
     (sx, sy, sz, n_alpha, n_beta) of the absolute trace difference.
+
+    The cutoffs are pipelined: while the chunk threads propagate cutoff k,
+    the calling thread, as the lead of its chunk map, prepares cutoff
+    k + 1, assembling, solving and dropping one block at a time.  Every
+    eigensolve stays in the calling thread, and only the two traces
+    compared are held.
     """
     cutoffs = convergence_params(params, N_list)
+    g = coupling_strength(params.G, params.mu)
 
-    def trace(p: ModelParams) -> ObservableTrace:
-        return observable_trace(build_minimal_hamiltonian(p), initial_state(direction, sign, p.N))
+    def prepared(p: ModelParams):
+        return _prepared(p, initial_state(direction, sign, p.N),
+                         lambda i: _parity_block(p.N, g, (1, -1)[i]))
 
-    # only the two traces compared are held
-    pairs, lo = [], trace(cutoffs[0])
-    for p_lo, p_hi in pairwise(cutoffs):
-        hi = trace(p_hi)
-        pairs.append((p_lo.N, p_hi.N,
-                      max(float(np.abs(getattr(lo, name) - getattr(hi, name)).max())
-                          for name in ("sx", "sy", "sz", "n_alpha", "n_beta"))))
-        lo = hi
+    pairs, lo = [], None
+    with _ONE_BLAS_THREAD as cpus:
+        ahead = [prepared(cutoffs[0])]
+        for k, p in enumerate(cutoffs):
+            hi = _traced(*ahead.pop(), cpus,
+                         lambda: ahead.extend(map(prepared, cutoffs[k + 1:k + 2])))
+            if lo is not None:
+                pairs.append((cutoffs[k - 1].N, p.N,
+                              max(float(np.abs(getattr(lo, name) - getattr(hi, name)).max())
+                                  for name in ("sx", "sy", "sz", "n_alpha", "n_beta"))))
+            lo = hi
     return pairs

@@ -8,15 +8,17 @@ while it is held (a kernel beside a running one, or any work in a child
 forked while it was held) gets one.
 
 Two maps spread independent jobs over those CPUs, and :func:`_width`
-alone says how many threads or processes one uses: one per CPU the pin
-gave, never more than the jobs.
+alone says how many workers one uses, the calling thread and process
+counted: one per CPU the pin gave, never more than the jobs.
 
-- :func:`_threaded` runs a trace's time chunks on threads started for
-  the call, in the pin its caller holds.  Each thread takes the next
-  chunk from one shared queue under a lock and works in its own buffers,
-  so a thread slowed down takes fewer chunks.  Without the pin's thread
-  calls each BLAS call may start threads of its own, so the map then
-  stays in the calling thread.
+- :func:`_threaded` runs a trace's time chunks in the pin its caller
+  holds, on the calling thread and one thread per further CPU, started
+  for the call.  Each worker takes the next chunk from one shared queue
+  under a lock and works in its own buffers, so a worker slowed down
+  takes fewer chunks.  The calling thread may first run one "lead" job
+  of its own, such as preparing the next trace, while the threads start
+  on the chunks.  Without the pin's thread calls each BLAS call may
+  start threads of its own, so the map then stays in the calling thread.
 - :func:`_rendered` maps jobs (a file's row blocks or a sweep's G
   values) over processes, since formatting holds the interpreter lock
   and threads cannot share it: the caller runs jobs 0, W, 2W, ... and
@@ -46,6 +48,7 @@ import pickle
 import signal
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -119,21 +122,26 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _width(cpus: int, jobs: int, threads: bool) -> int:
-    """How many threads (``threads``) or processes run ``jobs`` jobs under a pin that gave ``cpus``.
+    """How many threads (``threads``) or processes, the caller's counted, run ``jobs`` jobs.
 
-    One per CPU, never more than the jobs; a thread map without the pin's
-    thread calls gets one, as the module docstring says.
+    One per CPU of the ``cpus`` the held pin gave, never more than the
+    jobs; a thread map without the pin's thread calls gets one, as the
+    module docstring says.
     """
     return 1 if threads and not _ONE_BLAS_THREAD.calls else min(cpus, jobs)
 
 
-def _threaded(run, jobs, cpus: int, buffers) -> None:
-    """``run(*job, *scratch)`` for each tuple of ``jobs``, on threads, ``cpus`` from the held pin.
+def _threaded(run, jobs, cpus: int, buffers, lead=None) -> None:
+    """``run(*job, *scratch)`` for each tuple of ``jobs``, ``cpus`` from the held pin.
 
-    Each thread's ``scratch`` is one ``buffers()`` call, made here before
-    any thread starts; a map of width one runs in the calling thread.
-    Leaving waits for every thread, even after one fails, and then raises
-    the first failure.
+    The map's workers are the calling thread and ``width - 1`` threads
+    started for the call.  The calling thread first runs ``lead()``, if
+    given, then takes jobs like the others.  Each worker's ``scratch`` is
+    one ``buffers()`` call, made in the calling thread: the threads' before
+    any starts, the caller's after its lead.  A failure anywhere empties
+    the queue, so each other worker stops after its current job; leaving
+    waits for every thread and then raises the calling thread's failure,
+    else the first thread's.
     """
     pending, taking = iter(jobs), threading.Lock()
 
@@ -141,19 +149,35 @@ def _threaded(run, jobs, cpus: int, buffers) -> None:
         with taking:
             return next(pending, None)
 
-    def worker(scratch) -> None:
-        for job in iter(taken, None):       # the next job, until none is left
-            run(*job, *scratch)
+    def stop() -> None:
+        with taking:
+            deque(pending, maxlen=0)
+
+    def worker(scratch=None, lead=None) -> None:
+        try:
+            if lead is not None:
+                lead()
+            if scratch is None:
+                scratch = buffers()
+            for job in iter(taken, None):       # the next job, until none is left
+                run(*job, *scratch)
+        except BaseException:
+            stop()
+            raise
 
     width = _width(cpus, len(jobs), threads=True)
     if width == 1:
-        return worker(buffers())
-    with ThreadPoolExecutor(width, thread_name_prefix="metricspin-chunk") as pool:
+        return worker(lead=lead)
+    with ThreadPoolExecutor(width - 1, thread_name_prefix="metricspin-chunk") as pool:
         try:
-            done = pool.map(worker, [buffers() for _ in range(width)])     # starts the threads
+            done = [pool.submit(worker, scratch)        # starts the threads
+                    for scratch in [buffers() for _ in range(width - 1)]]
         except RuntimeError as exc:     # "can't start new thread": out of memory
+            stop()
             raise MemoryError(f"cannot start a chunk thread: {exc}") from exc
-        list(done)
+        worker(lead=lead)
+    for future in done:
+        future.result()
 
 
 def _rendered(render, jobs):

@@ -3,12 +3,15 @@
 Every eigensolve and chunk product runs with numpy's OpenBLAS at one
 thread.  The pin also says how many CPUs its holder may use: the first
 holder gets the usable CPUs (the affinity set), so a trace that gets
-more than one runs its chunks on that many threads, started for the
-call; a holder that enters while the pin is held gets one.  A sweep maps
-one job per G over forked processes and holds the pin while it forks, so
-each job, in this process and in each child (which inherits the held
-pin), runs its trace's chunks itself and calls no OpenBLAS thread
-function; a sweep in one process leaves each trace the usable CPUs.  So
+more than one runs its chunks on that many workers, the calling thread
+and chunk threads started for the call; a holder that enters while the
+pin is held gets one.  A convergence run prepares each next cutoff in
+the calling thread while the chunk threads propagate the current one.
+A sweep maps one job per G over forked processes and holds the pin
+while it forks, so each job, in this process and in each child (which
+inherits the held pin), runs its trace's chunks itself and calls no
+OpenBLAS thread function; a sweep in one process leaves each trace the
+usable CPUs.  So
 the output bytes must not depend on ``OPENBLAS_NUM_THREADS``, the
 caller's thread count must be what it was after any kernel, and chunk
 threads must call no function of ``metricspin.model`` (a profiler that
@@ -19,11 +22,14 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -195,9 +201,12 @@ class TestPinHygiene:
             assert np.abs(getattr(tr, name) - ref[name]).max() <= 1e-10, name
 
 
-def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads):
+def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads, render_cpus):
     # as a profiler would: every metricspin function reached through the
-    # module's globals is wrapped, and each call records its thread
+    # module's globals is wrapped, and each call records its thread; at two
+    # usable CPUs a trace and a convergence run, whose calling thread
+    # prepares each next cutoff while a chunk thread propagates this one
+    render_cpus(2)
     callers = []
 
     def recording(fn):
@@ -214,6 +223,10 @@ def test_worker_threads_call_no_model_function(monkeypatch, two_blas_threads):
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
     assert {"_check_state", "_mode_factors", "_block_amplitudes"} <= {n for n, _ in callers}
+    assert {ident for _, ident in callers} == {threading.get_ident()}
+    del callers[:]
+    model.truncation_convergence(p, "z", 1, [6, 8, 10])
+    assert {"_prepared", "_parity_block", "initial_state", "_traced"} <= {n for n, _ in callers}
     assert {ident for _, ident in callers} == {threading.get_ident()}
 
 
@@ -247,8 +260,9 @@ def test_trace_starts_chunk_threads_for_the_call(two_blas_threads, chunk_threads
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_chunk_threads_follow_the_usable_cpus(monkeypatch, one_blas_thread, chunk_threads,
                                               render_cpus, cpus):
-    # OPENBLAS_NUM_THREADS=1 sizes nothing: 40 chunks run on 2 chunk threads
-    # at two usable CPUs and in the calling thread at one
+    # OPENBLAS_NUM_THREADS=1 sizes nothing: 40 chunks run on the calling
+    # thread and one chunk thread at two usable CPUs, and in the calling
+    # thread alone at one
     pools, executor = [], parallel.ThreadPoolExecutor
 
     def recorded(workers, **kwargs):
@@ -259,10 +273,122 @@ def test_chunk_threads_follow_the_usable_cpus(monkeypatch, one_blas_thread, chun
     render_cpus(cpus)
     p = ModelParams(G=3.0, N=8, t_max=100.0, dt=0.02)
     observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
-    assert pools == ([2] if cpus == 2 else [])
+    assert pools == ([1] if cpus == 2 else [])
     if cpus == 1:
         assert chunk_threads == {threading.current_thread()}
     assert one_blas_thread() == 1 and _ONE_BLAS_THREAD.users == 0
+
+
+FIVE = ("sx", "sy", "sz", "n_alpha", "n_beta")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("direction,sign", [("x", 1), ("y", -1), ("z", 1)])
+def test_pipelined_cutoffs_match_one_trace_at_a_time(monkeypatch, render_cpus, cpus,
+                                                     direction, sign):
+    # each cutoff past the first is prepared in the calling thread, as the
+    # lead of the previous cutoff's chunk map, before that thread takes a
+    # chunk; the deviations are those of one observable_trace per cutoff,
+    # bit for bit
+    render_cpus(cpus)
+    p = ModelParams(G=10.0, N=2, t_max=30.0, dt=0.05)      # 601 points, 5 chunks
+    N_list = [2, 4, 6, 8]
+    traces = [observable_trace(build_minimal_hamiltonian(dataclasses.replace(p, N=N)),
+                               initial_state(direction, sign, N)) for N in N_list]
+    want = [(lo, hi, max(float(np.abs(getattr(a, name) - getattr(b, name)).max())
+                         for name in FIVE))
+            for lo, hi, a, b in zip(N_list, N_list[1:], traces, traces[1:])]
+
+    events, prepared, traced, chunk = [], model._prepared, model._traced, model._Propagator.chunk
+
+    def preparing(params, *args):
+        events.append(("prepare", params.N, threading.current_thread()))
+        return prepared(params, *args)
+
+    def tracing(params, *args):
+        events.append(("map", params.N, threading.current_thread()))
+        return traced(params, *args)
+
+    def chunking(self, *args):
+        events.append(("chunk", math.isqrt(self.dim), threading.current_thread()))
+        return chunk(self, *args)
+
+    monkeypatch.setattr(model, "_prepared", preparing)
+    monkeypatch.setattr(model, "_traced", tracing)
+    monkeypatch.setattr(model._Propagator, "chunk", chunking)
+    assert model.truncation_convergence(p, direction, sign, N_list) == want
+    caller = threading.current_thread()
+    assert {t for kind, _, t in events if kind != "chunk"} == {caller}
+    assert [(kind, N) for kind, N, _ in events if kind != "chunk"] == \
+        [("prepare", 2), ("map", 2), ("prepare", 4), ("map", 4), ("prepare", 6),
+         ("map", 6), ("prepare", 8), ("map", 8)]
+    for N, following in zip(N_list, N_list[1:]):
+        lead = events.index(("prepare", following, caller))
+        # the calling thread takes cutoff N's chunks only once its lead is done
+        assert all(i > lead for i, (kind, n, t) in enumerate(events)
+                   if (kind, n, t) == ("chunk", N, caller))
+        if cpus == 1:
+            assert ("chunk", N) not in {(kind, n) for kind, n, _ in events[:lead]}
+    assert all(t is caller or is_chunk_thread(t) for _, _, t in events)
+    assert not any(map(is_chunk_thread, threading.enumerate()))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("plant", ["eigensolver", "off-band"])
+def test_failing_lead_raises_once_the_chunk_threads_finish(monkeypatch, two_blas_threads,
+                                                          render_cpus, cpus, plant):
+    # cutoff 8 cannot be prepared: its eigensolver fails, or its block +1
+    # has weight off the five diagonals; observable_trace at that cutoff
+    # raises the same type.  Cutoff 6's chunks are slowed down, so its chunk
+    # thread is still running when the lead fails; the failure empties the
+    # queue and is raised once no chunk thread is left
+    render_cpus(cpus)
+    p = ModelParams(G=3.0, N=6, t_max=100.0, dt=0.02)      # 40 chunks at N=6
+    real_eigh, real_block = np.linalg.eigh, model._parity_block
+
+    def eigh(m, *args, **kwargs):
+        if m.shape[0] == 64:
+            raise np.linalg.LinAlgError("synthetic non-convergence")
+        return real_eigh(m, *args, **kwargs)
+
+    def block(N, g, sign):
+        b = real_block(N, g, sign)
+        if N == 8 and sign == 1:
+            m = b.entries.copy()
+            m[0, 2] = m[2, 0] = 1e-3
+            b = ParityBlock(sign, m)
+        return b
+
+    if plant == "eigensolver":
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+    else:
+        monkeypatch.setattr(model, "_parity_block", block)
+    with pytest.raises(NumericalConsistencyError) as alone:
+        observable_trace(build_minimal_hamiltonian(dataclasses.replace(p, N=8)),
+                         initial_state("z", 1, 8))
+
+    ran, chunk, threaded, left = [], model._Propagator.chunk, model._threaded, []
+
+    def slow(self, *args):
+        time.sleep(0.005)
+        ran.append(self.dim)
+        return chunk(self, *args)
+
+    def watched(*args):
+        try:
+            return threaded(*args)
+        except BaseException:
+            left.append([t for t in threading.enumerate() if is_chunk_thread(t)])
+            raise
+
+    monkeypatch.setattr(model._Propagator, "chunk", slow)
+    monkeypatch.setattr(model, "_threaded", watched)
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        model.truncation_convergence(p, "z", 1, [6, 8])
+    assert left == [[]]
+    assert ran.count(36) < 40 and (cpus == 2 or ran.count(36) == 0)
+    assert not any(map(is_chunk_thread, threading.enumerate()))
+    assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 
 
 #: a sweep of four G values, each trace 8 chunks of 128 steps at N=8
@@ -385,10 +511,11 @@ def test_one_width_rule_sizes_both_maps(tmp_path, monkeypatch, one_blas_thread, 
     # at 1, 2 and 3 usable CPUs, with and without the pin's thread calls: the
     # default-length evolve at N=8 (40 chunks, a trace.csv of three blocks)
     # and a sweep of four G; one child per CPU past the first for every map,
-    # and one chunk thread per CPU for the trace, unless it has one CPU or
-    # its BLAS calls cannot be pinned; a sweep's traces run in their jobs.
-    # Each chunk thread's first chunk waits for the others, so that none
-    # takes every chunk before the next starts (a pool then reuses it)
+    # and one chunk thread per CPU past the first for the trace (the calling
+    # thread is the map's first worker), unless its BLAS calls cannot be
+    # pinned; a sweep's traces run in their jobs.  Each chunk thread's first
+    # chunk waits for the others, so that none takes every chunk before the
+    # next starts (a pool then reuses it)
     started, start, chunk = [], threading.Thread.start, model._Propagator.chunk
 
     def recorded(thread):
@@ -398,7 +525,7 @@ def test_one_width_rule_sizes_both_maps(tmp_path, monkeypatch, one_blas_thread, 
     outputs = {}
     for calls in (True, False):
         for cpus in (1, 2, 3):
-            threads = cpus if calls and cpus > 1 else 0
+            threads = cpus - 1 if calls else 0
             gathering, waited = threading.Barrier(max(threads, 1), timeout=30), set()
 
             def gathered(self, *args):

@@ -407,6 +407,7 @@ class TestNumericalFailureExitCode:
 
         for module in (cli, model_mod, sweep_mod):
             monkeypatch.setattr(module, "build_minimal_hamiltonian", no_work)
+        monkeypatch.setattr(model_mod, "_parity_block", no_work)
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
@@ -1369,6 +1370,16 @@ class TestConvergenceCommand:
         assert lines[0] == "N_low,N_high,max_deviation"
         assert len(lines) == 3
 
+    def test_grid_checked_at_each_cutoff(self, tmp_path):
+        # the phase bound |E| t_max is finite at N=2 and 3 (|E| <= 4.9 and
+        # 8.1), though not at the default N=14, which the run never uses
+        argv = ["convergence", "--set", "N_list=2,3", "--set", "t_max=2e307",
+                "--set", "dt=2e307", "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert non_finite_files(tmp_path / "o") == []
+
     def test_single_cutoff_rejected(self, tmp_path, capsys):
         rc = cli.main(["convergence", "--out", str(tmp_path), "--set", "N_list=6"])
         assert rc == 2
@@ -1471,6 +1482,13 @@ class TestOutOfRangeValues:
         ("sweep", "G_min=-1", ()),
         ("convergence", "N_list=10,6", ()),
         ("convergence", "N_list=1,4", ()),
+        # 2 N^2 states past the largest array index
+        ("evolve", "N=10000000000000000000", ()),
+        ("evolve", "N=1" + "0" * 400, ()),
+        ("sweep", "N=10000000000000000000", ("G_count=2",)),
+        ("convergence", "N_list=2,10000000000000000000", ()),
+        # |E| t_max overflows at the cutoff N=14, not at N=2
+        ("convergence", "t_max=2e307", ("dt=2e307", "N_list=2,14")),
     ]
 
     @pytest.mark.parametrize("command,setting,extra", PROBES,
@@ -1489,6 +1507,7 @@ class TestOutOfRangeValues:
 
         for module in (cli, sweep_mod, model_mod):
             monkeypatch.setattr(module, "build_minimal_hamiltonian", work)
+        monkeypatch.setattr(model_mod, "_parity_block", work)
         monkeypatch.setattr(cli, "dispersion", work)
         monkeypatch.setattr(cli, "quadratic_site_hamiltonian", work)
         assert_refused(tmp_path, capsys, command, setting, extra)

@@ -152,6 +152,19 @@ class TestModelParams:
         tr = observable_trace(build_minimal_hamiltonian(p), initial_state("z", 1, p.N))
         assert np.abs(tr.norm - 1.0).max() <= 1e-10
 
+    #: the largest cutoff whose 2 N^2 states fit np.intp
+    LARGEST_N = math.isqrt(np.iinfo(np.intp).max // 2)
+
+    @pytest.mark.parametrize("N", [LARGEST_N + 1, 10 ** 19, 10 ** 400])
+    def test_cutoff_past_an_array_index_refused(self, N):
+        # checked before any array exists
+        with pytest.raises(ValueError, match=rf"cutoff N must be at most {self.LARGEST_N}\b"):
+            ModelParams(G=1.0, N=N)
+
+    def test_largest_indexable_cutoff_constructs(self):
+        # only allocating its states would fail
+        assert ModelParams(G=1.0, N=self.LARGEST_N).N == self.LARGEST_N
+
     def test_largest_indexable_grid_constructs(self):
         # 10^18 steps fit np.intp; only allocating the grid would fail
         p = ModelParams(G=1.0, N=2, t_max=1e9, dt=1e-9)
@@ -670,17 +683,18 @@ class TestTruncationConvergence:
         assert all(dev > 0.1 for _, _, dev in pairs)
 
     def test_holds_only_the_two_traces_it_compares(self, monkeypatch):
-        # before each trace starts, at most the previous one is still alive
+        # before each trace's chunk map starts, at most the previous trace is
+        # still alive
         made, alive = [], []
-        trace = model.observable_trace
+        trace = model._traced
 
-        def tracked(h, psi0):
+        def tracked(*args):
             alive.append(sum(ref() is not None for ref in made))
-            tr = trace(h, psi0)
+            tr = trace(*args)
             made.append(weakref.ref(tr))
             return tr
 
-        monkeypatch.setattr(model, "observable_trace", tracked)
+        monkeypatch.setattr(model, "_traced", tracked)
         p = ModelParams(G=1.0, N=3, t_max=1.0, dt=0.5)
         assert len(truncation_convergence(p, "x", +1, [3, 4, 5, 6])) == 3
         assert alive == [0, 1, 1, 1]
