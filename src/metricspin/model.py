@@ -21,11 +21,11 @@ N*N states.  Block s = +1 or -1 has the gauged basis
 i^n_a |e_sigma, n_a, n_b>, where e_sigma is the sigma_x eigenstate with
 sigma = s (-1)^n_a: sigma_x is diagonal there, and sigma_y (a + a^dag),
 a hop in n_a weighted by -i sigma, becomes the real hop +-sqrt(n) sigma
-through the phase i^n_a.  Each block is written diagonal by diagonal
-(the main diagonal and the hops at offsets +-1 and +-N) into one zeroed
-real symmetric array, so assembling it holds no other array of its
-size; a block with a nonzero imaginary entry is refused at
-construction.  Evolution is exact spectral propagation: a block is
+through the phase i^n_a.  A block is real symmetric with weight on five
+diagonals only, so it is held as its three bands: the main diagonal and
+the upper hops at offsets 1 (n_b) and N (n_a), one (N^2, 3) array.  Its
+dense d x d array is written from the bands only for its eigensolve and
+dropped with it.  Evolution is exact spectral propagation: a block is
 diagonalized (real symmetric eigensolve) only when the initial
 state has weight in it, which is one block for spin-x starts and both
 for y and z, and phases ``exp(-i E t)`` are applied, so there is no
@@ -40,17 +40,17 @@ factor as ``exp(-i E t0) exp(-i E dt j)``: the step table is built once
 per block and each chunk adds only its start factor, then takes one
 real matrix product of the eigenvectors with the interleaved real and
 imaginary parts.  The energy check applies each block to its amplitudes
-through its five nonzero diagonals (n_b hops at offset +-1, n_a hops at
-+-N), after verifying that the assembled block has no weight elsewhere.
-The dense matrix on the full space is built only on demand.
+through its stored bands, independently of the eigenvectors, so a dense
+array that differs from the bands shows as energy drift.  The dense
+matrix on the full space is built only on demand.
 
 Every eigensolve and chunk runs in :mod:`metricspin.parallel`'s BLAS pin.
 A trace is its setup, in the calling thread (each occupied block's
 eigensolve, step table and bands), then the map of its independent
 chunks over the calling thread and the chunk threads, each chunk
 writing only its own rows of the output columns.  A truncation
-convergence prepares each next cutoff, one block at a time, as the
-calling thread's lead job in the current cutoff's map.
+convergence assembles and prepares each next cutoff as the calling
+thread's lead job in the current cutoff's map.
 """
 
 from __future__ import annotations
@@ -221,68 +221,52 @@ def _check_state(psi0: StateVector, N: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
-    """H restricted to the sector ``S = sign``.
+    """H restricted to the sector ``S = sign``, held as its three bands.
 
     Basis ``i^n_a |e_sigma, n_a, n_b>`` with ``sigma = sign * (-1)^n_a`` at
-    flat index ``n_a*N + n_b``, in which the block is real symmetric.
-    ``entries`` is stored once, as a read-only C-contiguous float64 array;
-    a non-square array, any nonzero (or NaN) imaginary part and an
-    asymmetry above ``HERMITICITY_ATOL`` (NaN included) raise
+    flat index ``n_a*N + n_b``, in which the block is real symmetric with
+    weight on the diagonals at offsets 0, +-1 (n_b hops) and +-N (n_a
+    hops) only.  ``bands`` is stored once, as a read-only C-contiguous
+    ``(N^2, 3)`` float64 array: column 0 is the main diagonal, columns 1
+    and 2 the upper bands at offsets 1 and N, each from the top of its
+    column.  Another shape and a NaN or infinite entry raise
     :class:`NumericalConsistencyError` at construction.
     """
 
     sign: int
-    entries: np.ndarray
+    bands: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        b = np.array(self.bands, dtype=np.float64, order="C")
+        d = b.shape[0] if b.ndim == 2 else 0
+        if b.shape != (d, 3) or math.isqrt(d) ** 2 != d:
             raise NumericalConsistencyError(
-                f"parity block {self.sign:+d} must be square, got shape {m.shape}")
-        if np.iscomplexobj(m):
-            if m.imag.any():
-                raise NumericalConsistencyError(
-                    f"parity block {self.sign:+d} is not real in its gauged basis")
-            m = m.real
-        m = np.array(m, dtype=np.float64, order="C")
-        # an exactly symmetric finite block, as assembled, is checked through
-        # boolean temporaries; any other gets the float one of m's size
-        if not (np.array_equal(m, m.T) and np.isfinite(m).all()):
-            asymmetry = m - m.T
-            dev = float(np.abs(asymmetry, out=asymmetry).max(initial=0.0))
-            if not dev <= HERMITICITY_ATOL:
-                raise NumericalConsistencyError(
-                    f"parity block {self.sign:+d} deviates from symmetric by {dev:.3e} "
-                    f"(> {HERMITICITY_ATOL})")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+                f"parity block {self.sign:+d} must hold (N^2, 3) bands, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise NumericalConsistencyError(
+                f"parity block {self.sign:+d} has a non-finite band entry")
+        b.setflags(write=False)
+        object.__setattr__(self, "bands", b)
+
+    def dense(self) -> np.ndarray:
+        """The block as a new zeroed d x d array, each band written on both sides."""
+        d = self.bands.shape[0]
+        m = np.zeros((d, d))
+        _band(m, 0)[:] = self.bands[:, 0]
+        for k, column in ((1, 1), (math.isqrt(d), 2)):
+            _band(m, k)[:] = _band(m, -k)[:] = self.bands[:d - k, column]
+        return m
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and real eigenvectors of :attr:`entries`, solved on each call."""
+        """Eigenvalues and real eigenvectors of :meth:`dense`, solved on each call."""
         try:
             with _ONE_BLAS_THREAD:
-                evals, evecs = np.linalg.eigh(self.entries)
+                evals, evecs = np.linalg.eigh(self.dense())
         except np.linalg.LinAlgError as exc:
             raise NumericalConsistencyError(f"eigensolver failed: {exc}") from exc
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
-
-    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Main diagonal and the upper bands at offsets 1 and N of :attr:`entries`.
-
-        The n_b hops sit at offset +-1 and the n_a hops at +-N; a nonzero
-        entry anywhere else raises :class:`NumericalConsistencyError`, so
-        the banded energy check applies the matrix as assembled.
-        """
-        m = self.entries
-        N = math.isqrt(m.shape[0])
-        on_band = sum(np.count_nonzero(np.diagonal(m, k)) for k in (0, 1, -1, N, -N))
-        if np.count_nonzero(m) != on_band:
-            raise NumericalConsistencyError(
-                f"parity block {self.sign:+d} has weight off the diagonals at "
-                f"offsets 0, +-1 and +-{N}")
-        return np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, N)
 
 
 @dataclass(eq=False)
@@ -323,11 +307,10 @@ def _band(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> MinimalHamiltonian:
-    """Assemble both parity blocks of the model Hamiltonian from their five diagonals.
+    """Assemble both parity blocks of the model Hamiltonian as their bands.
 
-    Each block is written into one zeroed array, its main diagonal and its
-    hops at offsets +-1 (n_b) and +-N (n_a), and is checked to be real
-    symmetric on construction.
+    Each block is its main diagonal and its upper hops at offsets 1 (n_b)
+    and N (n_a); no d x d array is made.
 
     ``g`` defaults to ``coupling_strength(params.G, params.mu)``; passing
     an explicit value (e.g. 0 to freeze the spin-boson exchange at any G)
@@ -341,14 +324,13 @@ def build_minimal_hamiltonian(params: ModelParams, g: float | None = None) -> Mi
 
 
 def _parity_block(N: int, g: float, sign: int) -> ParityBlock:
-    """Block ``sign`` of the model at cutoff ``N`` and coupling ``g``, from its five diagonals."""
+    """Block ``sign`` of the model at cutoff ``N`` and coupling ``g``, from its three bands."""
     d = N * N
     levels, _, parity = _mode_factors(N)
     root = np.sqrt(levels[1:])                # <n-1| (a + a^dag) |n> = sqrt(n)
     spin = sign * parity                      # sigma_x eigenvalue at each n_a
-    entries = np.zeros((d, d))
-    _band(entries, 0)[:] = (SQRT2 * (spin[:, None] + levels[:, None]
-                                     + levels[None, :])).ravel()
+    bands = np.zeros((d, 3))
+    bands[:, 0] = (SQRT2 * (spin[:, None] + levels[:, None] + levels[None, :])).ravel()
     # sigma_x (b + b^dag) keeps sigma: an n_b hop sqrt(n) sigma inside each
     # n_a row, none from n_b = N-1 to the next row's n_b = 0
     hop_b = np.zeros((N, N))
@@ -357,11 +339,9 @@ def _parity_block(N: int, g: float, sign: int) -> ParityBlock:
     # (a + a^dag), which flips sigma, and the phase i^n_a of the basis turns
     # its -i into a real hop, sqrt(n) times sigma at the upper level n
     hop_a = np.repeat(root * spin[1:], N)
-    for k, hop in ((1, hop_b.ravel()[:-1]), (N, hop_a)):
-        band = 0.0 + g * hop                  # 0.0 +: a zero g leaves +0.0, not -0.0
-        _band(entries, k)[:] = band
-        _band(entries, -k)[:] = band
-    return ParityBlock(sign, entries)
+    for k, column, hop in ((1, 1, hop_b.ravel()[:-1]), (N, 2, hop_a)):
+        bands[:d - k, column] = 0.0 + g * hop  # 0.0 +: a zero g leaves +0.0, not -0.0
+    return ParityBlock(sign, bands)
 
 
 _SPIN_STATES = {
@@ -542,43 +522,31 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
     """
     _check_state(psi0, h.params.N)
     with _ONE_BLAS_THREAD as cpus:
-        return _traced(*_prepared(h.params, psi0, h.blocks.__getitem__), cpus)
+        return _traced(*_prepared(h, psi0), cpus)
 
 
-def _prepared(params: ModelParams, psi0: StateVector, block):
-    """The setup of a trace of ``psi0`` on the grid of ``params``, in the calling thread.
+def _prepared(h: MinimalHamiltonian, psi0: StateVector):
+    """The setup of a trace of ``psi0`` under ``h``, in the calling thread.
 
-    ``block(i)`` gives parity block ``i`` (0 for +1, 1 for -1).  It is
-    asked for only if ``psi0`` has weight in it, and one block at a time:
-    its bands are checked and copied, it is solved, and it is dropped
-    before the next is asked for, so a block made for the call holds its
-    dense entries only until its eigensolve returns.  Runs under the held
-    BLAS pin; returns the arguments of :func:`_traced` before ``cpus``.
+    Each block ``psi0`` has weight in is solved, and views of its bands
+    are taken for the energy check; its dense array lives only inside its
+    eigensolve.  Runs under the held BLAS pin; returns the arguments of
+    :func:`_traced` before ``cpus``.
     """
-    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // params.N ** 2))
-    propagator = _Propagator(psi0, params.N, params.dt, min(span, params.times.size))
+    params = h.params
+    N = params.N
+    d = N * N
+    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // d))
+    propagator = _Propagator(psi0, N, params.dt, min(span, params.times.size))
     bands = {}
     for i in propagator.occupied:
-        b = block(i)
-        bands[i] = _banded(b)
-        evals, evecs = b.eigensystem()
-        del b                   # its dense entries go before the step table is made
-        propagator.solve(i, evals, evecs)
+        block = h.blocks[i]
+        # strided column views: the energy's products have the bits of the
+        # dense block's diagonal views, which a contiguous copy need not
+        b = block.bands
+        bands[i] = block.sign, (b[:, 0], b[:d - 1, 1], b[:d - N, 2])
+        propagator.solve(i, *block.eigensystem())
     return params, propagator, bands
-
-
-def _banded(block: ParityBlock) -> tuple[int, tuple[np.ndarray, ...]]:
-    """``block``'s sign and copies of its :meth:`~ParityBlock.bands`, free of its entries.
-
-    The copies sit in the columns of one array, so, like the diagonal
-    views, they have a non-unit stride, and their products the same bits.
-    """
-    views = block.bands()
-    kept = np.empty((views[0].size, 3))
-    copies = tuple(kept[:v.size, k] for k, v in enumerate(views))
-    for copy, view in zip(copies, views):
-        copy[:] = view
-    return block.sign, copies
 
 
 def _traced(params: ModelParams, propagator: _Propagator, bands: dict, cpus: int,
@@ -694,17 +662,15 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     (sx, sy, sz, n_alpha, n_beta) of the absolute trace difference.
 
     The cutoffs are pipelined: while the chunk threads propagate cutoff k,
-    the calling thread, as the lead of its chunk map, prepares cutoff
-    k + 1, assembling, solving and dropping one block at a time.  Every
-    eigensolve stays in the calling thread, and only the two traces
-    compared are held.
+    the calling thread, as the lead of its chunk map, assembles and
+    prepares cutoff k + 1.  Every eigensolve stays in the calling thread,
+    and only the two traces compared are held.
     """
     cutoffs = convergence_params(params, N_list)
     g = coupling_strength(params.G, params.mu)
 
     def prepared(p: ModelParams):
-        return _prepared(p, initial_state(direction, sign, p.N),
-                         lambda i: _parity_block(p.N, g, (1, -1)[i]))
+        return _prepared(build_minimal_hamiltonian(p, g), initial_state(direction, sign, p.N))
 
     pairs, lo = [], None
     with _ONE_BLAS_THREAD as cpus:

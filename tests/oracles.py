@@ -120,11 +120,11 @@ def full_matrix_from_blocks(blocks) -> np.ndarray:
     The package's assembly (the blocks every command runs) on the full
     basis, for comparison with :func:`minimal_hamiltonian_oracle`.
     """
-    N = math.isqrt(blocks[0].entries.shape[0])
+    N = math.isqrt(blocks[0].bands.shape[0])
     total = np.zeros((2 * N * N, 2 * N * N), dtype=complex)
     for block in blocks:
         W = parity_isometry_oracle(N, block.sign)
-        total += W @ block.entries @ W.conj().T
+        total += W @ block.dense() @ W.conj().T
     return total
 
 

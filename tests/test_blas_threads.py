@@ -127,12 +127,20 @@ def one_blas_thread():
     yield from caller_blas_threads(1)
 
 
+class MisfitBlock(ParityBlock):
+    """A block whose eigensolve sees an entry at offset 2 that its bands lack."""
+
+    def dense(self):
+        m = super().dense()
+        m[0, 2] += 1e-3
+        m[2, 0] += 1e-3
+        return m
+
+
 def broken_hamiltonian(p: ModelParams):
-    """``h`` with a planted entry off the five diagonals of block +1."""
+    """``h`` whose block +1 is solved with a planted entry off its five diagonals."""
     h = build_minimal_hamiltonian(p)
-    m = h.blocks[0].entries.copy()
-    m[0, 2] = m[2, 0] = 1e-3
-    return dataclasses.replace(h, blocks=(ParityBlock(1, m), h.blocks[1]))
+    return dataclasses.replace(h, blocks=(MisfitBlock(1, h.blocks[0].bands), h.blocks[1]))
 
 
 class TestPinHygiene:
@@ -143,7 +151,7 @@ class TestPinHygiene:
         assert two_blas_threads() == 2
         evolve(h, initial_state("y", 1, p.N), [0.0, 1.5, 7.0])
         assert two_blas_threads() == 2
-        with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
+        with pytest.raises(NumericalConsistencyError, match="energy drifted"):
             observable_trace(broken_hamiltonian(p), initial_state("x", 1, p.N))
         assert two_blas_threads() == 2
         assert _ONE_BLAS_THREAD.users == 0
@@ -187,7 +195,7 @@ class TestPinHygiene:
             return broken_hamiltonian(p) if p.G == 3.0 else build_minimal_hamiltonian(p)
 
         monkeypatch.setattr(sweep, "build_minimal_hamiltonian", planted)
-        with pytest.raises(NumericalConsistencyError, match="G=3.0.*off the diagonals"):
+        with pytest.raises(NumericalConsistencyError, match="G=3.0.*energy drifted"):
             [sweep.trace_at(grid, G) for G in grid.G_values]
         assert two_blas_threads() == 2
         assert _ONE_BLAS_THREAD.users == 0
@@ -301,9 +309,9 @@ def test_pipelined_cutoffs_match_one_trace_at_a_time(monkeypatch, render_cpus, c
 
     events, prepared, traced, chunk = [], model._prepared, model._traced, model._Propagator.chunk
 
-    def preparing(params, *args):
-        events.append(("prepare", params.N, threading.current_thread()))
-        return prepared(params, *args)
+    def preparing(h, *args):
+        events.append(("prepare", h.params.N, threading.current_thread()))
+        return prepared(h, *args)
 
     def tracing(params, *args):
         events.append(("map", params.N, threading.current_thread()))
@@ -337,11 +345,12 @@ def test_pipelined_cutoffs_match_one_trace_at_a_time(monkeypatch, render_cpus, c
 @pytest.mark.parametrize("plant", ["eigensolver", "off-band"])
 def test_failing_lead_raises_once_the_chunk_threads_finish(monkeypatch, two_blas_threads,
                                                           render_cpus, cpus, plant):
-    # cutoff 8 cannot be prepared: its eigensolver fails, or its block +1
-    # has weight off the five diagonals; observable_trace at that cutoff
-    # raises the same type.  Cutoff 6's chunks are slowed down, so its chunk
-    # thread is still running when the lead fails; the failure empties the
-    # queue and is raised once no chunk thread is left
+    # cutoff 8 fails as observable_trace at that cutoff does.  Its
+    # eigensolver fails in the lead, while cutoff 6's slowed chunks still
+    # run: the failure empties the queue and is raised once no chunk thread
+    # is left.  Or its block +1 is solved with an entry off the five
+    # diagonals that its bands lack: the lead succeeds, and cutoff 8's own
+    # energy check fails once its map has ended
     render_cpus(cpus)
     p = ModelParams(G=3.0, N=6, t_max=100.0, dt=0.02)      # 40 chunks at N=6
     real_eigh, real_block = np.linalg.eigh, model._parity_block
@@ -353,11 +362,7 @@ def test_failing_lead_raises_once_the_chunk_threads_finish(monkeypatch, two_blas
 
     def block(N, g, sign):
         b = real_block(N, g, sign)
-        if N == 8 and sign == 1:
-            m = b.entries.copy()
-            m[0, 2] = m[2, 0] = 1e-3
-            b = ParityBlock(sign, m)
-        return b
+        return MisfitBlock(sign, b.bands) if N == 8 and sign == 1 else b
 
     if plant == "eigensolver":
         monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -385,8 +390,12 @@ def test_failing_lead_raises_once_the_chunk_threads_finish(monkeypatch, two_blas
     monkeypatch.setattr(model, "_threaded", watched)
     with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
         model.truncation_convergence(p, "z", 1, [6, 8])
-    assert left == [[]]
-    assert ran.count(36) < 40 and (cpus == 2 or ran.count(36) == 0)
+    if plant == "eigensolver":
+        assert left == [[]]
+        assert ran.count(36) < 40 and (cpus == 2 or ran.count(36) == 0)
+    else:
+        assert "energy drifted" in str(alone.value)
+        assert left == [] and ran.count(36) == ran.count(64) == 40
     assert not any(map(is_chunk_thread, threading.enumerate()))
     assert two_blas_threads() == 2 and _ONE_BLAS_THREAD.users == 0
 

@@ -77,12 +77,20 @@ def planted_sweep(monkeypatch, traces, G_values=None):
     return SimpleNamespace(G_values=G_values, params_at=lambda G: SimpleNamespace(times=times))
 
 
+class MisfitBlock(ParityBlock):
+    """A block whose eigensolve sees an entry at offset 2 that its bands lack."""
+
+    def dense(self):
+        m = super().dense()
+        m[0, 2] += 1e-3
+        m[2, 0] += 1e-3
+        return m
+
+
 def broken_hamiltonian(p: ModelParams):
-    """``h`` with a planted entry off the five diagonals of block +1."""
+    """``h`` whose block +1 is solved with a planted entry off its five diagonals."""
     h = build_minimal_hamiltonian(p)
-    m = h.blocks[0].entries.copy()
-    m[0, 2] = m[2, 0] = 1e-3
-    return dataclasses.replace(h, blocks=(ParityBlock(1, m), h.blocks[1]))
+    return dataclasses.replace(h, blocks=(MisfitBlock(1, h.blocks[0].bands), h.blocks[1]))
 
 
 def read_csv(path):
@@ -451,7 +459,7 @@ class TestNumericalFailureExitCode:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical consistency failure:") and err.count("\n") == 1
-        assert f"G={G}" in err and "off the diagonals" in err
+        assert f"G={G}" in err and "energy drifted" in err
         assert len(forks) == 1
         assert snapshot(out) == {}
         TestRenderProcesses.assert_no_child_left()

@@ -54,6 +54,16 @@ TRACE_COLUMNS = ("sx", "sy", "sz", "n_alpha", "n_beta", "energy", "norm")
 STARTS = [(direction, sign) for direction in "xyz" for sign in (1, -1)]
 
 
+class MisfitBlock(ParityBlock):
+    """A block whose eigensolve sees an entry at offset 2 that its bands lack."""
+
+    def dense(self):
+        m = super().dense()
+        m[0, 2] += 1e-3
+        m[2, 0] += 1e-3
+        return m
+
+
 def amplitudes(states) -> np.ndarray:
     """The states of ``evolve`` stacked as rows."""
     return np.array([s.amplitudes for s in states])
@@ -138,7 +148,7 @@ class TestModelParams:
     def test_gershgorin_bound_holds(self, G, mu, N):
         h = build_minimal_hamiltonian(ModelParams(G=G, mu=mu, N=N))
         bound = SQRT2 * (2 * N - 1) + 4.0 * abs(h.g) * math.sqrt(N - 1)
-        top = max(np.abs(np.linalg.eigvalsh(b.entries)).max() for b in h.blocks)
+        top = max(np.abs(np.linalg.eigvalsh(b.dense())).max() for b in h.blocks)
         assert top <= bound
 
     @pytest.mark.parametrize("N", [14.0, 3.5, "14"])
@@ -456,7 +466,7 @@ class TestParityBlocks:
         W = {s: parity_isometry_oracle(N, s) for s in (1, -1)}
         for block in h.blocks:
             W_s = W[block.sign]
-            npt.assert_allclose(W_s.conj().T @ H @ W_s, block.entries,
+            npt.assert_allclose(W_s.conj().T @ H @ W_s, block.dense(),
                                 rtol=0, atol=1e-14)
         assert np.abs(W[1].conj().T @ H @ W[-1]).max() <= 1e-12
 
@@ -465,11 +475,12 @@ class TestParityBlocks:
                                    coupling_strength(100.0, 1.0)],
                              ids=["zero", "minus-zero", "-1.3", "G=100"])
     def test_blocks_bit_identical_to_kronecker_assembly(self, N, g):
-        # the diagonals are written with the arithmetic of the Kronecker sums,
-        # so every entry has the same bits, the sign of each zero included
+        # the bands are written with the arithmetic of the Kronecker sums,
+        # so every entry of the dense block has the same bits, the sign of
+        # each zero included
         h = build_minimal_hamiltonian(ModelParams(G=1.0, N=N), g=g)
         for block, ref in zip(h.blocks, kronecker_parity_blocks(N, g)):
-            npt.assert_array_equal(block.entries.view(np.uint64), ref.view(np.uint64))
+            npt.assert_array_equal(block.dense().view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("N,steps", [(2, 128), (14, 128), (15, 111), (20, 64), (32, 64)])
     def test_chunk_length_follows_the_byte_budget(self, monkeypatch, N, steps):
@@ -542,67 +553,82 @@ class TestParityBlocks:
         dense = np.einsum("ti,ti->t", states.conj(), states @ H.T).real
         npt.assert_allclose(tr.energy, dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("N", [14, 20])
+    @pytest.mark.parametrize("direction", ["x", "y", "z"])
+    def test_energy_bits_match_dense_diagonal_views(self, monkeypatch, direction, N):
+        # the energy products read strided column views of the stored bands;
+        # read from the diagonal views of the dense block instead, they give
+        # the same bits (a contiguous copy of the bands need not)
+        p = ModelParams(G=3.0, N=N, t_max=5.0)
+        h = build_minimal_hamiltonian(p)
+        psi0 = initial_state(direction, 1, N)
+        banded = observable_trace(h, psi0).energy
+        prepared = model._prepared
+
+        def from_dense(h, psi0):
+            params, propagator, bands = prepared(h, psi0)
+            for i, (sign, _) in bands.items():
+                m = h.blocks[i].dense()
+                bands[i] = sign, (np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, N))
+            return params, propagator, bands
+
+        monkeypatch.setattr(model, "_prepared", from_dense)
+        dense = observable_trace(h, psi0).energy
+        npt.assert_array_equal(banded.view(np.uint64), dense.view(np.uint64))
+
     @pytest.mark.parametrize("N", [5, 6, 14])
     @pytest.mark.parametrize("g", [0.0, -1.3, None], ids=["g=0", "g=-1.3", "G=100"])
     def test_blocks_are_real_symmetric(self, N, g):
         p = ModelParams(G=100.0, N=N, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p, g=g)
         for block in h.blocks:
-            m = block.entries
-            assert m.dtype == np.float64 and m.flags.c_contiguous
-            assert not m.flags.writeable
-            assert np.array_equal(m, m.T)
+            b = block.bands
+            assert b.dtype == np.float64 and b.flags.c_contiguous and b.shape == (N * N, 3)
+            # each upper band from the top of its column, zeros below it
+            assert not b[N * N - 1:, 1].any() and not b[N * N - N:, 2].any()
+            m = block.dense()
+            assert m.dtype == np.float64 and np.array_equal(m, m.T)
 
-    def test_imaginary_entry_refused_before_eigensolve(self, monkeypatch):
-        p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
-        block = build_minimal_hamiltonian(p).blocks[0]
-        m = block.entries.astype(complex)
-        m[0, 4] += 1e-3j                # the first n_a hop, as in the ungauged basis
-        m[4, 0] -= 1e-3j
+    def test_bands_are_readonly(self):
+        block = build_minimal_hamiltonian(ModelParams(G=1.0, N=4)).blocks[0]
+        with pytest.raises(ValueError):
+            block.bands[0, 0] = 5.0
+
+    @pytest.mark.parametrize("bad", ["nan", "non-square", "inf", "minus-inf", "two-columns",
+                                     "flat"])
+    def test_block_refused_at_construction(self, monkeypatch, bad):
+        b = build_minimal_hamiltonian(ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)) \
+            .blocks[1].bands.copy()
+        if bad == "nan":
+            b[3, 0] = math.nan
+        elif bad in ("inf", "minus-inf"):
+            b[0, 2] = math.inf if bad == "inf" else -math.inf
+        elif bad == "non-square":
+            b = b[:-1]                  # 15 rows: no cutoff has 15 states in a block
+        elif bad == "two-columns":
+            b = b[:, :2]
+        else:
+            b = b.ravel()
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
-        with pytest.raises(NumericalConsistencyError, match="not real"):
-            ParityBlock(block.sign, m)
+        with pytest.raises(NumericalConsistencyError, match="parity block -1"):
+            ParityBlock(-1, b)
         assert calls == []
 
-    @pytest.mark.parametrize("bad", [
-        "asymmetric", "nan", "non-square",
-        pytest.param("inf", marks=pytest.mark.filterwarnings("ignore:invalid value")),
-    ])
-    def test_block_refused_at_construction(self, bad):
-        m = build_minimal_hamiltonian(ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)) \
-            .blocks[1].entries.copy()
-        if bad == "asymmetric":
-            m[0, 1] += 2e-12            # above HERMITICITY_ATOL
-        elif bad == "nan":
-            m[3, 3] = math.nan          # symmetric position; NaN fails the test
-        elif bad == "inf":
-            m[0, 4] = m[4, 0] = math.inf
-        else:
-            m = m[:, :-1]
-        with pytest.raises(NumericalConsistencyError, match="parity block -1"):
-            ParityBlock(-1, m)
-
-    def test_complex_block_with_zero_imaginary_part_keeps_its_real_part(self):
-        m = build_minimal_hamiltonian(ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)) \
-            .blocks[0].entries
-        block = ParityBlock(1, m.astype(complex))
-        assert block.entries.dtype == np.float64
-        npt.assert_array_equal(block.entries, m)
-
-    def test_symmetry_within_tolerance_accepted(self):
-        m = np.eye(4)
-        m[0, 1] = 5e-13                # below HERMITICITY_ATOL
-        npt.assert_array_equal(ParityBlock(1, m).entries, m)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_coupling_refused_at_assembly(self):
+        # sqrt(n) g overflows from n = 4: the top hops are infinite
+        with pytest.raises(NumericalConsistencyError, match="parity block \\+1 has a non-finite"):
+            build_minimal_hamiltonian(ModelParams(G=1.0), g=1e308)
 
     def test_off_band_entry_refused(self):
+        # the eigensolver sees an entry at offset 2, neither an n_b nor an
+        # n_a hop at N = 4, that the bands lack: the energy the bands measure
+        # is not conserved by the propagation
         p = ModelParams(G=1.0, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
-        block = h.blocks[0]
-        m = block.entries.copy()
-        m[0, 2] = m[2, 0] = 1e-3        # offset 2: neither an n_b nor an n_a hop at N = 4
-        broken = dataclasses.replace(h, blocks=(ParityBlock(block.sign, m), h.blocks[1]))
-        with pytest.raises(NumericalConsistencyError, match="off the diagonals"):
+        broken = dataclasses.replace(h, blocks=(MisfitBlock(1, h.blocks[0].bands), h.blocks[1]))
+        with pytest.raises(NumericalConsistencyError, match="energy drifted"):
             observable_trace(broken, initial_state("x", +1, p.N))
 
     def test_x_start_diagonalizes_one_block(self, monkeypatch):
@@ -612,7 +638,7 @@ class TestParityBlocks:
         eigh = np.linalg.eigh
 
         def counting(m):
-            solved.append([m is block.entries for block in h.blocks])
+            solved.append([np.array_equal(m, block.dense()) for block in h.blocks])
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -633,7 +659,7 @@ class TestParityBlocks:
         with ThreadPoolExecutor(2) as pool:
             solved = [pool.submit(block.eigensystem) for block in h.blocks]
             for block, future in zip(h.blocks, solved):
-                npt.assert_array_equal(future.result()[0], eigh(block.entries)[0])
+                npt.assert_array_equal(future.result()[0], eigh(block.dense())[0])
 
 
 class TestEvolveAgainstTrace:
@@ -742,11 +768,24 @@ class TestWorkingSet:
             tracemalloc.stop()
 
     def test_assembly_holds_few_block_sized_arrays(self):
-        # both blocks, the copy ParityBlock keeps and its symmetry check's one
-        # temporary: four d x d arrays, where summed Kronecker products held six
+        # a block is its (d, 3) bands: assembly holds no d x d array, only a
+        # few arrays of d entries (the bands, ParityBlock's copy of them and
+        # the diagonal's temporaries)
         d = self.N ** 2
         peak = self.traced_peak(lambda: build_minimal_hamiltonian(ModelParams(G=10.0, N=self.N)))
-        assert peak <= 4.5 * d * d * 8
+        assert peak <= 128 * d
+
+    def test_hamiltonian_keeps_only_its_bands(self):
+        # both blocks' (d, 3) float64 bands, 48 B a state, and small objects
+        d = self.N ** 2
+        tracemalloc.start()
+        try:
+            h = build_minimal_hamiltonian(ModelParams(G=10.0, N=self.N))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.blocks[0].bands.nbytes == 24 * d
+        assert kept <= 64 * d
 
     def test_z_start_trace_within_its_budget(self):
         # both eigensystems and step tables, one worker's 64-step buffers and

@@ -16,7 +16,6 @@ from metricspin.model import (
     _PAULI_X,
     _PAULI_Y,
     OperatorMatrix,
-    ParityBlock,
     _mode_factors,
     initial_state,
 )
@@ -202,20 +201,6 @@ class TestExpectation:
         with pytest.raises(ValueError, match="cutoff N=3"):
             observable_trace(build_minimal_hamiltonian(p), psi)
 
-    def test_imaginary_part_guard(self):
-        # an imaginary part small enough to pass the entrywise Hermiticity
-        # gate is still refused: a parity block must be exactly real
-        ones = np.ones((9, 9))
-        m = np.eye(9) + 4e-13j * (np.triu(ones, 1) - np.tril(ones, -1))
-        assert np.abs(m - m.conj().T).max() <= 1e-12
-        with pytest.raises(NumericalConsistencyError, match="not real"):
-            ParityBlock(1, m)
-
-    def test_nan_imaginary_part_caught(self):
-        # a NaN imaginary part must not slip past the guard as "not too large"
-        with pytest.raises(NumericalConsistencyError, match="not real"):
-            ParityBlock(-1, np.diag([1.0 + math.nan * 1j, 1.0, 1.0, 1.0]))
-
 
 class TestValidation:
     def test_operator_rejects_non_hermitian(self):
@@ -254,6 +239,3 @@ class TestValidation:
         op = OperatorMatrix(ladder(3) + ladder(3).T)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
-        block = ParityBlock(1, np.eye(4))
-        with pytest.raises(ValueError):
-            block.entries[0, 0] = 5.0
