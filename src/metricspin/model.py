@@ -45,12 +45,14 @@ array that differs from the bands shows as energy drift.  The dense
 matrix on the full space is built only on demand.
 
 Every eigensolve and chunk runs in :mod:`metricspin.parallel`'s BLAS pin.
-A trace is its setup, in the calling thread (each occupied block's
-eigensolve, step table and bands), then the map of its independent
+A trace is its setup, one ``_Propagator`` built in the calling thread
+(the state's length checked, then each occupied block's eigensolve, step
+table, start amplitudes and band views), then the map of its independent
 chunks over the calling thread and the chunk threads, each chunk
-writing only its own rows of the output columns.  A truncation
-convergence assembles and prepares each next cutoff as the calling
-thread's lead job in the current cutoff's map.
+writing only its own rows of the output columns.  ``evolve`` builds the
+same setup with one-point chunks.  A truncation convergence assembles
+and prepares each next cutoff as the calling thread's lead job in the
+current cutoff's map.
 """
 
 from __future__ import annotations
@@ -379,34 +381,42 @@ def _block_amplitudes(psi: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Propagator:
-    """Block amplitudes of ``psi(t)``, one chunk of time points at a time.
+    """The setup of a trace of ``psi0`` under ``h``, then its amplitudes chunk by chunk.
+
+    Construction is the whole setup, in the calling thread under the held
+    BLAS pin: it refuses a state of another cutoff and solves each block
+    ``psi0`` has weight in, keeping its eigensystem, its step table
+    ``exp(-i E dt j)`` for ``j < steps``, its start amplitudes ``c0`` in
+    the eigenbasis, and its sign and band views for the energy check.  A
+    block without weight stays ``None`` in :attr:`spectra` and :attr:`bands`.
 
     A chunk holds the times ``t0 + j*dt`` for ``j < count``, ``count`` at
-    most ``steps``.  :meth:`solve` gives a block its eigensystem and its
-    step table ``exp(-i E dt j)``, once; :meth:`chunk` then costs one
-    exponential per state for its start factor ``exp(-i E t0) c0``,
-    broadcast into the table, and one real product of the eigenvectors
-    with the interleaved real and imaginary parts.  A one-point chunk has
-    the phases ``exp(-i E t0)`` exactly, whatever ``dt``.  Only the
-    :attr:`occupied` blocks, those ``psi0`` has weight in, are solved, in
-    the calling thread; the others stay ``None``.
-
-    :meth:`chunk` calls no function of this module, so worker threads may
-    run it with their own :meth:`buffers`.
+    most ``steps``.  :meth:`chunk` costs one exponential per state for its
+    start factor ``exp(-i E t0) c0``, broadcast into the table, and one
+    real product of the eigenvectors with the interleaved real and
+    imaginary parts.  A one-point chunk has the phases ``exp(-i E t0)``
+    exactly, whatever ``dt``.  :meth:`chunk` calls no function of this
+    module, so worker threads may run it with their own :meth:`buffers`.
     """
 
-    def __init__(self, psi0: StateVector, N: int, dt: float, steps: int):
-        self.dim = N * N
+    def __init__(self, h: MinimalHamiltonian, psi0: StateVector, steps: int):
+        self.params = params = h.params
+        N = params.N
+        _check_state(psi0, N)
+        self.dim = d = N * N
         self.steps = steps
-        self.times = dt * np.arange(steps)
-        self.phi0 = _block_amplitudes(psi0.amplitudes, N)
-        self.occupied = [i for i, phi0 in enumerate(self.phi0) if phi0.any()]
-        self.spectra = [None, None]
-
-    def solve(self, i: int, evals: np.ndarray, evecs: np.ndarray) -> None:
-        """Take the eigensystem of block ``i`` (0 for +1, 1 for -1) and make its step table."""
-        table = -1j * np.outer(evals, self.times)
-        self.spectra[i] = (evals, np.exp(table, out=table), evecs, evecs.T @ self.phi0[i])
+        self.spectra, self.bands = [None, None], [None, None]
+        times = params.dt * np.arange(steps)
+        for i, phi0 in enumerate(_block_amplitudes(psi0.amplitudes, N)):
+            if phi0.any():
+                block = h.blocks[i]
+                evals, evecs = block.eigensystem()
+                table = -1j * np.outer(evals, times)
+                self.spectra[i] = evals, np.exp(table, out=table), evecs, evecs.T @ phi0
+                # strided column views: the energy's products have the bits of
+                # the dense block's diagonal views, which a contiguous copy need not
+                b = block.bands
+                self.bands[i] = block.sign, (b[:, 0], b[:d - 1, 1], b[:d - N, 2])
 
     def buffers(self, count: int) -> tuple[np.ndarray, list]:
         """One worker's scratch: a complex phase block and each block's amplitudes."""
@@ -442,7 +452,6 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     the input state unchanged; every propagated state is re-validated to
     unit norm on construction.  A state of another cutoff raises ``ValueError``.
     """
-    _check_state(psi0, h.params.N)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
@@ -456,9 +465,7 @@ def evolve(h: MinimalHamiltonian, psi0: StateVector, times) -> list[StateVector]
     gauge = _gauge(N)
     out = []
     with _ONE_BLAS_THREAD:
-        propagator = _Propagator(psi0, N, 0.0, 1)
-        for i in propagator.occupied:
-            propagator.solve(i, *h.blocks[i].eigensystem())
+        propagator = _Propagator(h, psi0, 1)
         buffers = propagator.buffers(1)
         # each requested time is its own one-point chunk, so the grid may be arbitrary
         for t in times:
@@ -517,46 +524,27 @@ def observable_trace(h: MinimalHamiltonian, psi0: StateVector) -> ObservableTrac
     :class:`NumericalConsistencyError` since it signals a broken
     propagation, not physics.  A state of another cutoff raises ``ValueError``.
 
-    The trace is its setup (:func:`_prepared`) then its chunk map
-    (:func:`_traced`), both under one hold of the BLAS pin.
+    The trace is its setup (:func:`_prepared`, a :class:`_Propagator`)
+    then its chunk map (:func:`_traced`), both under one hold of the BLAS pin.
     """
-    _check_state(psi0, h.params.N)
     with _ONE_BLAS_THREAD as cpus:
-        return _traced(*_prepared(h, psi0), cpus)
+        return _traced(_prepared(h, psi0), cpus)
 
 
-def _prepared(h: MinimalHamiltonian, psi0: StateVector):
-    """The setup of a trace of ``psi0`` under ``h``, in the calling thread.
-
-    Each block ``psi0`` has weight in is solved, and views of its bands
-    are taken for the energy check; its dense array lives only inside its
-    eigensolve.  Runs under the held BLAS pin; returns the arguments of
-    :func:`_traced` before ``cpus``.
-    """
-    params = h.params
-    N = params.N
-    d = N * N
-    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // d))
-    propagator = _Propagator(psi0, N, params.dt, min(span, params.times.size))
-    bands = {}
-    for i in propagator.occupied:
-        block = h.blocks[i]
-        # strided column views: the energy's products have the bits of the
-        # dense block's diagonal views, which a contiguous copy need not
-        b = block.bands
-        bands[i] = block.sign, (b[:, 0], b[:d - 1, 1], b[:d - N, 2])
-        propagator.solve(i, *block.eigensystem())
-    return params, propagator, bands
+def _prepared(h: MinimalHamiltonian, psi0: StateVector) -> _Propagator:
+    """The setup of a trace, its chunk length taken from the byte budget."""
+    span = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_STATES // h.params.N ** 2))
+    return _Propagator(h, psi0, min(span, h.params.times.size))
 
 
-def _traced(params: ModelParams, propagator: _Propagator, bands: dict, cpus: int,
-            lead=None) -> ObservableTrace:
+def _traced(propagator: _Propagator, cpus: int, lead=None) -> ObservableTrace:
     """The chunk map of a prepared trace, then its norm and energy checks.
 
     Runs under the held BLAS pin that gave ``cpus``: the map's workers are
     the calling thread, which first runs ``lead()`` if given, and the
     chunk threads :func:`_threaded` starts.
     """
+    params, bands = propagator.params, propagator.bands
     times = params.times
     N = params.N
     levels, _, parity = _mode_factors(N)
@@ -676,7 +664,7 @@ def truncation_convergence(params: ModelParams, direction: str, sign: int,
     with _ONE_BLAS_THREAD as cpus:
         ahead = [prepared(cutoffs[0])]
         for k, p in enumerate(cutoffs):
-            hi = _traced(*ahead.pop(), cpus,
+            hi = _traced(ahead.pop(), cpus,
                          lambda: ahead.extend(map(prepared, cutoffs[k + 1:k + 2])))
             if lo is not None:
                 pairs.append((cutoffs[k - 1].N, p.N,

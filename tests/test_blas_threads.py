@@ -313,9 +313,9 @@ def test_pipelined_cutoffs_match_one_trace_at_a_time(monkeypatch, render_cpus, c
         events.append(("prepare", h.params.N, threading.current_thread()))
         return prepared(h, *args)
 
-    def tracing(params, *args):
-        events.append(("map", params.N, threading.current_thread()))
-        return traced(params, *args)
+    def tracing(propagator, *args):
+        events.append(("map", propagator.params.N, threading.current_thread()))
+        return traced(propagator, *args)
 
     def chunking(self, *args):
         events.append(("chunk", math.isqrt(self.dim), threading.current_thread()))

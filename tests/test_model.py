@@ -331,12 +331,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(h, initial_state("x", +1, p.N), times)
 
-    def test_space_mismatch(self):
+    def test_space_mismatch(self, monkeypatch):
         p = ModelParams(G=0.3, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         other = initial_state("x", +1, 5)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="cutoff N=4"):
             evolve(h, other, [0.5])
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -563,17 +566,21 @@ class TestParityBlocks:
         h = build_minimal_hamiltonian(p)
         psi0 = initial_state(direction, 1, N)
         banded = observable_trace(h, psi0).energy
-        prepared = model._prepared
+        prepared, planted = model._prepared, []
 
         def from_dense(h, psi0):
-            params, propagator, bands = prepared(h, psi0)
-            for i, (sign, _) in bands.items():
-                m = h.blocks[i].dense()
-                bands[i] = sign, (np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, N))
-            return params, propagator, bands
+            propagator = prepared(h, psi0)
+            for i, held in enumerate(propagator.bands):
+                if held is not None:
+                    m = h.blocks[i].dense()
+                    propagator.bands[i] = held[0], (np.diagonal(m), np.diagonal(m, 1),
+                                                    np.diagonal(m, N))
+                    planted.append(i)
+            return propagator
 
         monkeypatch.setattr(model, "_prepared", from_dense)
         dense = observable_trace(h, psi0).energy
+        assert planted == ([0] if direction == "x" else [0, 1])
         npt.assert_array_equal(banded.view(np.uint64), dense.view(np.uint64))
 
     @pytest.mark.parametrize("N", [5, 6, 14])
@@ -631,19 +638,36 @@ class TestParityBlocks:
         with pytest.raises(NumericalConsistencyError, match="energy drifted"):
             observable_trace(broken, initial_state("x", +1, p.N))
 
-    def test_x_start_diagonalizes_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("direction,sign,solved", [("x", -1, ([False, True],)),
+                                                       ("y", 1, ([True, False], [False, True])),
+                                                       ("z", -1, ([True, False], [False, True]))],
+                             ids=["x-", "y+", "z-"])
+    @pytest.mark.parametrize("run", ["observable_trace", "evolve", "truncation_convergence"])
+    def test_start_diagonalizes_the_blocks_it_occupies(self, monkeypatch, run, direction, sign,
+                                                       solved):
+        # all three share one setup: an x-start makes one eigh call per
+        # cutoff, on the block it occupies; a y- or z-start makes two
         p = ModelParams(G=1.0, N=5, t_max=1.0, dt=0.5)
-        h = build_minimal_hamiltonian(p)
-        solved = []
+        calls = []
         eigh = np.linalg.eigh
 
         def counting(m):
-            solved.append([np.array_equal(m, block.dense()) for block in h.blocks])
+            N = math.isqrt(m.shape[0])
+            blocks = build_minimal_hamiltonian(dataclasses.replace(p, N=N)).blocks
+            calls.append((N, [np.array_equal(m, block.dense()) for block in blocks]))
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        observable_trace(h, initial_state("x", -1, p.N))
-        assert solved == [[False, True]]
+        psi0 = initial_state(direction, sign, p.N)
+        cutoffs = [5]
+        if run == "observable_trace":
+            observable_trace(build_minimal_hamiltonian(p), psi0)
+        elif run == "evolve":
+            evolve(build_minimal_hamiltonian(p), psi0, [0.0, 0.7, 3.1])
+        else:
+            cutoffs = [3, 4, 5]
+            truncation_convergence(p, direction, sign, cutoffs)
+        assert calls == [(N, which) for N in cutoffs for which in solved]
 
     def test_two_blocks_diagonalize_at_once(self, monkeypatch):
         # each eigensolve waits until the other has started too
@@ -860,12 +884,15 @@ class TestTraceValidation:
         npt.assert_allclose(tr.px, 0.5 * (1 + tr.sx), atol=0)
         npt.assert_allclose(tr.pz, 0.5 * (1 + tr.sz), atol=0)
 
-    def test_space_mismatch(self):
+    def test_space_mismatch(self, monkeypatch):
         p = ModelParams(G=0.1, N=4, t_max=1.0, dt=0.5)
         h = build_minimal_hamiltonian(p)
         other = initial_state("x", +1, 5)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="cutoff N=4"):
             observable_trace(h, other)
+        assert calls == []
 
     @pytest.mark.parametrize("corrupt,guard", [("eigenvalues", "norm"),
                                                ("eigenvectors", "energy")])
